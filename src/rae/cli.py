@@ -25,7 +25,14 @@ import sys
 
 import numpy as np
 
-from .energy import direct_baseline, estimate_term, rmse_sweep, simulate_dataset
+from . import jsonio
+from .energy import (
+    direct_baseline,
+    estimate_term,
+    rmse_sweep,
+    simulate_dataset,
+    sweep_cell,
+)
 from .fisher import advantage_verdict, crb_rmse, direct_mse_model
 from .inference import (
     BOOTSTRAP_REPLICATES,
@@ -87,18 +94,43 @@ def _load_problem(spec: str, theta: float | None):
     return h, ansatz
 
 
+# Arguments every grid-fitting command records, and those of the sweeps.
+_GRID_KEYS = ("grid_pi", "grid_lambda", "grid_lambda_max")
+_SWEEP_KEYS = ("hamiltonian", "lambda", "schedule", "i_max", "degree", "shots",
+               "bootstrap", *_GRID_KEYS)
+
+
+def _config(args: argparse.Namespace, seed: int, keys, ansatz=None) -> dict:
+    """What a run's outputs depend on: the command, its seed, the arguments
+    named in ``keys`` (``lambda`` is ``--lambda``), and the ansatz used."""
+    config = {"command": args.command, "seed": seed}
+    for key in keys:
+        config[key] = getattr(args, "lam" if key == "lambda" else key)
+    if ansatz is not None:
+        config.update(ansatz=ansatz.kind, theta=ansatz.theta)
+    return config
+
+
 def _config_digest(payload: dict) -> str:
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _json_text(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
 def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
+
+
+def _write_report(path: str, stamp: bool, body: dict,
+                  config: dict | None = None) -> None:
+    """JSON report: ``body`` plus the format version and the optional
+    timestamp, and the config with its digest for commands that have one."""
+    doc = {"version": jsonio.FORMAT_VERSION, "timestamp": _utc_stamp(stamp), **body}
+    if config is not None:
+        doc["config"] = config
+        doc["config_sha256"] = _config_digest(config)
+    _write_text(path, jsonio.dumps(doc))
+    print(f"wrote {path}")
 
 
 def _utc_stamp(enabled: bool) -> str | None:
@@ -115,41 +147,22 @@ def _grid_from_args(args: argparse.Namespace) -> MLEGrid:
     )
 
 
-def _build_schedule(
-    family: str,
-    i_max: int,
-    n_shots: int,
-    degree: int,
-    c: float,
-    lam: float | None = None,
-    pi_prior: float | None = None,
-) -> LayerSchedule:
-    if family == "lis":
-        return lis(i_max, n_shots)
-    if family == "eis":
-        return eis(i_max, n_shots)
-    if family == "poly":
-        return polynomial(degree, i_max, n_shots)
-    if family == "nris":
-        if lam is None or pi_prior is None:
+def _build_schedule(args: argparse.Namespace, i_max: int,
+                    pi_prior: float | None = None) -> LayerSchedule:
+    """The ``--schedule`` family at size ``i_max``; nris needs ``pi_prior``."""
+    if args.schedule == "lis":
+        return lis(i_max, args.shots)
+    if args.schedule == "eis":
+        return eis(i_max, args.shots)
+    if args.schedule == "poly":
+        return polynomial(args.degree, i_max, args.shots)
+    if args.schedule == "nris":
+        if args.lam is None or pi_prior is None:
             raise ValueError(
                 "the noise-robust schedule needs both --lambda and an amplitude prior"
             )
-        return noise_robust_schedule(pi_prior, lam, n_shots, c)
-    raise ValueError(f"unknown schedule family {family!r}")
-
-
-def _budget_builder(family: str, degree: int):
-    """Schedule constructor keyed by a single size parameter, for sweeps."""
-    if family == "lis":
-        return lis
-    if family == "eis":
-        return eis
-    if family == "poly":
-        return lambda i_max, n_shots: polynomial(degree, i_max, n_shots)
-    raise ValueError(
-        f"sweeps need a schedule family with a single size axis, not {family!r}"
-    )
+        return noise_robust_schedule(pi_prior, args.lam, args.shots, args.c)
+    raise ValueError(f"unknown schedule family {args.schedule!r}")
 
 
 def _fmt(x: float) -> str:
@@ -167,19 +180,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
     terms = h.non_identity_terms()
     if not terms:
         raise ValueError("the Hamiltonian has no non-identity terms to measure")
-    config = {
-        "command": "generate",
-        "hamiltonian": args.hamiltonian,
-        "ansatz": ansatz.kind,
-        "theta": ansatz.theta,
-        "lambda": args.lam,
-        "schedule": args.schedule,
-        "i_max": args.i_max,
-        "degree": args.degree,
-        "c": args.c,
-        "shots": args.shots,
-        "seed": seed,
-    }
+    config = _config(args, seed, ("hamiltonian", "lambda", "schedule", "i_max",
+                                  "degree", "c", "shots"), ansatz)
     digest = _config_digest(config)
     stamp = _utc_stamp(args.stamp)
     os.makedirs(args.out, exist_ok=True)
@@ -187,10 +189,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         prior = None
         if args.schedule == "nris":
             prior = oracle_expectation(ansatz, string)
-        schedule = _build_schedule(
-            args.schedule, args.i_max, args.shots, args.degree, args.c,
-            lam=args.lam, pi_prior=prior,
-        )
+        schedule = _build_schedule(args, args.i_max, prior)
         dataset = simulate_dataset(
             ansatz, string, args.lam, schedule,
             seed=np.random.SeedSequence(seed, spawn_key=(j,)),
@@ -235,18 +234,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
             "pass --force to combine them anyway"
         )
     grid = _grid_from_args(args)
-    config = {
-        "command": "estimate",
-        "files": list(args.files),
-        "bootstrap": args.bootstrap,
-        "band": args.band,
-        "force": bool(args.force),
-        "grid_pi": args.grid_pi,
-        "grid_lambda": args.grid_lambda,
-        "grid_lambda_max": args.grid_lambda_max,
-        "seed": seed,
-    }
-    digest = _config_digest(config)
+    config = _config(args, seed, ("files", "bootstrap", "band", "force",
+                                  *_GRID_KEYS))
     rows = []
     for j, (path, dataset) in enumerate(datasets):
         m = args.bootstrap
@@ -304,15 +293,6 @@ def cmd_estimate(args: argparse.Namespace) -> int:
             "verdict": verdict,
             "note": note,
         })
-    doc = {
-        "version": 1,
-        "config": config,
-        "config_sha256": digest,
-        "timestamp": _utc_stamp(args.stamp),
-        "terms": rows,
-    }
-    if args.out:
-        _write_text(args.out, _json_text(doc))
     for row in rows:
         line = (
             f"{row['term']}: pi_hat={row['pi_hat']:+.6f} "
@@ -325,67 +305,56 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         if row["note"] is not None:
             print(f"  note: {row['note']}")
     if args.out:
-        print(f"wrote {args.out}")
+        _write_report(args.out, args.stamp, {"terms": rows}, config)
     return EXIT_OK
 
 
-def sweep_cell(ansatz, string, lam, schedule, m_bootstrap, grid, seed, position):
-    """One (budget row, term) cell of a sweep.
-
-    The substreams depend only on the base seed and the cell position, so
-    cells can be computed in any order, or concurrently, and still reproduce
-    the sequential table.
-    """
-    i, j = position
-    data_seed = np.random.SeedSequence(seed, spawn_key=(i, j, 0))
-    boot_seed = np.random.SeedSequence(seed, spawn_key=(i, j, 1))
-    dataset = simulate_dataset(ansatz, string, lam, schedule, seed=data_seed)
-    result, reps = estimate_term(dataset, m_bootstrap, grid=grid, seed=boot_seed)
-    stats = rmse_stats(reps.pi_hats, oracle_expectation(ansatz, string))
-    return result, stats
-
-
-def cmd_sweep(args: argparse.Namespace) -> int:
+def _sweep_setup(args: argparse.Namespace):
+    """Shared front half of ``sweep`` and ``energy``: seed, problem, grid,
+    and the report config."""
     seed = _resolve_seed(args.seed)
     h, ansatz = _load_problem(args.hamiltonian, args.theta)
     if ansatz is None:
-        raise ValueError("sweeps need an ansatz; the Hamiltonian file has none")
-    builder = _budget_builder(args.schedule, args.degree)
-    grid = _grid_from_args(args)
-    terms = h.non_identity_terms()
-    config = {
-        "command": "sweep",
-        "hamiltonian": args.hamiltonian,
-        "ansatz": ansatz.kind,
-        "theta": ansatz.theta,
-        "lambda": args.lam,
-        "schedule": args.schedule,
-        "i_max": args.i_max,
-        "degree": args.degree,
-        "shots": args.shots,
-        "bootstrap": args.bootstrap,
-        "grid_pi": args.grid_pi,
-        "grid_lambda": args.grid_lambda,
-        "grid_lambda_max": args.grid_lambda_max,
-        "seed": seed,
-    }
-    lines = ["term,l_max,n_queries,pi_hat,lambda_hat,rmse,sigma_rmse"]
-    json_rows = []
-    for i, budget in enumerate(range(args.i_max + 1)):
-        schedule = builder(budget, args.shots)
-        for j, (_, string) in enumerate(terms):
-            result, stats = sweep_cell(
+        raise ValueError(
+            f"{args.command} needs an ansatz; the Hamiltonian file has none"
+        )
+    if args.schedule == "nris":
+        raise ValueError(
+            "sweeps need a schedule family with a single size axis, not 'nris'"
+        )
+    config = _config(args, seed, _SWEEP_KEYS, ansatz)
+    return seed, h, ansatz, _grid_from_args(args), config
+
+
+def _write_table(args: argparse.Namespace, header: str, columns,
+                 rows: list[dict], config: dict) -> None:
+    """The ``columns`` of ``rows`` as CSV at ``--out`` and, with ``--json``,
+    the full rows as a report."""
+    lines = [header] + [
+        ",".join(_fmt(row[c]) if isinstance(row[c], float) else str(row[c])
+                 for c in columns)
+        for row in rows
+    ]
+    _write_text(args.out, "\n".join(lines) + "\n")
+    print(f"wrote {args.out} ({len(rows)} rows)")
+    if args.json:
+        _write_report(args.json, args.stamp, {"rows": rows}, config)
+
+
+def cmd_sweep(args: argparse.Namespace) -> int:
+    seed, h, ansatz, grid, config = _sweep_setup(args)
+    rows = []
+    for i in range(args.i_max + 1):
+        schedule = _build_schedule(args, i)
+        l_max = max(schedule.layers)
+        n_queries = query_cost(schedule)
+        for j, (_, string) in enumerate(h.non_identity_terms()):
+            result, reps = sweep_cell(
                 ansatz, string, args.lam, schedule, args.bootstrap, grid,
                 seed, (i, j),
             )
-            l_max = max(schedule.layers)
-            n_queries = query_cost(schedule)
-            lines.append(",".join([
-                string.word, str(l_max), str(n_queries),
-                _fmt(result.pi_hat), _fmt(result.lambda_hat),
-                _fmt(stats.rmse), _fmt(stats.sigma_rmse),
-            ]))
-            json_rows.append({
+            stats = rmse_stats(reps.pi_hats, oracle_expectation(ansatz, string))
+            rows.append({
                 "term": string.word,
                 "l_max": int(l_max),
                 "n_queries": int(n_queries),
@@ -394,57 +363,23 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 "rmse": float(stats.rmse),
                 "sigma_rmse": float(stats.sigma_rmse),
             })
-    _write_text(args.out, "\n".join(lines) + "\n")
-    print(f"wrote {args.out} ({len(lines) - 1} rows)")
-    if args.json:
-        doc = {
-            "version": 1,
-            "config": config,
-            "config_sha256": _config_digest(config),
-            "timestamp": _utc_stamp(args.stamp),
-            "rows": json_rows,
-        }
-        _write_text(args.json, _json_text(doc))
-        print(f"wrote {args.json}")
+    columns = ("term", "l_max", "n_queries", "pi_hat", "lambda_hat", "rmse",
+               "sigma_rmse")
+    _write_table(args, ",".join(columns), columns, rows, config)
     return EXIT_OK
 
 
 def cmd_energy(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args.seed)
-    h, ansatz = _load_problem(args.hamiltonian, args.theta)
-    if ansatz is None:
-        raise ValueError("energy sweeps need an ansatz; the Hamiltonian file has none")
-    builder = _budget_builder(args.schedule, args.degree)
-    grid = _grid_from_args(args)
-    config = {
-        "command": "energy",
-        "hamiltonian": args.hamiltonian,
-        "ansatz": ansatz.kind,
-        "theta": ansatz.theta,
-        "lambda": args.lam,
-        "schedule": args.schedule,
-        "i_max": args.i_max,
-        "degree": args.degree,
-        "shots": args.shots,
-        "bootstrap": args.bootstrap,
-        "grid_pi": args.grid_pi,
-        "grid_lambda": args.grid_lambda,
-        "grid_lambda_max": args.grid_lambda_max,
-        "seed": seed,
-    }
-    rows = rmse_sweep(
-        h, ansatz, args.lam, builder, tuple(range(args.i_max + 1)),
-        args.shots, args.bootstrap, seed=seed, grid=grid,
+    seed, h, ansatz, grid, config = _sweep_setup(args)
+    estimates = rmse_sweep(
+        h, ansatz, args.lam, lambda i_max, _: _build_schedule(args, i_max),
+        tuple(range(args.i_max + 1)), args.shots, args.bootstrap,
+        seed=seed, grid=grid,
     )
-    lines = ["l_max,n_queries,rmse,bias,variance"]
-    json_rows = []
-    for row in rows:
-        lines.append(",".join([
-            str(row.l_max), str(row.n_queries_per_term),
-            _fmt(row.rmse), _fmt(row.bias), _fmt(row.variance),
-        ]))
+    rows = []
+    for row in estimates:
         baseline = direct_baseline(h, ansatz, args.lam, row.n_queries_per_term)
-        json_rows.append({
+        rows.append({
             "l_max": int(row.l_max),
             "n_queries_per_term": int(row.n_queries_per_term),
             "energy": float(row.energy),
@@ -453,18 +388,9 @@ def cmd_energy(args: argparse.Namespace) -> int:
             "rmse": float(row.rmse),
             "baseline_rmse": float(baseline.rmse),
         })
-    _write_text(args.out, "\n".join(lines) + "\n")
-    print(f"wrote {args.out} ({len(rows)} rows)")
-    if args.json:
-        doc = {
-            "version": 1,
-            "config": config,
-            "config_sha256": _config_digest(config),
-            "timestamp": _utc_stamp(args.stamp),
-            "rows": json_rows,
-        }
-        _write_text(args.json, _json_text(doc))
-        print(f"wrote {args.json}")
+    _write_table(args, "l_max,n_queries,rmse,bias,variance",
+                 ("l_max", "n_queries_per_term", "rmse", "bias", "variance"),
+                 rows, config)
     return EXIT_OK
 
 
@@ -503,9 +429,7 @@ def cmd_fit_lambda(args: argparse.Namespace) -> int:
     verdict = "unstable" if profile.unstable else "stable"
     print(f"verdict: {verdict} (threshold {100.0 * args.threshold:.1f}%)")
     if args.out:
-        doc = {
-            "version": 1,
-            "timestamp": _utc_stamp(args.stamp),
+        _write_report(args.out, args.stamp, {
             "rows": [
                 {
                     "layers": int(r.layers),
@@ -517,17 +441,12 @@ def cmd_fit_lambda(args: argparse.Namespace) -> int:
             "variation": float(profile.variation),
             "unstable": bool(profile.unstable),
             "threshold": float(args.threshold),
-        }
-        _write_text(args.out, _json_text(doc))
-        print(f"wrote {args.out}")
+        })
     return EXIT_OK
 
 
 def cmd_schedule(args: argparse.Namespace) -> int:
-    schedule = _build_schedule(
-        args.schedule, args.i_max, args.shots, args.degree, args.c,
-        lam=args.lam, pi_prior=args.pi,
-    )
+    schedule = _build_schedule(args, args.i_max, args.pi)
     print(f"layers: {' '.join(str(layer) for layer in schedule.layers)}")
     print(f"shots per layer: {schedule.shots_per_layer}")
     print(f"query cost: {query_cost(schedule)}")
@@ -557,9 +476,7 @@ def cmd_schedule(args: argparse.Namespace) -> int:
                 f"crb={text}"
             )
     if args.out:
-        doc = {
-            "version": 1,
-            "timestamp": _utc_stamp(args.stamp),
+        _write_report(args.out, args.stamp, {
             "layers": list(schedule.layers),
             "shots_per_layer": int(schedule.shots_per_layer),
             "origin": schedule.origin,
@@ -567,9 +484,7 @@ def cmd_schedule(args: argparse.Namespace) -> int:
             "pi": args.pi,
             "lambda": args.lam,
             "prefixes": prefixes,
-        }
-        _write_text(args.out, _json_text(doc))
-        print(f"wrote {args.out}")
+        })
     return EXIT_OK
 
 

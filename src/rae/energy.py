@@ -21,7 +21,6 @@ from .inference import (
     bootstrap,
     direct_estimate,
     mle_estimate,
-    rmse_stats,
 )
 from .pauli import AnsatzSpec, PauliString, PauliSum, oracle_expectation
 from .schedules import LayerSchedule, query_cost
@@ -158,16 +157,32 @@ def estimate_term(dataset: ParityDataset, m_bootstrap: int,
     return result, replicates
 
 
+def sweep_cell(ansatz: AnsatzSpec, string: PauliString, lam: float,
+               schedule: LayerSchedule, m_bootstrap: int, grid: MLEGrid | None,
+               seed: int, position: tuple[int, int]):
+    """Simulate and estimate the (budget row, term) cell at ``position``.
+
+    The data and bootstrap substreams are keyed by (row, term, 0) and
+    (row, term, 1) only, so cells can be computed in any order, or
+    concurrently, and still reproduce the sequential table.
+    """
+    i, j = position
+    dataset = simulate_dataset(
+        ansatz, string, lam, schedule,
+        seed=np.random.SeedSequence(seed, spawn_key=(i, j, 0)),
+    )
+    return estimate_term(dataset, m_bootstrap, grid=grid,
+                         seed=np.random.SeedSequence(seed, spawn_key=(i, j, 1)))
+
+
 def rmse_sweep(hamiltonian: PauliSum, ansatz: AnsatzSpec, lam: float,
                schedule_builder, l_max_values, n_shots: int,
                m_bootstrap: int, seed: int = 0,
                grid: MLEGrid | None = None) -> tuple[EnergyEstimate, ...]:
     """Energy error versus layer budget for one schedule family.
 
-    ``schedule_builder(l_max, n_shots)`` supplies the schedule per row.
-    Row and term work draw on disjoint substreams keyed by (row, term,
-    role), so results don't depend on evaluation order and single rows
-    can be recomputed in isolation.
+    ``schedule_builder(l_max, n_shots)`` supplies the schedule per row, and
+    every term of a row is one :func:`sweep_cell`.
     """
     terms = hamiltonian.non_identity_terms()
     rows = []
@@ -175,12 +190,8 @@ def rmse_sweep(hamiltonian: PauliSum, ansatz: AnsatzSpec, lam: float,
         schedule = schedule_builder(l_max, n_shots)
         estimates = {}
         for j, (_, string) in enumerate(terms):
-            data_seed = np.random.SeedSequence(seed, spawn_key=(i, j, 0))
-            boot_seed = np.random.SeedSequence(seed, spawn_key=(i, j, 1))
-            dataset = simulate_dataset(ansatz, string, lam, schedule,
-                                       seed=data_seed)
-            result, replicates = estimate_term(dataset, m_bootstrap,
-                                               grid=grid, seed=boot_seed)
+            result, replicates = sweep_cell(ansatz, string, lam, schedule,
+                                            m_bootstrap, grid, seed, (i, j))
             pi_ref = oracle_expectation(ansatz, string)
             estimates[string.word] = TermEstimate(
                 pi_hat=result.pi_hat,
@@ -191,21 +202,3 @@ def rmse_sweep(hamiltonian: PauliSum, ansatz: AnsatzSpec, lam: float,
                                    n_queries_per_term=query_cost(schedule),
                                    l_max=l_max))
     return tuple(rows)
-
-
-def term_rmse_table(hamiltonian: PauliSum, ansatz: AnsatzSpec, lam: float,
-                    schedule: LayerSchedule, m_bootstrap: int, seed: int = 0,
-                    grid: MLEGrid | None = None) -> dict[str, object]:
-    """One-schedule diagnostic: per-term estimates and bootstrap RMSE
-    against the oracle expectations."""
-    out = {}
-    for j, (_, string) in enumerate(hamiltonian.non_identity_terms()):
-        data_seed = np.random.SeedSequence(seed, spawn_key=(0, j, 0))
-        boot_seed = np.random.SeedSequence(seed, spawn_key=(0, j, 1))
-        dataset = simulate_dataset(ansatz, string, lam, schedule,
-                                   seed=data_seed)
-        result, replicates = estimate_term(dataset, m_bootstrap, grid=grid,
-                                           seed=boot_seed)
-        pi_ref = oracle_expectation(ansatz, string)
-        out[string.word] = (result, rmse_stats(replicates.pi_hats, pi_ref))
-    return out

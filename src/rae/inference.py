@@ -13,15 +13,14 @@ bars come from re-drawing each record's count binomially.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import jsonio
+from .jsonio import DatasetFormatError  # noqa: F401  (re-exported)
 from .pauli import PauliString
-
-FORMAT_VERSION = 1
 
 # Probabilities are clamped to this floor before any logarithm; the model
 # genuinely reaches 0 and 1 (noiseless, |Pi| = 1), and counts there must
@@ -38,10 +37,6 @@ BOOTSTRAP_REPLICATES = {1: 15000, 2: 10000}
 
 class IdentifiabilityError(ValueError):
     """The requested estimate is not identifiable from the given data."""
-
-
-class DatasetFormatError(ValueError):
-    """A dataset file violates the on-disk schema."""
 
 
 @dataclass(frozen=True)
@@ -82,7 +77,7 @@ class ParityDataset:
 
     def to_dict(self) -> dict:
         return {
-            "version": FORMAT_VERSION,
+            "version": jsonio.FORMAT_VERSION,
             "pauli": self.pauli,
             "records": [
                 {"L": r.layers, "n_shots": r.n_shots, "e_even": r.e_even}
@@ -93,10 +88,10 @@ class ParityDataset:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ParityDataset":
-        if doc.get("version") != FORMAT_VERSION:
-            raise ValueError(f"unsupported dataset format version {doc.get('version')!r}")
+        jsonio.check_version(doc, "dataset")
         records = tuple(
-            ParityRecord(int(r["L"]), int(r["n_shots"]), int(r["e_even"]))
+            ParityRecord(jsonio.integer(r["L"]), jsonio.integer(r["n_shots"]),
+                         jsonio.integer(r["e_even"]))
             for r in doc["records"]
         )
         return cls(pauli=str(doc["pauli"]), records=records,
@@ -104,22 +99,11 @@ class ParityDataset:
 
 
 def save_dataset(path: str, dataset: ParityDataset) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(dataset.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    jsonio.save(path, dataset.to_dict())
 
 
 def load_dataset(path: str) -> ParityDataset:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise DatasetFormatError(f"{path}: not valid JSON ({exc})") from exc
-    try:
-        return ParityDataset.from_dict(doc)
-    except (KeyError, TypeError, ValueError) as exc:
-        field_name = exc.args[0] if isinstance(exc, KeyError) else exc
-        raise DatasetFormatError(f"{path}: bad field {field_name}") from exc
+    return jsonio.load(path, ParityDataset.from_dict)
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,63 @@
+"""The one on-disk JSON convention: dataset, curve and Hamiltonian files,
+and the command reports.
+
+Every document is a JSON object carrying ``"version": FORMAT_VERSION``,
+written with two-space indentation, sorted keys and a trailing newline, so
+reruns are byte-identical.  Files are read back through :func:`load`, which
+turns anything that breaks the convention or the caller's schema (invalid
+JSON, a top-level value that is not an object, another version, a missing
+or mistyped field) into a :class:`DatasetFormatError` naming the file.
+"""
+
+from __future__ import annotations
+
+import json
+
+FORMAT_VERSION = 1
+
+
+class DatasetFormatError(ValueError):
+    """A file violates the on-disk schema."""
+
+
+def dumps(doc: dict) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def save(path: str, doc: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(dumps(doc))
+
+
+def load(path: str, from_dict):
+    """``from_dict`` applied to the document stored at ``path``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:  # invalid JSON or undecodable bytes
+        raise DatasetFormatError(f"{path}: not valid JSON ({exc})") from exc
+    try:
+        return from_dict(doc)
+    except KeyError as exc:
+        raise DatasetFormatError(f"{path}: missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise DatasetFormatError(f"{path}: {exc}") from exc
+
+
+def check_version(doc, kind: str) -> None:
+    """Reject anything but a JSON object of the current version."""
+    if not isinstance(doc, dict):
+        raise DatasetFormatError(
+            f"a {kind} file must hold a JSON object, not a {type(doc).__name__}"
+        )
+    if doc.get("version") != FORMAT_VERSION:
+        raise DatasetFormatError(
+            f"unsupported {kind} format version {doc.get('version')!r}"
+        )
+
+
+def integer(value) -> int:
+    """A count read from a file: a JSON integer, never a float or a string."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DatasetFormatError(f"counts must be JSON integers, got {value!r}")
+    return value

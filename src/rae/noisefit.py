@@ -9,17 +9,15 @@ the device-stability diagnostic.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import jsonio
 from .inference import IdentifiabilityError, chebyshev_parity_probability
 from .pauli import AnsatzSpec, PauliString, angle_for_expectation
 from .simulator import RAECircuitSpec, sample_parities
-
-FORMAT_VERSION = 1
 
 # curves whose Chebyshev values are all this small carry no decay signal
 FLAT_TOL = 1e-12
@@ -64,7 +62,7 @@ class LikelihoodCurve:
 
     def to_dict(self) -> dict:
         return {
-            "version": FORMAT_VERSION,
+            "version": jsonio.FORMAT_VERSION,
             "L": self.layers,
             "points": [
                 {"pi": p.pi, "p_even": p.p_even, "std_err": p.std_err}
@@ -74,24 +72,20 @@ class LikelihoodCurve:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "LikelihoodCurve":
-        if doc.get("version") != FORMAT_VERSION:
-            raise ValueError(f"unsupported curve format version {doc.get('version')!r}")
+        jsonio.check_version(doc, "curve")
         points = tuple(
             CurvePoint(float(p["pi"]), float(p["p_even"]), float(p["std_err"]))
             for p in doc["points"]
         )
-        return cls(layers=int(doc["L"]), points=points)
+        return cls(layers=jsonio.integer(doc["L"]), points=points)
 
 
 def save_curve(path: str, curve: LikelihoodCurve) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(curve.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    jsonio.save(path, curve.to_dict())
 
 
 def load_curve(path: str) -> LikelihoodCurve:
-    with open(path, encoding="utf-8") as fh:
-        return LikelihoodCurve.from_dict(json.load(fh))
+    return jsonio.load(path, LikelihoodCurve.from_dict)
 
 
 @dataclass(frozen=True)

@@ -7,13 +7,12 @@ word order, with qubit 0 as the least significant basis bit.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-FORMAT_VERSION = 1
+from . import jsonio
 
 # Dense matrices stay practical only for a handful of qubits.
 MAX_DENSE_QUBITS = 4
@@ -295,7 +294,7 @@ def exact_ground_energy(h: PauliSum) -> float:
 
 def hamiltonian_to_dict(h: PauliSum, ansatz: AnsatzSpec | None = None) -> dict:
     doc: dict = {
-        "version": FORMAT_VERSION,
+        "version": jsonio.FORMAT_VERSION,
         "n_qubits": h.n_qubits,
         "terms": [{"coeff": c, "word": s.word} for c, s in h.terms],
         "ansatz": None,
@@ -306,12 +305,11 @@ def hamiltonian_to_dict(h: PauliSum, ansatz: AnsatzSpec | None = None) -> dict:
 
 
 def hamiltonian_from_dict(doc: dict) -> tuple[PauliSum, AnsatzSpec | None]:
-    if doc.get("version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported hamiltonian format version {doc.get('version')!r}")
+    jsonio.check_version(doc, "hamiltonian")
     terms = tuple(
         (float(t["coeff"]), PauliString(str(t["word"]))) for t in doc["terms"]
     )
-    h = PauliSum(terms=terms, n_qubits=int(doc["n_qubits"]))
+    h = PauliSum(terms=terms, n_qubits=jsonio.integer(doc["n_qubits"]))
     ansatz = None
     if doc.get("ansatz") is not None:
         ansatz = AnsatzSpec(kind=doc["ansatz"]["kind"], theta=float(doc["ansatz"]["theta"]))
@@ -319,11 +317,8 @@ def hamiltonian_from_dict(doc: dict) -> tuple[PauliSum, AnsatzSpec | None]:
 
 
 def save_hamiltonian(path: str, h: PauliSum, ansatz: AnsatzSpec | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(hamiltonian_to_dict(h, ansatz), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    jsonio.save(path, hamiltonian_to_dict(h, ansatz))
 
 
 def load_hamiltonian(path: str) -> tuple[PauliSum, AnsatzSpec | None]:
-    with open(path, encoding="utf-8") as fh:
-        return hamiltonian_from_dict(json.load(fh))
+    return jsonio.load(path, hamiltonian_from_dict)

@@ -5,8 +5,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-FORMAT_VERSION = 1
-
 
 @dataclass(frozen=True)
 class LayerSchedule:
@@ -113,22 +111,3 @@ def noise_robust_schedule(pi_prior: float, lam: float, n_shots: int,
     if selected[0] != 0:
         selected.insert(0, 0)
     return LayerSchedule(tuple(selected), n_shots, origin="nris")
-
-
-def schedule_to_dict(schedule: LayerSchedule) -> dict:
-    return {
-        "version": FORMAT_VERSION,
-        "layers": list(schedule.layers),
-        "shots_per_layer": schedule.shots_per_layer,
-        "origin": schedule.origin,
-    }
-
-
-def schedule_from_dict(doc: dict) -> LayerSchedule:
-    if doc.get("version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported schedule format version {doc.get('version')!r}")
-    return LayerSchedule(
-        layers=tuple(int(l) for l in doc["layers"]),
-        shots_per_layer=int(doc["shots_per_layer"]),
-        origin=str(doc.get("origin", "")),
-    )

@@ -19,10 +19,6 @@ import numpy as np
 
 from .pauli import AnsatzSpec, PauliString, ansatz_state
 
-_H_GATE = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
-_SDG_GATE = np.array([[1.0, 0.0], [0.0, -1.0j]], dtype=complex)
-_EYE2 = np.eye(2, dtype=complex)
-
 
 @dataclass
 class DensityMatrix:
@@ -48,15 +44,6 @@ class DensityMatrix:
         if string.n_qubits != self.n_qubits:
             raise ValueError("Pauli string and density matrix register sizes differ")
         return float(np.trace(self.data @ string.dense()).real)
-
-    def validate(self, atol: float = 1e-10) -> None:
-        """Check trace one, Hermiticity, and positive semidefiniteness."""
-        if abs(np.trace(self.data).real - 1.0) > atol:
-            raise ValueError("trace differs from one")
-        if not np.allclose(self.data, self.data.conj().T, atol=atol):
-            raise ValueError("not Hermitian")
-        if np.linalg.eigvalsh(self.data).min() < -atol:
-            raise ValueError("negative eigenvalue")
 
 
 @dataclass(frozen=True)
@@ -110,13 +97,6 @@ def grover_unitary(spec: RAECircuitSpec) -> np.ndarray:
     return reflection_about(ansatz_state(spec.ansatz)) @ spec.target.dense()
 
 
-def apply_grover_layer(dm: DensityMatrix, spec: RAECircuitSpec) -> DensityMatrix:
-    """Conjugate by U = R_A P, then depolarize with fidelity e^{-lam}."""
-    u = grover_unitary(spec)
-    rotated = DensityMatrix(data=u @ dm.data @ u.conj().T, n_qubits=dm.n_qubits)
-    return apply_depolarizing(rotated, math.exp(-spec.lam))
-
-
 def evolve(spec: RAECircuitSpec) -> DensityMatrix:
     """State after ansatz preparation and ``spec.layers`` boost layers."""
     dm = prepare_noisy_ansatz(spec.ansatz, spec.lam)
@@ -135,43 +115,12 @@ def evolve(spec: RAECircuitSpec) -> DensityMatrix:
 def parity_distribution(spec: RAECircuitSpec) -> tuple[float, float]:
     """(P(d=0), P(d=1)) for the parity measurement of the target Pauli.
 
-    The even outcome has probability (1 + Tr[rho_L P]) / 2; context-selection
-    basis changes are available via ``context_rotation`` but are not needed
-    to compute the distribution.
+    The even outcome has probability (1 + Tr[rho_L P]) / 2.
     """
     value = evolve(spec).expectation(spec.target)
     p_even = 0.5 * (1.0 + value)
     p_even = min(max(p_even, 0.0), 1.0)
     return p_even, 1.0 - p_even
-
-
-def context_rotation(string: PauliString) -> np.ndarray:
-    """Unitary V with V P V^dag diagonal: H for X, H S^dag for Y, I otherwise."""
-    single = {"I": _EYE2, "Z": _EYE2, "X": _H_GATE, "Y": _H_GATE @ _SDG_GATE}
-    out = np.array([[1.0 + 0.0j]])
-    for letter in string.word:
-        out = np.kron(out, single[letter])
-    return out
-
-
-def measured_parity_distribution(dm: DensityMatrix, string: PauliString) -> tuple[float, float]:
-    """Parity distribution via explicit basis rotation and bitstring readout.
-
-    Slower than the trace formula but independent of it; rotates into the
-    measurement basis, reads computational-basis probabilities, and folds
-    bitstrings by parity over the support of ``string``.
-    """
-    v = context_rotation(string)
-    probs = np.diag(v @ dm.data @ v.conj().T).real
-    n = dm.n_qubits
-    p_even = 0.0
-    for index, prob in enumerate(probs):
-        parity = 0
-        for qubit in string.support:
-            parity ^= (index >> qubit) & 1
-        if parity == 0:
-            p_even += prob
-    return float(p_even), float(1.0 - p_even)
 
 
 def sample_parities(spec: RAECircuitSpec, n_shots: int, seed) -> int:

@@ -1,14 +1,28 @@
 """Independent reference implementations used to freeze expected values.
 
-Everything here is written directly from the measurement model, without
-importing the package internals under test: parity probabilities from the
-Chebyshev closed form, and Fisher information as the covariance of the
-numerical score.
+The closed-form helpers are written directly from the measurement model,
+without importing the package internals under test: parity probabilities
+from the Chebyshev closed form, and Fisher information as the covariance of
+the numerical score.  The simulator cross-checks reach the same quantities
+by routes the package does not take: one explicit layer at a time, and a
+readout by basis rotation and bitstring parity instead of a trace.
 """
 
 import math
 
 import numpy as np
+
+from rae.pauli import PauliString
+from rae.simulator import (
+    DensityMatrix,
+    RAECircuitSpec,
+    apply_depolarizing,
+    grover_unitary,
+)
+
+_H_GATE = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
+_SDG_GATE = np.array([[1.0, 0.0], [0.0, -1.0j]], dtype=complex)
+_EYE2 = np.eye(2, dtype=complex)
 
 
 def closed_form_parity(pi: float, lam: float, layers: int, d: int) -> float:
@@ -36,3 +50,48 @@ def numerical_fisher(pi: float, lam: float, layers, n_shots: int,
             score = np.array([d_pi, d_lam])
             info += n_shots * p * np.outer(score, score)
     return info
+
+
+def validate(dm: DensityMatrix, atol: float = 1e-10) -> None:
+    """Check trace one, Hermiticity, and positive semidefiniteness."""
+    if abs(np.trace(dm.data).real - 1.0) > atol:
+        raise ValueError("trace differs from one")
+    if not np.allclose(dm.data, dm.data.conj().T, atol=atol):
+        raise ValueError("not Hermitian")
+    if np.linalg.eigvalsh(dm.data).min() < -atol:
+        raise ValueError("negative eigenvalue")
+
+
+def apply_grover_layer(dm: DensityMatrix, spec: RAECircuitSpec) -> DensityMatrix:
+    """Conjugate by U = R_A P, then depolarize with fidelity e^{-lam}."""
+    u = grover_unitary(spec)
+    rotated = DensityMatrix(data=u @ dm.data @ u.conj().T, n_qubits=dm.n_qubits)
+    return apply_depolarizing(rotated, math.exp(-spec.lam))
+
+
+def context_rotation(string: PauliString) -> np.ndarray:
+    """Unitary V with V P V^dag diagonal: H for X, H S^dag for Y, I otherwise."""
+    single = {"I": _EYE2, "Z": _EYE2, "X": _H_GATE, "Y": _H_GATE @ _SDG_GATE}
+    out = np.array([[1.0 + 0.0j]])
+    for letter in string.word:
+        out = np.kron(out, single[letter])
+    return out
+
+
+def measured_parity_distribution(dm: DensityMatrix, string: PauliString) -> tuple[float, float]:
+    """Parity distribution via explicit basis rotation and bitstring readout.
+
+    Slower than the trace formula but independent of it; rotates into the
+    measurement basis, reads computational-basis probabilities, and folds
+    bitstrings by parity over the support of ``string``.
+    """
+    v = context_rotation(string)
+    probs = np.diag(v @ dm.data @ v.conj().T).real
+    p_even = 0.0
+    for index, prob in enumerate(probs):
+        parity = 0
+        for qubit in string.support:
+            parity ^= (index >> qubit) & 1
+        if parity == 0:
+            p_even += prob
+    return float(p_even), float(1.0 - p_even)

@@ -12,10 +12,22 @@ import random
 
 import pytest
 
-from rae.cli import main, sweep_cell, _fmt
-from rae.inference import MLEGrid, load_dataset
+from rae.cli import main, _fmt
+from rae.energy import sweep_cell
+from rae.inference import (
+    MLEGrid,
+    ParityDataset,
+    ParityRecord,
+    load_dataset,
+    rmse_stats,
+)
 from rae.noisefit import save_curve, synthetic_curve
-from rae.pauli import builtin_problem, save_hamiltonian
+from rae.pauli import (
+    builtin_problem,
+    hamiltonian_to_dict,
+    oracle_expectation,
+    save_hamiltonian,
+)
 from rae.schedules import lis, noise_robust_schedule, query_cost
 
 
@@ -196,9 +208,11 @@ class TestSweep:
         recomputed = {}
         for i, j in cells:
             schedule = lis(i, 128)
-            result, stats = sweep_cell(
+            result, reps = sweep_cell(
                 ansatz, terms[j][1], 0.02, schedule, 30, grid, 4, (i, j),
             )
+            stats = rmse_stats(reps.pi_hats,
+                               oracle_expectation(ansatz, terms[j][1]))
             recomputed[(i, j)] = (
                 f"{terms[j][1].word},{max(schedule.layers)},"
                 f"{query_cost(schedule)},{_fmt(result.pi_hat)},"
@@ -320,3 +334,79 @@ class TestSchedule:
 
     def test_nris_without_prior_rejected(self):
         assert run("schedule", "--schedule", "nris", "--lambda", 0.05) == 2
+
+
+
+def _as_array(doc, key):
+    return [doc]
+
+
+def _wrong_version(doc, key):
+    return {**doc, "version": 2}
+
+
+def _missing_key(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+def _record_field(field, value):
+    def edit(doc, key):
+        doc["records"][0][field] = value
+        return doc
+    return edit
+
+
+# input kind -> (valid document, its required list key, argv reading the file)
+INPUT_FILES = {
+    "dataset": (
+        lambda: ParityDataset("Z", (ParityRecord(0, 16, 8),
+                                    ParityRecord(1, 16, 5))).to_dict(),
+        "records",
+        lambda path, tmp: ("estimate", path, "--bootstrap", 10,
+                           *SMALL_GRID_ARGS),
+    ),
+    "curve": (
+        lambda: synthetic_curve(1, 0.05).to_dict(),
+        "points",
+        lambda path, tmp: ("fit-lambda", path),
+    ),
+    "hamiltonian": (
+        lambda: hamiltonian_to_dict(*builtin_problem("one_qubit")),
+        "terms",
+        lambda path, tmp: ("generate", "--hamiltonian", path, "--shots", 16,
+                           "--out", tmp / "out"),
+    ),
+}
+
+MALFORMED = [
+    (kind, name, edit)
+    for kind in INPUT_FILES
+    for name, edit in (("array", _as_array), ("version", _wrong_version),
+                       ("missing-key", _missing_key))
+] + [
+    ("dataset", "e_even=3.7", _record_field("e_even", 3.7)),
+    ("dataset", "n_shots='12'", _record_field("n_shots", "12")),
+]
+
+
+class TestMalformedFiles:
+    """Dataset, curve and Hamiltonian files share one reader, so the same
+    defect fails the same way everywhere: exit 3 and a one-line error."""
+
+    @pytest.mark.parametrize("kind,edit", [(k, e) for k, _, e in MALFORMED],
+                             ids=[f"{k}-{n}" for k, n, _ in MALFORMED])
+    def test_exit_3_without_traceback(self, tmp_path, capsys, kind, edit):
+        make_doc, key, argv = INPUT_FILES[kind]
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(edit(make_doc(), key)))
+        assert run(*argv(path, tmp_path)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("kind", sorted(INPUT_FILES))
+    def test_valid_document_is_accepted(self, tmp_path, kind):
+        make_doc, _, argv = INPUT_FILES[kind]
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(make_doc()))
+        assert run(*argv(path, tmp_path)) == 0

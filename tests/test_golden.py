@@ -1,0 +1,85 @@
+"""Byte-level guard on every file the command line writes.
+
+One small run of each report-writing command (plus the Hamiltonian and
+curve savers) is hashed and compared with digests frozen from a known-good
+build, so a refactor of the per-term pipeline or of the JSON layout cannot
+change a single output byte unnoticed.  Commands run from a scratch working
+directory with relative paths, because the ``estimate`` report records its
+input paths.
+
+The digests depend on floating-point results, so they hold for one numpy and
+BLAS build; regenerate them (print ``_digests``) only for a deliberate output
+change, and say why in CHANGES.md.
+"""
+
+import hashlib
+
+import pytest
+
+from rae.cli import main
+from rae.noisefit import save_curve, synthetic_curve
+from rae.pauli import builtin_problem, save_hamiltonian
+
+GRID = ("--grid-pi", 1001, "--grid-lambda", 11, "--grid-lambda-max", 0.25)
+SWEEP = ("--hamiltonian", "one_qubit", "--lambda", 0.02, "--i-max", 2,
+         "--shots", 64, "--bootstrap", 40, *GRID, "--seed", 4)
+
+COMMANDS = (
+    ("generate", "--hamiltonian", "problem.json", "--lambda", 0.05,
+     "--i-max", 3, "--shots", 64, "--seed", 7, "--out", "data"),
+    ("estimate", "data/Z.json", "data/X.json", "--bootstrap", 40, *GRID,
+     "--seed", 1, "--out", "estimate.json"),
+    ("sweep", *SWEEP, "--out", "sweep.csv", "--json", "sweep.json"),
+    ("energy", *SWEEP, "--out", "energy.csv", "--json", "energy.json"),
+    ("fit-lambda", "--simulate", "--hamiltonian", "one_qubit", "--term", "Z",
+     "--layers", "1,2", "--points", 5, "--shots", 64, "--seed", 9,
+     "--out", "fit.json"),
+    ("schedule", "--schedule", "lis", "--i-max", 4, "--shots", 64,
+     "--lambda", 0.05, "--pi", 0.9, "--out", "schedule.json"),
+)
+
+GOLDEN = {
+    "problem.json":
+        "68a0a11da3f7c0f58bcd0216d1b090206196dd8862dc40576aefaa709bba7104",
+    "curve.json":
+        "617f4d3bc6186654c2ff90c3e592f5f9bcb8724913197ca5525577011152d902",
+    "data/X.json":
+        "110023768c98c16e6fbb2b349e370da808b78d4bc42210b4545eeaea83f328d1",
+    "data/Z.json":
+        "4e94bc91f7619b0f253faf3682991568d96e52bac1a29194b4580fc2873d4a21",
+    "estimate.json":
+        "ac85cb222f88bda55059a74a5b31ad318da5ea795a0981fa753ecadf118be8ff",
+    "sweep.csv":
+        "fb8c2e18622dbba719392ea5b5ad7f5b626329f3e5233d815aa92c29d66e86be",
+    "sweep.json":
+        "0449ab9df8301de87651c2f195f8010489adbcd7088b567471352ebe98a4f4e7",
+    "energy.csv":
+        "611ebab0eb342cfac6eb7f6ad3b44d9850a17faeaccae31c81e8c098274441d3",
+    "energy.json":
+        "4d1fa26fe2df9be686acd4664acf9685c79b0df1057cc6582556a30891ed9124",
+    "fit.json":
+        "d1c13164e6b06e9de15bf966faf82481d6607e0476004de0d499dd3defede983",
+    "schedule.json":
+        "f5c468c21b88a92b05cafd4fb95457a50210a8024a63d275480480a4cda3e3d6",
+}
+
+
+@pytest.fixture(scope="module")
+def _digests(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(root)
+        h, ansatz = builtin_problem("one_qubit")
+        save_hamiltonian("problem.json", h, ansatz)
+        save_curve("curve.json", synthetic_curve(2, 0.05))
+        for argv in COMMANDS:
+            assert main([str(a) for a in argv]) == 0, argv[0]
+    return {
+        name: hashlib.sha256((root / name).read_bytes()).hexdigest()
+        for name in GOLDEN
+    }
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_output_bytes_unchanged(_digests, name):
+    assert _digests[name] == GOLDEN[name]

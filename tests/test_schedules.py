@@ -13,8 +13,6 @@ from rae.schedules import (
     noise_robust_schedule,
     polynomial,
     query_cost,
-    schedule_from_dict,
-    schedule_to_dict,
 )
 
 
@@ -159,17 +157,3 @@ class TestNoiseRobustSchedule:
         with pytest.raises(ValueError):
             noise_robust_schedule(0.5, 0.0, 100)
 
-
-class TestSerialization:
-    def test_round_trip(self):
-        sched = noise_robust_schedule(-0.2238, 0.045, 8192)
-        doc = schedule_to_dict(sched)
-        restored = schedule_from_dict(doc)
-        assert restored == sched
-        assert restored.origin == sched.origin
-
-    def test_version_checked(self):
-        doc = schedule_to_dict(lis(2, 10))
-        doc["version"] = 99
-        with pytest.raises(ValueError):
-            schedule_from_dict(doc)

@@ -5,17 +5,20 @@ import math
 import numpy as np
 import pytest
 
-from oracles import closed_form_parity
+from oracles import (
+    apply_grover_layer,
+    closed_form_parity,
+    context_rotation,
+    measured_parity_distribution,
+    validate,
+)
 from rae.pauli import AnsatzSpec, PauliString, builtin_problem, oracle_expectation
 from rae.simulator import (
     DensityMatrix,
     RAECircuitSpec,
     apply_depolarizing,
-    apply_grover_layer,
-    context_rotation,
     evolve,
     grover_unitary,
-    measured_parity_distribution,
     parity_distribution,
     prepare_noisy_ansatz,
     sample_parities,
@@ -54,7 +57,7 @@ class TestChannels:
 class TestNoisyPreparation:
     def test_noiseless_preparation_is_pure(self):
         dm = prepare_noisy_ansatz(ANSATZ_2Q, 0.0)
-        dm.validate()
+        validate(dm)
         assert np.trace(dm.data @ dm.data).real == pytest.approx(1.0, abs=1e-12)
 
     def test_contrast_shrinks_by_half_rate(self):
@@ -89,7 +92,7 @@ class TestGroverLayers:
 
     def test_state_stays_physical_through_layers(self):
         dm = evolve(_spec(ANSATZ_2Q, "YY", 6, 0.08))
-        dm.validate(atol=1e-10)
+        validate(dm, atol=1e-10)
 
 
 class TestParityDistribution:
