@@ -36,6 +36,7 @@ from .energy import (
 from .fisher import advantage_verdict, crb_rmse, direct_mse_model
 from .inference import (
     BOOTSTRAP_REPLICATES,
+    PI_INSET,
     DatasetFormatError,
     IdentifiabilityError,
     MLEGrid,
@@ -264,7 +265,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
             note = "records carry unequal shot counts, no closed-form bound reported"
         else:
             schedule = LayerSchedule(dataset.layer_values(), shot_counts.pop())
-            pi_bound = min(max(result.pi_hat, -1.0 + 1e-9), 1.0 - 1e-9)
+            pi_bound = min(max(result.pi_hat, -1.0 + PI_INSET), 1.0 - PI_INSET)
             try:
                 crb = crb_rmse(pi_bound, result.lambda_hat, schedule)
             except IdentifiabilityError as exc:
@@ -653,12 +654,6 @@ def main(argv=None) -> int:
     except (IdentifiabilityError, FitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
-    except json.JSONDecodeError as exc:
-        print(f"error: malformed JSON: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
-    except KeyError as exc:
-        print(f"error: missing field {exc}", file=sys.stderr)
-        return EXIT_FORMAT
     except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         name = getattr(exc, "filename", None) or exc
         print(f"error: cannot read {name}", file=sys.stderr)

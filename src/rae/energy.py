@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fisher import direct_error_model
 from .inference import (
     MLEGrid,
     ParityDataset,
@@ -105,25 +106,15 @@ def combine_energy(hamiltonian: PauliSum, estimates,
 
 def direct_baseline(hamiltonian: PauliSum, ansatz: AnsatzSpec, lam: float,
                     n_queries: int) -> EnergyEstimate:
-    """Analytic unboosted-sampling error model combined over terms.
-
-    Each term estimate is the depolarized expectation e^{-lam/2} Pi, so it
-    carries a deterministic shrinkage bias -(1 - e^{-lam/2}) Pi plus the
-    binomial variance (1 - e^{-lam} Pi^2)/N.
-    """
-    if not (math.isfinite(lam) and lam >= 0.0):
-        raise ValueError("lam must be finite and non-negative")
-    if n_queries <= 0:
-        raise ValueError("n_queries must be positive")
+    """Analytic unboosted-sampling error model combined over terms: each
+    term carries the bias and variance of :func:`fisher.direct_error_model`
+    at its oracle expectation."""
     estimates = {}
     for _, string in hamiltonian.non_identity_terms():
         pi = oracle_expectation(ansatz, string)
-        shrink = 1.0 - math.exp(-lam / 2.0)
+        bias, variance = direct_error_model(pi, lam, n_queries)
         estimates[string.word] = TermEstimate(
-            pi_hat=(1.0 - shrink) * pi,
-            variance=(1.0 - math.exp(-lam) * pi * pi) / n_queries,
-            bias=-shrink * pi,
-        )
+            pi_hat=pi + bias, variance=variance, bias=bias)
     return combine_energy(hamiltonian, estimates,
                           n_queries_per_term=n_queries, l_max=0)
 

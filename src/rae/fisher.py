@@ -85,22 +85,27 @@ def crb_rmse(pi: float, lam: float, schedule: LayerSchedule) -> float:
     return math.sqrt(info.i22 / info.determinant)
 
 
-def direct_mse_model(pi: float, lam: float, n_queries: int) -> float:
-    """Mean squared error of unboosted sampling with ``n_queries`` shots.
+def direct_error_model(pi: float, lam: float, n_queries: int) -> tuple[float, float]:
+    """(bias, variance) of unboosted sampling with ``n_queries`` shots.
 
-    The depolarized L=0 circuit estimates e^{-lam/2} Pi, so the model is a
-    deterministic shrinkage bias plus binomial variance:
-
-        MSE = (1 - e^{-lam/2})^2 Pi^2 + (1 - e^{-lam} Pi^2) / N.
+    The depolarized L=0 circuit estimates e^{-lam/2} Pi, so the estimate
+    carries a deterministic shrinkage bias -(1 - e^{-lam/2}) Pi plus the
+    binomial variance (1 - e^{-lam} Pi^2) / N.
     """
-    if not -1.0 <= pi <= 1.0:
-        raise ValueError("pi must lie in [-1, 1]")
     if not (math.isfinite(lam) and lam >= 0.0):
         raise ValueError("lam must be finite and non-negative")
     if n_queries <= 0:
         raise ValueError("n_queries must be positive")
-    bias = (1.0 - math.exp(-lam / 2.0)) * pi
+    bias = -(1.0 - math.exp(-lam / 2.0)) * pi
     variance = (1.0 - math.exp(-lam) * pi * pi) / n_queries
+    return bias, variance
+
+
+def direct_mse_model(pi: float, lam: float, n_queries: int) -> float:
+    """Mean squared error bias^2 + variance of :func:`direct_error_model`."""
+    if not -1.0 <= pi <= 1.0:
+        raise ValueError("pi must lie in [-1, 1]")
+    bias, variance = direct_error_model(pi, lam, n_queries)
     return bias * bias + variance
 
 

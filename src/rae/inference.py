@@ -31,6 +31,11 @@ P_EPS = 1e-12
 # surface does not single out a maximum.
 DEGENERACY_TOL = 1e-9
 
+# The grid's Pi axis is inset from +-1 by this much so acos stays
+# well-conditioned at the endpoints; bounds evaluated at a fitted Pi use the
+# same inset.
+PI_INSET = 1e-9
+
 # Default bootstrap replicate counts by register size.
 BOOTSTRAP_REPLICATES = {1: 15000, 2: 10000}
 
@@ -110,25 +115,22 @@ def load_dataset(path: str) -> ParityDataset:
 class MLEGrid:
     """Exhaustive search lattice for the two-parameter MLE.
 
-    The Pi axis is inset from +-1 by ``pi_epsilon`` so acos stays
-    well-conditioned at the endpoints; the lam axis starts at exactly 0.
+    The Pi axis spans [-1, 1] inset by ``PI_INSET``; the lam axis starts at
+    exactly 0.
     """
 
     pi_points: int = 10000
     lambda_points: int = 100
     lambda_max: float = 0.5
-    pi_epsilon: float = 1e-9
 
     def __post_init__(self) -> None:
         if self.pi_points < 2 or self.lambda_points < 2:
             raise ValueError("grid needs at least 2 points per axis")
-        if not 0.0 < self.pi_epsilon < 1e-3:
-            raise ValueError("pi_epsilon must sit in (0, 1e-3)")
         if not (math.isfinite(self.lambda_max) and self.lambda_max > 0.0):
             raise ValueError("lambda_max must be positive")
 
     def pi_values(self) -> np.ndarray:
-        return np.linspace(-1.0 + self.pi_epsilon, 1.0 - self.pi_epsilon, self.pi_points)
+        return np.linspace(-1.0 + PI_INSET, 1.0 - PI_INSET, self.pi_points)
 
     def lambda_values(self) -> np.ndarray:
         return np.linspace(0.0, self.lambda_max, self.lambda_points)
@@ -185,61 +187,51 @@ def log_likelihood(dataset: ParityDataset, pi, lam):
 
 class LikelihoodGrid:
     """Per-layer log-probability tables on a fixed grid, reusable across
-    datasets and bootstrap replicates that share the same layer set."""
+    datasets and bootstrap replicates whose records carry these layers in
+    this order: table row ``i`` belongs to record ``i``."""
 
     def __init__(self, grid: MLEGrid, layer_values) -> None:
         self.grid = grid
         self.layer_values = tuple(layer_values)
         if not self.layer_values:
             raise ValueError("need at least one layer")
-        self._index = {l: i for i, l in enumerate(self.layer_values)}
-        pi = grid.pi_values()
-        lam = grid.lambda_values()
-        phi = np.arccos(pi)
+        pi = grid.pi_values()[:, None]
+        lam = grid.lambda_values()[None, :]
         n_l = len(self.layer_values)
         self._log_p0 = np.empty((n_l, grid.pi_points, grid.lambda_points))
         self._log_p1 = np.empty_like(self._log_p0)
         for i, layers in enumerate(self.layer_values):
-            cheb = np.cos((2 * layers + 1) * phi)
-            decay = np.exp(-lam * (layers + 0.5))
-            signal = cheb[:, None] * decay[None, :]
-            p0 = np.clip(0.5 * (1.0 + signal), P_EPS, 1.0 - P_EPS)
+            p0 = np.clip(chebyshev_parity_probability(pi, lam, layers, 0),
+                         P_EPS, 1.0 - P_EPS)
             self._log_p0[i] = np.log(p0)
             self._log_p1[i] = np.log1p(-p0)
 
-    def _count_vectors(self, dataset: ParityDataset) -> tuple[np.ndarray, np.ndarray]:
-        even = np.zeros(len(self.layer_values))
-        odd = np.zeros(len(self.layer_values))
-        for record in dataset.records:
-            try:
-                i = self._index[record.layers]
-            except KeyError:
-                raise ValueError(
-                    f"layer {record.layers} not covered by this grid"
-                ) from None
-            even[i] = record.e_even
-            odd[i] = record.n_shots - record.e_even
-        return even, odd
+    def _surfaces(self, even: np.ndarray, shots: np.ndarray) -> np.ndarray:
+        """Joint log-likelihood of each row of ``even`` (record-ordered even
+        counts out of ``shots``) at every cell: a (rows, cells) array."""
+        tables0 = self._log_p0.reshape(len(self.layer_values), -1)
+        tables1 = self._log_p1.reshape(len(self.layer_values), -1)
+        return even @ tables0 + (shots - even) @ tables1
 
-    def log_likelihood_surface(self, dataset: ParityDataset) -> np.ndarray:
-        """(pi_points, lambda_points) array of joint log-likelihood values."""
-        even, odd = self._count_vectors(dataset)
-        return np.tensordot(even, self._log_p0, axes=(0, 0)) \
-            + np.tensordot(odd, self._log_p1, axes=(0, 0))
-
-    def _result_from_surface(self, surface: np.ndarray) -> EstimationResult:
-        flat = surface.reshape(-1)
+    def estimate(self, dataset: ParityDataset) -> EstimationResult:
+        """Grid argmax, flagged degenerate when a cell outside its 3x3
+        neighbourhood comes within ``DEGENERACY_TOL`` of the maximum."""
+        if dataset.layer_values() != self.layer_values:
+            raise ValueError(
+                f"dataset layers {list(dataset.layer_values())} differ from "
+                f"the tables' layers {list(self.layer_values)}"
+            )
+        even = np.array([[r.e_even for r in dataset.records]], dtype=float)
+        shots = np.array([r.n_shots for r in dataset.records], dtype=float)
+        flat = self._surfaces(even, shots)[0]
         best_flat = int(np.argmax(flat))  # first maximum: smallest Pi index, then lam
         n_lam = self.grid.lambda_points
         i, j = divmod(best_flat, n_lam)
         best = flat[best_flat]
 
-        lo_i, hi_i = max(i - 1, 0), min(i + 2, self.grid.pi_points)
-        lo_j, hi_j = max(j - 1, 0), min(j + 2, n_lam)
-        saved = surface[lo_i:hi_i, lo_j:hi_j].copy()
-        surface[lo_i:hi_i, lo_j:hi_j] = -np.inf
+        surface = flat.reshape(-1, n_lam)
+        surface[max(i - 1, 0):i + 2, max(j - 1, 0):j + 2] = -np.inf
         runner_up = float(np.max(surface))
-        surface[lo_i:hi_i, lo_j:hi_j] = saved
 
         return EstimationResult(
             pi_hat=float(self.grid.pi_values()[i]),
@@ -250,9 +242,6 @@ class LikelihoodGrid:
             lambda_index=j,
         )
 
-    def estimate(self, dataset: ParityDataset) -> EstimationResult:
-        return self._result_from_surface(self.log_likelihood_surface(dataset))
-
     def estimate_counts(self, even: np.ndarray, shots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Batched argmax for bootstrap: rows of ``even`` are replicates.
 
@@ -260,10 +249,7 @@ class LikelihoodGrid:
         speed.  Ties resolve to the smallest Pi index, then smallest lam
         index, exactly as in ``estimate``.
         """
-        tables0 = self._log_p0.reshape(len(self.layer_values), -1)
-        tables1 = self._log_p1.reshape(len(self.layer_values), -1)
-        surfaces = even @ tables0 + (shots - even) @ tables1
-        flat = np.argmax(surfaces, axis=1)
+        flat = np.argmax(self._surfaces(even, shots), axis=1)
         i, j = np.divmod(flat, self.grid.lambda_points)
         return self.grid.pi_values()[i], self.grid.lambda_values()[j]
 
@@ -292,6 +278,11 @@ def mle_estimate(dataset: ParityDataset, grid: MLEGrid | None = None) -> Estimat
     return likelihood_tables(grid, dataset.layer_values()).estimate(dataset)
 
 
+def _direct_pi(even, shots):
+    """The L=0 closed form (2 e - N) / N; broadcasts over arrays."""
+    return (2.0 * even - shots) / shots
+
+
 def direct_estimate(dataset: ParityDataset) -> EstimationResult:
     """Closed-form estimate from the L=0 record alone: (2 e_0 - N) / N.
 
@@ -301,7 +292,7 @@ def direct_estimate(dataset: ParityDataset) -> EstimationResult:
     if dataset.layer_values() != (0,):
         raise ValueError("direct_estimate expects exactly one record with L=0")
     record = dataset.records[0]
-    pi_hat = (2.0 * record.e_even - record.n_shots) / record.n_shots
+    pi_hat = _direct_pi(record.e_even, record.n_shots)
     return EstimationResult(
         pi_hat=pi_hat,
         lambda_hat=0.0,
@@ -323,10 +314,14 @@ def bootstrap(dataset: ParityDataset, n_replicates: int,
               _batch: int = 16) -> BootstrapReplicates:
     """Re-draw every record binomially and re-estimate, ``n_replicates`` times.
 
-    Each replicate consumes its own ``SeedSequence`` substream, so results
-    are reproducible and independent of evaluation order or batching.
-    Datasets with only the L=0 record route through the closed form with
-    lam pinned to 0.
+    Each replicate consumes its own ``SeedSequence`` substream, so the
+    redrawn counts are reproducible and independent of evaluation order.
+    The grid argmax is not batch-independent: BLAS may round a row of a
+    ``_batch``-row product differently from the same row alone, so on a
+    near-flat surface a replicate can land on another cell when
+    ``n_replicates`` (and with it the batch layout) changes.  Datasets
+    with only the L=0 record route through the closed form with lam pinned
+    to 0.
     """
     if n_replicates < 1:
         raise ValueError("n_replicates must be positive")
@@ -341,25 +336,20 @@ def bootstrap(dataset: ParityDataset, n_replicates: int,
         even[k] = rng.binomial(shots.astype(np.int64), rates)
 
     if set(dataset.layer_values()) == {0}:
-        pi_hats = (2.0 * even[:, 0] - shots[0]) / shots[0]
+        pi_hats = _direct_pi(even[:, 0], shots[0])
         return BootstrapReplicates(pi_hats=pi_hats,
                                    lambda_hats=np.zeros(n_replicates))
 
     if grid is None:
         grid = MLEGrid()
     tables = likelihood_tables(grid, dataset.layer_values())
-    order = [tables._index[r.layers] for r in dataset.records]
-    even_by_layer = np.empty_like(even)
-    shots_by_layer = np.empty(len(dataset.records))
-    even_by_layer[:, order] = even
-    shots_by_layer[order] = shots
 
     pi_hats = np.empty(n_replicates)
     lambda_hats = np.empty(n_replicates)
     for start in range(0, n_replicates, _batch):
         stop = min(start + _batch, n_replicates)
         pi_hats[start:stop], lambda_hats[start:stop] = tables.estimate_counts(
-            even_by_layer[start:stop], shots_by_layer
+            even[start:stop], shots
         )
     return BootstrapReplicates(pi_hats=pi_hats, lambda_hats=lambda_hats)
 

@@ -56,6 +56,14 @@ def check_version(doc, kind: str) -> None:
         )
 
 
+def real(value) -> float:
+    """A real number read from a file: a JSON integer or float, never a
+    bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise DatasetFormatError(f"expected a JSON number, got {value!r}")
+    return float(value)
+
+
 def integer(value) -> int:
     """A count read from a file: a JSON integer, never a float or a string."""
     if isinstance(value, bool) or not isinstance(value, int):

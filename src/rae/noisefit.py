@@ -74,7 +74,8 @@ class LikelihoodCurve:
     def from_dict(cls, doc: dict) -> "LikelihoodCurve":
         jsonio.check_version(doc, "curve")
         points = tuple(
-            CurvePoint(float(p["pi"]), float(p["p_even"]), float(p["std_err"]))
+            CurvePoint(jsonio.real(p["pi"]), jsonio.real(p["p_even"]),
+                       jsonio.real(p["std_err"]))
             for p in doc["points"]
         )
         return cls(layers=jsonio.integer(doc["L"]), points=points)

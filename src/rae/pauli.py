@@ -307,12 +307,13 @@ def hamiltonian_to_dict(h: PauliSum, ansatz: AnsatzSpec | None = None) -> dict:
 def hamiltonian_from_dict(doc: dict) -> tuple[PauliSum, AnsatzSpec | None]:
     jsonio.check_version(doc, "hamiltonian")
     terms = tuple(
-        (float(t["coeff"]), PauliString(str(t["word"]))) for t in doc["terms"]
+        (jsonio.real(t["coeff"]), PauliString(str(t["word"]))) for t in doc["terms"]
     )
     h = PauliSum(terms=terms, n_qubits=jsonio.integer(doc["n_qubits"]))
     ansatz = None
     if doc.get("ansatz") is not None:
-        ansatz = AnsatzSpec(kind=doc["ansatz"]["kind"], theta=float(doc["ansatz"]["theta"]))
+        ansatz = AnsatzSpec(kind=doc["ansatz"]["kind"],
+                            theta=jsonio.real(doc["ansatz"]["theta"]))
     return h, ansatz
 
 

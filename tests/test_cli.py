@@ -349,11 +349,17 @@ def _missing_key(doc, key):
     return {k: v for k, v in doc.items() if k != key}
 
 
-def _record_field(field, value):
+def _entry_field(field, value):
+    """Set ``field`` of the first entry of the document's list to ``value``."""
     def edit(doc, key):
-        doc["records"][0][field] = value
+        doc[key][0][field] = value
         return doc
     return edit
+
+
+def _ansatz_without_theta(doc, key):
+    del doc["ansatz"]["theta"]
+    return doc
 
 
 # input kind -> (valid document, its required list key, argv reading the file)
@@ -384,8 +390,11 @@ MALFORMED = [
     for name, edit in (("array", _as_array), ("version", _wrong_version),
                        ("missing-key", _missing_key))
 ] + [
-    ("dataset", "e_even=3.7", _record_field("e_even", 3.7)),
-    ("dataset", "n_shots='12'", _record_field("n_shots", "12")),
+    ("dataset", "e_even=3.7", _entry_field("e_even", 3.7)),
+    ("dataset", "n_shots='12'", _entry_field("n_shots", "12")),
+    ("curve", "pi='0.5'", _entry_field("pi", "0.5")),
+    ("hamiltonian", "coeff='0.3'", _entry_field("coeff", "0.3")),
+    ("hamiltonian", "ansatz-without-theta", _ansatz_without_theta),
 ]
 
 

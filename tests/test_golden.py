@@ -29,6 +29,11 @@ COMMANDS = (
      "--i-max", 3, "--shots", 64, "--seed", 7, "--out", "data"),
     ("estimate", "data/Z.json", "data/X.json", "--bootstrap", 40, *GRID,
      "--seed", 1, "--out", "estimate.json"),
+    # Default 10^6-cell grid; 17 replicates leave a one-row last batch.
+    ("generate", "--hamiltonian", "one_qubit", "--lambda", 0.05,
+     "--i-max", 2, "--shots", 64, "--seed", 7, "--out", "lis2"),
+    ("estimate", "lis2/Z.json", "lis2/X.json", "--bootstrap", 17,
+     "--seed", 1, "--out", "estimate-default.json"),
     ("sweep", *SWEEP, "--out", "sweep.csv", "--json", "sweep.json"),
     ("energy", *SWEEP, "--out", "energy.csv", "--json", "energy.json"),
     ("fit-lambda", "--simulate", "--hamiltonian", "one_qubit", "--term", "Z",
@@ -49,6 +54,8 @@ GOLDEN = {
         "4e94bc91f7619b0f253faf3682991568d96e52bac1a29194b4580fc2873d4a21",
     "estimate.json":
         "ac85cb222f88bda55059a74a5b31ad318da5ea795a0981fa753ecadf118be8ff",
+    "estimate-default.json":
+        "eac53d42f25426553d47c1a7d645355d752440f60c19c74069fd0e95c0a7b1f5",
     "sweep.csv":
         "fb8c2e18622dbba719392ea5b5ad7f5b626329f3e5233d815aa92c29d66e86be",
     "sweep.json":

@@ -11,6 +11,7 @@ from rae.inference import (
     BOOTSTRAP_REPLICATES,
     DatasetFormatError,
     IdentifiabilityError,
+    LikelihoodGrid,
     MLEGrid,
     ParityDataset,
     ParityRecord,
@@ -186,6 +187,28 @@ class TestMLEEstimate:
             result = mle_estimate(ParityDataset(pauli="Z", records=records), grid)
             assert -1.0 < result.pi_hat < 1.0
             assert 0.0 <= result.lambda_hat <= 0.3
+
+
+class TestLikelihoodGrid:
+    # Balanced counts make the Pi = 0 column flat in lam (T_{2L+1}(0) = 0),
+    # so the argmax there rests on the last bit of each surface value.  On
+    # OpenBLAS a multi-row estimate_counts batch rounds some cells of this
+    # surface differently and lands at lam = 0.075 instead of 0.
+    FLAT = ParityDataset(pauli="Z", records=tuple(
+        ParityRecord(L, 100, 50) for L in range(4)))
+    GRID = MLEGrid(pi_points=1001, lambda_points=11, lambda_max=0.25)
+
+    def test_point_estimate_equals_one_row_batch(self):
+        tables = LikelihoodGrid(self.GRID, self.FLAT.layer_values())
+        result = tables.estimate(self.FLAT)
+        pi_hats, lambda_hats = tables.estimate_counts(
+            np.full((1, 4), 50.0), np.full(4, 100.0))
+        assert (pi_hats[0], lambda_hats[0]) == (result.pi_hat, result.lambda_hat)
+
+    def test_tables_follow_record_order(self):
+        for layers in ((3, 2, 1, 0), (0, 1, 2), (0, 1, 2, 3, 4)):
+            with pytest.raises(ValueError):
+                LikelihoodGrid(self.GRID, layers).estimate(self.FLAT)
 
 
 class TestDirectEstimate:
@@ -400,5 +423,3 @@ class TestMLEGridValidation:
             MLEGrid(pi_points=1)
         with pytest.raises(ValueError):
             MLEGrid(lambda_max=0.0)
-        with pytest.raises(ValueError):
-            MLEGrid(pi_epsilon=0.0)
