@@ -6,142 +6,4 @@ analysis, bootstrap, noise-parameter fits) to turn parity counts into
 energy estimates with error bars.
 """
 
-from .energy import (
-    CHEMICAL_ACCURACY,
-    EnergyEstimate,
-    TermEstimate,
-    combine_energy,
-    direct_baseline,
-    estimate_term,
-    rmse_sweep,
-    simulate_dataset,
-)
-from .fisher import (
-    FisherMatrix,
-    Verdict,
-    advantage_verdict,
-    crb_rmse,
-    direct_mse_model,
-    fisher_matrix,
-)
-from .inference import (
-    DatasetFormatError,
-    EstimationResult,
-    IdentifiabilityError,
-    MLEGrid,
-    ParityDataset,
-    ParityRecord,
-    bootstrap,
-    chebyshev_parity_probability,
-    direct_estimate,
-    load_dataset,
-    log_likelihood,
-    mle_estimate,
-    rmse_stats,
-    save_dataset,
-)
-from .noisefit import (
-    FitError,
-    LambdaFit,
-    LambdaProfile,
-    LikelihoodCurve,
-    fit_lambda,
-    lambda_profile,
-    load_curve,
-    save_curve,
-    simulate_curve,
-    synthetic_curve,
-)
-from .pauli import (
-    AnsatzSpec,
-    PauliString,
-    PauliSum,
-    analytic_expectation,
-    builtin_problem,
-    exact_ground_energy,
-    h2_one_qubit,
-    h2_two_qubit,
-    load_hamiltonian,
-    oracle_expectation,
-    save_hamiltonian,
-)
-from .schedules import (
-    LayerSchedule,
-    eis,
-    l_max_fisher,
-    lis,
-    noise_robust_schedule,
-    polynomial,
-    query_cost,
-)
-from .simulator import (
-    DensityMatrix,
-    RAECircuitSpec,
-    parity_distribution,
-    sample_parities,
-)
-
-__all__ = [
-    "CHEMICAL_ACCURACY",
-    "AnsatzSpec",
-    "DatasetFormatError",
-    "DensityMatrix",
-    "EnergyEstimate",
-    "EstimationResult",
-    "FisherMatrix",
-    "FitError",
-    "IdentifiabilityError",
-    "LambdaFit",
-    "LambdaProfile",
-    "LayerSchedule",
-    "LikelihoodCurve",
-    "MLEGrid",
-    "ParityDataset",
-    "ParityRecord",
-    "PauliString",
-    "PauliSum",
-    "RAECircuitSpec",
-    "TermEstimate",
-    "Verdict",
-    "advantage_verdict",
-    "analytic_expectation",
-    "bootstrap",
-    "builtin_problem",
-    "chebyshev_parity_probability",
-    "combine_energy",
-    "crb_rmse",
-    "direct_baseline",
-    "direct_estimate",
-    "direct_mse_model",
-    "eis",
-    "estimate_term",
-    "exact_ground_energy",
-    "fisher_matrix",
-    "fit_lambda",
-    "h2_one_qubit",
-    "h2_two_qubit",
-    "l_max_fisher",
-    "lambda_profile",
-    "lis",
-    "load_curve",
-    "load_dataset",
-    "load_hamiltonian",
-    "log_likelihood",
-    "mle_estimate",
-    "noise_robust_schedule",
-    "oracle_expectation",
-    "parity_distribution",
-    "polynomial",
-    "query_cost",
-    "rmse_stats",
-    "rmse_sweep",
-    "sample_parities",
-    "save_curve",
-    "save_dataset",
-    "save_hamiltonian",
-    "simulate_curve",
-    "simulate_dataset",
-    "synthetic_curve",
-]
-
 __version__ = "0.1.0"

@@ -264,7 +264,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         elif len(shot_counts) != 1:
             note = "records carry unequal shot counts, no closed-form bound reported"
         else:
-            schedule = LayerSchedule(dataset.layer_values(), shot_counts.pop())
+            schedule = LayerSchedule(tuple(sorted(dataset.layer_values())),
+                                     shot_counts.pop())
             pi_bound = min(max(result.pi_hat, -1.0 + PI_INSET), 1.0 - PI_INSET)
             try:
                 crb = crb_rmse(pi_bound, result.lambda_hat, schedule)

@@ -59,33 +59,20 @@ class TermEstimate:
     bias: float
 
 
-def _as_term_estimate(value) -> TermEstimate:
-    if isinstance(value, TermEstimate):
-        return value
-    pi_hat, variance, bias = value
-    return TermEstimate(float(pi_hat), float(variance), float(bias))
-
-
-def combine_energy(hamiltonian: PauliSum, estimates,
+def combine_energy(hamiltonian: PauliSum, estimates: dict[str, TermEstimate],
                    n_queries_per_term: int = 0,
                    l_max: int = 0) -> EnergyEstimate:
     """Linear combination of term estimates with independent errors.
 
-    ``estimates`` maps Pauli words (or PauliString keys) to per-term
-    (pi_hat, variance, bias); the identity term needs no estimate and
-    contributes its coefficient exactly.
+    ``estimates`` maps Pauli words to their :class:`TermEstimate`; the
+    identity term needs no estimate and contributes its coefficient exactly.
     """
-    by_word = {}
-    for key, value in estimates.items():
-        word = key.word if isinstance(key, PauliString) else str(key)
-        by_word[word] = _as_term_estimate(value)
-
     energy = hamiltonian.identity_coefficient
     variance = 0.0
     bias = 0.0
     missing = []
     for coeff, string in hamiltonian.non_identity_terms():
-        term = by_word.get(string.word)
+        term = estimates.get(string.word)
         if term is None:
             missing.append(string.word)
             continue
@@ -167,18 +154,19 @@ def sweep_cell(ansatz: AnsatzSpec, string: PauliString, lam: float,
 
 
 def rmse_sweep(hamiltonian: PauliSum, ansatz: AnsatzSpec, lam: float,
-               schedule_builder, l_max_values, n_shots: int,
+               schedule_builder, sizes, n_shots: int,
                m_bootstrap: int, seed: int = 0,
                grid: MLEGrid | None = None) -> tuple[EnergyEstimate, ...]:
     """Energy error versus layer budget for one schedule family.
 
-    ``schedule_builder(l_max, n_shots)`` supplies the schedule per row, and
-    every term of a row is one :func:`sweep_cell`.
+    ``schedule_builder(size, n_shots)`` supplies the schedule of each row,
+    one row per entry of ``sizes``; every term of a row is one
+    :func:`sweep_cell`, and the row's ``l_max`` is its deepest layer.
     """
     terms = hamiltonian.non_identity_terms()
     rows = []
-    for i, l_max in enumerate(l_max_values):
-        schedule = schedule_builder(l_max, n_shots)
+    for i, size in enumerate(sizes):
+        schedule = schedule_builder(size, n_shots)
         estimates = {}
         for j, (_, string) in enumerate(terms):
             result, replicates = sweep_cell(ansatz, string, lam, schedule,
@@ -191,5 +179,5 @@ def rmse_sweep(hamiltonian: PauliSum, ansatz: AnsatzSpec, lam: float,
             )
         rows.append(combine_energy(hamiltonian, estimates,
                                    n_queries_per_term=query_cost(schedule),
-                                   l_max=l_max))
+                                   l_max=max(schedule.layers)))
     return tuple(rows)

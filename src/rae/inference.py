@@ -7,7 +7,8 @@ The measurement model for a circuit with L boost layers is
 with T the Chebyshev polynomial of the first kind.  A dataset is a set of
 (L, n_shots, e_even) records for one Pauli term; the estimator maximizes
 the joint likelihood over an exhaustive (Pi, lam) grid.  Bootstrap error
-bars come from re-drawing each record's count binomially.
+bars come from re-drawing each record's count binomially at its observed
+rate.
 """
 
 from __future__ import annotations
@@ -138,14 +139,12 @@ class MLEGrid:
 
 @dataclass
 class EstimationResult:
-    """Joint MLE output; grid indices are -1 for closed-form estimates."""
+    """Joint MLE output, or the depth-0 closed form with lam pinned at 0."""
 
     pi_hat: float
     lambda_hat: float
     log_likelihood_max: float
     degenerate_maximum: bool
-    pi_index: int = -1
-    lambda_index: int = -1
 
 
 def chebyshev_parity_probability(pi, lam, layers: int, d: int):
@@ -238,8 +237,6 @@ class LikelihoodGrid:
             lambda_hat=float(self.grid.lambda_values()[j]),
             log_likelihood_max=float(best),
             degenerate_maximum=bool(runner_up > best - DEGENERACY_TOL),
-            pi_index=i,
-            lambda_index=j,
         )
 
     def estimate_counts(self, even: np.ndarray, shots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -254,9 +251,10 @@ class LikelihoodGrid:
         return self.grid.pi_values()[i], self.grid.lambda_values()[j]
 
 
-# The tables dominate estimation cost; sweeps hit the same (grid, layers)
-# pair once per Pauli term, so a small cache pays for itself immediately.
-@functools.lru_cache(maxsize=4)
+# The tables dominate estimation cost (16 MB per layer on the default grid).
+# Every caller is done with a layer set before it starts the next (file by
+# file, sweep row by row), so holding only the last set keeps every reuse.
+@functools.lru_cache(maxsize=1)
 def likelihood_tables(grid: MLEGrid, layer_values: tuple[int, ...]) -> LikelihoodGrid:
     return LikelihoodGrid(grid, layer_values)
 
@@ -303,7 +301,11 @@ def direct_estimate(dataset: ParityDataset) -> EstimationResult:
 
 @dataclass
 class BootstrapReplicates:
-    """Parametric-bootstrap re-estimates; arrays are aligned by replicate."""
+    """Bootstrap re-estimates; arrays are aligned by replicate.
+
+    Each replicate redraws every record binomially at its observed rate
+    ``e_even / n_shots`` (not from the fitted model) and re-estimates.
+    """
 
     pi_hats: np.ndarray
     lambda_hats: np.ndarray

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jsonio
-from .inference import IdentifiabilityError, chebyshev_parity_probability
+from .inference import IdentifiabilityError
 from .pauli import AnsatzSpec, PauliString, angle_for_expectation
 from .simulator import RAECircuitSpec, sample_parities
 
@@ -23,6 +23,11 @@ from .simulator import RAECircuitSpec, sample_parities
 FLAT_TOL = 1e-12
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+# Golden-section search stops at this bracket width; after MAX_ITER steps
+# (reached only for a huge lambda_max) it raises FitError.
+BRACKET_TOL = 1e-12
+MAX_ITER = 500
 
 
 class FitError(RuntimeError):
@@ -103,8 +108,7 @@ def _curve_arrays(curve: LikelihoodCurve) -> tuple[np.ndarray, np.ndarray, np.nd
     return pis, rates, weights
 
 
-def fit_lambda(curve: LikelihoodCurve, lambda_max: float = 5.0,
-               tol: float = 1e-12, max_iter: int = 500) -> LambdaFit:
+def fit_lambda(curve: LikelihoodCurve, lambda_max: float = 5.0) -> LambdaFit:
     """Weighted least-squares decay fit with a linearized error bar.
 
     The objective chi^2(lam) = sum_i w_i (p_i - P_L(0 | pi_i, lam))^2 is
@@ -139,10 +143,10 @@ def fit_lambda(curve: LikelihoodCurve, lambda_max: float = 5.0,
     x2 = a + GOLDEN * (b - a)
     f1, f2 = objective(x1), objective(x2)
     iterations = 0
-    while b - a > tol:
-        if iterations >= max_iter:
+    while b - a > BRACKET_TOL:
+        if iterations >= MAX_ITER:
             raise FitError(
-                f"no convergence after {max_iter} iterations; bracket "
+                f"no convergence after {MAX_ITER} iterations; bracket "
                 f"[{a:.3e}, {b:.3e}], residual {min(f1, f2):.3e}"
             )
         if f1 < f2:
@@ -220,20 +224,6 @@ def lambda_profile(curves, instability_threshold: float = 0.20,
         variation = (hi - lo) / lo
     return LambdaProfile(rows=rows, variation=variation,
                          unstable=variation > instability_threshold)
-
-
-def synthetic_curve(layers: int, lam: float, pi_values=None,
-                    std_err: float = 1e-6) -> LikelihoodCurve:
-    """Noise-free curve evaluated straight from the parity model."""
-    if pi_values is None:
-        pi_values = np.linspace(0.0, 1.0, 10)
-    points = tuple(
-        CurvePoint(float(pi),
-                   chebyshev_parity_probability(float(pi), lam, layers, 0),
-                   std_err)
-        for pi in pi_values
-    )
-    return LikelihoodCurve(layers=layers, points=points)
 
 
 def simulate_curve(ansatz_kind: str, target: PauliString, layers: int,

@@ -27,10 +27,6 @@ _PAULI_1Q = {
 _ANSATZ_QUBITS = {"one_qubit_ry": 1, "two_qubit_ucc": 2}
 
 
-class NoClosedFormError(ValueError):
-    """Raised when no closed-form expectation is tabulated for a pair."""
-
-
 @dataclass(frozen=True)
 class PauliString:
     """A tensor product of single-qubit Paulis, e.g. ``"IZ"`` (Z on qubit 0)."""
@@ -51,18 +47,6 @@ class PauliString:
     @property
     def is_identity(self) -> bool:
         return set(self.word) == {"I"}
-
-    def letter(self, qubit: int) -> str:
-        """Pauli letter acting on ``qubit`` (qubit 0 is the rightmost character)."""
-        if not 0 <= qubit < self.n_qubits:
-            raise ValueError(f"qubit {qubit} out of range for {self.word!r}")
-        return self.word[self.n_qubits - 1 - qubit]
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        """Qubits on which the string acts non-trivially, ascending."""
-        n = self.n_qubits
-        return tuple(q for q in range(n) if self.word[n - 1 - q] != "I")
 
     def dense(self) -> np.ndarray:
         """2^n x 2^n matrix of the string, qubit 0 least significant."""
@@ -117,22 +101,6 @@ class PauliSum:
     def non_identity_terms(self) -> list[tuple[float, PauliString]]:
         return [(c, s) for c, s in self.terms if not s.is_identity]
 
-    def coefficient(self, word: str) -> float:
-        for coeff, string in self.terms:
-            if string.word == word:
-                return coeff
-        raise KeyError(word)
-
-    def dense(self) -> np.ndarray:
-        dim = 2 ** self.n_qubits
-        out = np.zeros((dim, dim), dtype=complex)
-        for coeff, string in self.terms:
-            out += coeff * string.dense()
-        return out
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
 
 @dataclass(frozen=True)
 class AnsatzSpec:
@@ -184,44 +152,12 @@ def oracle_expectation(ansatz: AnsatzSpec, string: PauliString) -> float:
     return float(value.real)
 
 
-def analytic_expectation(ansatz: AnsatzSpec, string: PauliString) -> float:
-    """Closed-form <A| P |A> for the tabulated (ansatz, string) pairs.
-
-    Only the pairs needed by the built-in Hamiltonians are tabulated;
-    everything else (including the two-qubit ZZ term, whose value is left
-    to the exact computation on purpose) raises ``NoClosedFormError`` so
-    the caller falls back to :func:`oracle_expectation`.
-    """
-    if string.n_qubits != ansatz.n_qubits:
-        raise ValueError(
-            f"{string.word!r} acts on {string.n_qubits} qubits, "
-            f"ansatz {ansatz.kind!r} prepares {ansatz.n_qubits}"
-        )
-    theta = ansatz.theta
-    if ansatz.kind == "one_qubit_ry":
-        table = {"I": 1.0, "Z": math.cos(theta), "X": math.sin(theta)}
-    else:
-        table = {
-            "II": 1.0,
-            "IZ": -math.cos(theta),
-            "ZI": math.cos(theta),
-            "XX": -math.sin(theta),
-            "YY": -math.sin(theta),
-        }
-    try:
-        return table[string.word]
-    except KeyError:
-        raise NoClosedFormError(
-            f"no closed form for ({ansatz.kind}, {string.word}); "
-            "use oracle_expectation"
-        ) from None
-
-
 def angle_for_expectation(kind: str, string: PauliString, value: float) -> float:
     """Angle theta such that the ansatz hits a prescribed expectation value.
 
-    Inverts the closed forms above for the invertible pairs; used to sweep
-    a term's expectation over a grid when generating likelihood curves.
+    Inverts the ansatz's closed-form expectation for the pairs where it is
+    invertible; used to sweep a term's expectation over a grid when
+    generating likelihood curves.
     """
     if kind not in _ANSATZ_QUBITS:
         raise ValueError(f"unknown ansatz kind {kind!r}")
@@ -239,7 +175,7 @@ def angle_for_expectation(kind: str, string: PauliString, value: float) -> float
     try:
         return inverses[string.word](value)
     except KeyError:
-        raise NoClosedFormError(
+        raise ValueError(
             f"({kind}, {string.word}) has no invertible closed form"
         ) from None
 
@@ -285,11 +221,6 @@ def builtin_problem(name: str, theta: float | None = None) -> tuple[PauliSum, An
             f"unknown hamiltonian {name!r}, expected one of {sorted(_HAMILTONIANS)}"
         ) from None
     return build(), AnsatzSpec(kind=kind, theta=default_theta if theta is None else theta)
-
-
-def exact_ground_energy(h: PauliSum) -> float:
-    """Smallest eigenvalue of the dense Hamiltonian matrix."""
-    return float(np.linalg.eigvalsh(h.dense())[0])
 
 
 def hamiltonian_to_dict(h: PauliSum, ansatz: AnsatzSpec | None = None) -> dict:

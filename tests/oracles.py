@@ -5,14 +5,19 @@ without importing the package internals under test: parity probabilities
 from the Chebyshev closed form, and Fisher information as the covariance of
 the numerical score.  The simulator cross-checks reach the same quantities
 by routes the package does not take: one explicit layer at a time, and a
-readout by basis rotation and bitstring parity instead of a trace.
+readout by basis rotation and bitstring parity instead of a trace.  The
+expectation and ground-energy references come from closed forms and dense
+diagonalization, and noise-free likelihood curves from the package's own
+parity model, so curve fits can be checked for exact recovery.
 """
 
 import math
 
 import numpy as np
 
-from rae.pauli import PauliString
+from rae.inference import chebyshev_parity_probability
+from rae.noisefit import CurvePoint, LikelihoodCurve
+from rae.pauli import AnsatzSpec, PauliString, PauliSum
 from rae.simulator import (
     DensityMatrix,
     RAECircuitSpec,
@@ -30,6 +35,61 @@ def closed_form_parity(pi: float, lam: float, layers: int, d: int) -> float:
     pi = min(max(pi, -1.0), 1.0)
     cheb = math.cos((2 * layers + 1) * math.acos(pi))
     return 0.5 * (1.0 + (-1) ** d * math.exp(-lam * (layers + 0.5)) * cheb)
+
+
+def analytic_expectation(ansatz: AnsatzSpec, string: PauliString) -> float:
+    """Closed-form <A| P |A> for the pairs the built-in Hamiltonians need.
+
+    The two-qubit ZZ term is left out on purpose (its value is -1 for every
+    angle); it and every other untabulated pair raise ``KeyError``.
+    """
+    theta = ansatz.theta
+    if ansatz.kind == "one_qubit_ry":
+        table = {"I": 1.0, "Z": math.cos(theta), "X": math.sin(theta)}
+    else:
+        table = {
+            "II": 1.0,
+            "IZ": -math.cos(theta),
+            "ZI": math.cos(theta),
+            "XX": -math.sin(theta),
+            "YY": -math.sin(theta),
+        }
+    return table[string.word]
+
+
+def hamiltonian_dense(h: PauliSum) -> np.ndarray:
+    """Dense matrix of the Pauli sum, qubit 0 least significant."""
+    dim = 2 ** h.n_qubits
+    out = np.zeros((dim, dim), dtype=complex)
+    for coeff, string in h.terms:
+        out += coeff * string.dense()
+    return out
+
+
+def exact_ground_energy(h: PauliSum) -> float:
+    """Smallest eigenvalue of the dense Hamiltonian matrix."""
+    return float(np.linalg.eigvalsh(hamiltonian_dense(h))[0])
+
+
+def support(string: PauliString) -> tuple[int, ...]:
+    """Qubits on which the string acts non-trivially, ascending; qubit 0 is
+    the rightmost letter."""
+    n = string.n_qubits
+    return tuple(q for q in range(n) if string.word[n - 1 - q] != "I")
+
+
+def synthetic_curve(layers: int, lam: float, pi_values=None,
+                    std_err: float = 1e-6) -> LikelihoodCurve:
+    """Noise-free curve evaluated straight from the parity model."""
+    if pi_values is None:
+        pi_values = np.linspace(0.0, 1.0, 10)
+    points = tuple(
+        CurvePoint(float(pi),
+                   chebyshev_parity_probability(float(pi), lam, layers, 0),
+                   std_err)
+        for pi in pi_values
+    )
+    return LikelihoodCurve(layers=layers, points=points)
 
 
 def numerical_fisher(pi: float, lam: float, layers, n_shots: int,
@@ -90,7 +150,7 @@ def measured_parity_distribution(dm: DensityMatrix, string: PauliString) -> tupl
     p_even = 0.0
     for index, prob in enumerate(probs):
         parity = 0
-        for qubit in string.support:
+        for qubit in support(string):
             parity ^= (index >> qubit) & 1
         if parity == 0:
             p_even += prob

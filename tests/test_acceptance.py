@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 
-from oracles import numerical_fisher
+from oracles import numerical_fisher, synthetic_curve
 from rae.energy import direct_baseline, rmse_sweep
 from rae.fisher import crb_rmse, direct_mse_model, fisher_matrix
 from rae.inference import (
@@ -29,7 +29,7 @@ from rae.inference import (
     log_likelihood,
     mle_estimate,
 )
-from rae.noisefit import fit_lambda, lambda_profile, simulate_curve, synthetic_curve
+from rae.noisefit import fit_lambda, lambda_profile, simulate_curve
 from rae.pauli import (
     AnsatzSpec,
     PauliString,

@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from oracles import synthetic_curve
 from rae.cli import main, _fmt
 from rae.energy import sweep_cell
 from rae.inference import (
@@ -21,7 +22,7 @@ from rae.inference import (
     load_dataset,
     rmse_stats,
 )
-from rae.noisefit import save_curve, synthetic_curve
+from rae.noisefit import save_curve
 from rae.pauli import (
     builtin_problem,
     hamiltonian_to_dict,
@@ -174,6 +175,18 @@ class TestEstimate:
     def test_missing_file_exit_3(self, tmp_path):
         assert run("estimate", tmp_path / "nope.json", "--bootstrap", 10) == 3
 
+    def test_records_in_any_order(self, tmp_path):
+        """The bound is computed over the sorted depths, whatever order the
+        file lists its records in."""
+        path = self.generated(tmp_path, i_max=3) / "Z.json"
+        doc = json.loads(path.read_text())
+        doc["records"].reverse()
+        path.write_text(json.dumps(doc))
+        report = tmp_path / "rep.json"
+        assert run("estimate", path, "--bootstrap", 20, *SMALL_GRID_ARGS,
+                   "--out", report) == 0
+        assert json.loads(report.read_text())["terms"][0]["crb"] > 0
+
 
 class TestSweep:
     ARGS = (
@@ -253,6 +266,20 @@ class TestEnergy:
             assert row["rmse"] == pytest.approx(
                 (row["bias"] ** 2 + row["variance"]) ** 0.5
             )
+
+    def test_l_max_is_deepest_layer(self, tmp_path):
+        """``energy`` and ``sweep`` label a row by its deepest circuit, not
+        by the schedule's size parameter."""
+        args = ("--hamiltonian", "one_qubit", "--schedule", "eis", "--i-max", 3,
+                "--shots", 64, "--bootstrap", 5, *SMALL_GRID_ARGS)
+        assert run("energy", *args, "--out", tmp_path / "e.csv") == 0
+        assert run("sweep", *args, "--out", tmp_path / "s.csv") == 0
+        energy = [int(line.split(",")[0])
+                  for line in (tmp_path / "e.csv").read_text().splitlines()[1:]]
+        sweep = [int(line.split(",")[1])
+                 for line in (tmp_path / "s.csv").read_text().splitlines()[1:]]
+        assert energy == [0, 1, 2, 4]
+        assert sweep == [depth for depth in energy for _ in range(2)]
 
     def test_rerun_is_byte_identical(self, tmp_path):
         for name in ("a", "b"):

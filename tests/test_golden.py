@@ -16,8 +16,9 @@ import hashlib
 
 import pytest
 
+from oracles import synthetic_curve
 from rae.cli import main
-from rae.noisefit import save_curve, synthetic_curve
+from rae.noisefit import save_curve
 from rae.pauli import builtin_problem, save_hamiltonian
 
 GRID = ("--grid-pi", 1001, "--grid-lambda", 11, "--grid-lambda-max", 0.25)

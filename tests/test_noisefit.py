@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import synthetic_curve
 from rae.inference import IdentifiabilityError, chebyshev_parity_probability
 from rae.noisefit import (
     CurvePoint,
@@ -15,7 +16,6 @@ from rae.noisefit import (
     load_curve,
     save_curve,
     simulate_curve,
-    synthetic_curve,
 )
 from rae.pauli import PauliString
 
