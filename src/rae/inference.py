@@ -184,10 +184,69 @@ def log_likelihood(dataset: ParityDataset, pi, lam):
     return total
 
 
+# The bootstrap argmax bounds the surface on blocks of BLOCK x BLOCK cells
+# (ragged at the high edges of axes that are not a multiple of BLOCK).
+BLOCK = 10
+
+# Replicates whose block bounds come from one matrix product: a
+# (BOUND_ROWS, blocks) temporary, 5 MB on the default grid.
+BOUND_ROWS = 64
+
+
+def _block_reduce(surface: np.ndarray, ufunc) -> np.ndarray:
+    """``ufunc`` (``np.maximum`` or ``np.minimum``) over every block of a
+    (pi, lam) array, flattened in block order.  Whole row groups go first:
+    one pass over contiguous rows, then a short pass along lam."""
+    n_pi, n_lam = surface.shape
+    whole = n_pi - n_pi % BLOCK
+    rows = [ufunc.reduce(surface[:whole].reshape(-1, BLOCK, n_lam), axis=1)]
+    if whole < n_pi:
+        rows.append(ufunc.reduce(surface[whole:], axis=0, keepdims=True))
+    return ufunc.reduceat(np.concatenate(rows), np.arange(0, n_lam, BLOCK),
+                          axis=1).ravel()
+
+
+def _rounding_slack(n_layers: int) -> float:
+    """Relative slack that covers every rounding error the argmax compares.
+
+    Let u = eps/2, n = n_layers and gamma_k = k u / (1 - k u).  Every term of
+    S(c) = sum_l e_l T0[l, c] + (N_l - e_l) T1[l, c] is <= 0 (counts >= 0,
+    log-probabilities <= 0), so a sum of these products in any order errs
+    by at most gamma_k |S(c)| for k products plus one: gamma_(2n+1) for the
+    fixed-order kernel, gamma_(n+1) for the BLAS product.
+
+    Point estimate: a cell within DEGENERACY_TOL of the kernel maximum has a
+    BLAS value within (gamma_(n+1) + gamma_(2n+1)) (|S(c)| + |S(c*)|), about
+    (3n + 2) u 2 |max S|, of the BLAS maximum minus DEGENERACY_TOL.
+
+    Bootstrap: with integer counts and an integer reference row, a
+    replicate's S_r = S_ref + sum_l d_l g_l exactly, g = T0 - T1.  Its block
+    bound max_B S_ref + sum_l [max(d_l, 0) max_B g_l + min(d_l, 0) min_B g_l]
+    is computed from the BLAS S_ref (off by gamma_(n+1) A_B, A_B the largest
+    |S_ref| in the block) and from g rounded once (u D_B, where
+    D_B = sum_l |d_l| max_B |g_l|).  As |S_r(c)| <= A_B + D_B, the kernel
+    value of any cell of the block exceeds the exact bound by at most
+    (3n + 3) u (A_B + D_B).  The slack s (A_B + D_B) is added inside the
+    bound's own arithmetic, 3n products and two sums, which errs by at most
+    gamma_(3n+2) (A_B + D_B) (1 + s).  A cell at or above the incumbent thus
+    keeps its block's computed bound at or above the incumbent whenever
+    s >= (6n + 5) u (1 + O(n u)).
+
+    16 (n + 1) u is over twice either requirement.
+    """
+    return 8.0 * (n_layers + 1) * np.finfo(float).eps
+
+
 class LikelihoodGrid:
     """Per-layer log-probability tables on a fixed grid, reusable across
     datasets and bootstrap replicates whose records carry these layers in
-    this order: table row ``i`` belongs to record ``i``."""
+    this order: table row ``i`` belongs to record ``i``.
+
+    Decisions (argmax, ties, degeneracy) rest on one fixed-order kernel,
+    :meth:`_exact`, so a cell's value never depends on what else is
+    evaluated with it; the BLAS contraction :meth:`_surface` only narrows
+    down which cells the kernel must see.
+    """
 
     def __init__(self, grid: MLEGrid, layer_values) -> None:
         self.grid = grid
@@ -205,49 +264,119 @@ class LikelihoodGrid:
             self._log_p0[i] = np.log(p0)
             self._log_p1[i] = np.log1p(-p0)
 
-    def _surfaces(self, even: np.ndarray, shots: np.ndarray) -> np.ndarray:
-        """Joint log-likelihood of each row of ``even`` (record-ordered even
-        counts out of ``shots``) at every cell: a (rows, cells) array."""
+    def _surface(self, even_row: np.ndarray, shots: np.ndarray) -> np.ndarray:
+        """Joint log-likelihood of one record-ordered count row at every
+        cell, flat.  A BLAS product: fast, but its rounding may change with
+        the shape of the product, so it never decides between cells."""
         tables0 = self._log_p0.reshape(len(self.layer_values), -1)
         tables1 = self._log_p1.reshape(len(self.layer_values), -1)
-        return even @ tables0 + (shots - even) @ tables1
+        return even_row @ tables0 + (shots - even_row) @ tables1
+
+    def _exact(self, even_row: np.ndarray, shots: np.ndarray,
+               cells: np.ndarray) -> np.ndarray:
+        """Joint log-likelihood of one count row at the flat ``cells``,
+        summed elementwise layer by layer in record order."""
+        n_l = len(self.layer_values)
+        tables0 = self._log_p0.reshape(n_l, -1)[:, cells]
+        tables1 = self._log_p1.reshape(n_l, -1)[:, cells]
+        total = np.zeros(len(cells))
+        for l in range(n_l):
+            total += even_row[l] * tables0[l]
+            total += (shots[l] - even_row[l]) * tables1[l]
+        return total
+
+    @functools.cached_property
+    def _bound_weights(self) -> np.ndarray:
+        """Block max and min of g = log p0 - log p1 per layer, then its
+        largest block magnitude times the rounding slack: a (3 layers,
+        blocks) array, built on first use one layer at a time."""
+        g_max, g_min = [], []
+        for log_p0, log_p1 in zip(self._log_p0, self._log_p1):
+            g = log_p0 - log_p1
+            g_max.append(_block_reduce(g, np.maximum))
+            g_min.append(_block_reduce(g, np.minimum))
+        g_max, g_min = np.array(g_max), np.array(g_min)
+        slack = _rounding_slack(len(self.layer_values))
+        return np.concatenate(
+            [g_max, g_min, slack * np.maximum(np.abs(g_max), np.abs(g_min))])
+
+    def _block_cells(self, blocks) -> np.ndarray:
+        """Flat indices of the cells of the given blocks."""
+        n_pi, n_lam = self.grid.pi_points, self.grid.lambda_points
+        bi, bj = np.divmod(np.atleast_1d(blocks), -(-n_lam // BLOCK))
+        rows = bi[:, None] * BLOCK + np.arange(BLOCK)
+        cols = bj[:, None] * BLOCK + np.arange(BLOCK)
+        flat = rows[:, :, None] * n_lam + cols[:, None, :]
+        inside = (rows < n_pi)[:, :, None] & (cols < n_lam)[:, None, :]
+        return flat[inside]
 
     def estimate(self, dataset: ParityDataset) -> EstimationResult:
         """Grid argmax, flagged degenerate when a cell outside its 3x3
-        neighbourhood comes within ``DEGENERACY_TOL`` of the maximum."""
+        neighbourhood comes within ``DEGENERACY_TOL`` of the maximum.
+
+        The BLAS surface picks the candidates, every cell within
+        ``DEGENERACY_TOL`` plus the rounding slack of its maximum; the
+        kernel decides among them.
+        """
         if dataset.layer_values() != self.layer_values:
             raise ValueError(
                 f"dataset layers {list(dataset.layer_values())} differ from "
                 f"the tables' layers {list(self.layer_values)}"
             )
-        even = np.array([[r.e_even for r in dataset.records]], dtype=float)
+        even = np.array([r.e_even for r in dataset.records], dtype=float)
         shots = np.array([r.n_shots for r in dataset.records], dtype=float)
-        flat = self._surfaces(even, shots)[0]
-        best_flat = int(np.argmax(flat))  # first maximum: smallest Pi index, then lam
+        surface = self._surface(even, shots)
+        top = surface.max()
+        slack = 2.0 * _rounding_slack(len(even)) * (abs(top) + DEGENERACY_TOL)
+        cells = np.flatnonzero(surface >= top - DEGENERACY_TOL - slack)
+        values = self._exact(even, shots, cells)
+        k = int(np.argmax(values))  # first maximum: smallest Pi index, then lam
+        best = values[k]
         n_lam = self.grid.lambda_points
-        i, j = divmod(best_flat, n_lam)
-        best = flat[best_flat]
-
-        surface = flat.reshape(-1, n_lam)
-        surface[max(i - 1, 0):i + 2, max(j - 1, 0):j + 2] = -np.inf
-        runner_up = float(np.max(surface))
+        i, j = divmod(int(cells[k]), n_lam)
+        ci, cj = np.divmod(cells, n_lam)
+        far = (np.abs(ci - i) > 1) | (np.abs(cj - j) > 1)
 
         return EstimationResult(
             pi_hat=float(self.grid.pi_values()[i]),
             lambda_hat=float(self.grid.lambda_values()[j]),
             log_likelihood_max=float(best),
-            degenerate_maximum=bool(runner_up > best - DEGENERACY_TOL),
+            degenerate_maximum=bool(np.any(values[far] > best - DEGENERACY_TOL)),
         )
 
     def estimate_counts(self, even: np.ndarray, shots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Batched argmax for bootstrap: rows of ``even`` are replicates.
+        """Exact argmax of every row of ``even`` (bootstrap replicates);
+        returns (pi_hats, lambda_hats) without degeneracy diagnostics.
 
-        Returns (pi_hats, lambda_hats); skips degeneracy diagnostics for
-        speed.  Ties resolve to the smallest Pi index, then smallest lam
-        index, exactly as in ``estimate``.
+        A row differs from the rows' rounded mean by ``d``, so its surface
+        is S_ref + sum_l d_l g_l with g = log p0 - log p1, which the block
+        extremes of S_ref and g bound on every block.  The kernel evaluates
+        the block with the highest bound, then every block whose bound plus
+        the rounding slack reaches the best value found there.  Ties resolve
+        to the smallest Pi index, then the smallest lam index, as in
+        ``estimate``, and a row's result does not depend on the other rows.
         """
-        flat = np.argmax(self._surfaces(even, shots), axis=1)
-        i, j = np.divmod(flat, self.grid.lambda_points)
+        n_pi, n_lam = self.grid.pi_points, self.grid.lambda_points
+        ref = np.round(even.mean(axis=0))
+        s_ref = self._surface(ref, shots).reshape(n_pi, n_lam)
+        # block max of S_ref, plus the slack on its largest magnitude (all
+        # of S_ref is <= 0, so that is minus its block min)
+        base = (_block_reduce(s_ref, np.maximum)
+                - _rounding_slack(len(shots)) * _block_reduce(s_ref, np.minimum))
+
+        winners = np.empty(len(even), dtype=np.intp)
+        for start in range(0, len(even), BOUND_ROWS):
+            rows = even[start:start + BOUND_ROWS]
+            d = rows - ref
+            reach = base + np.hstack(
+                [np.maximum(d, 0.0), np.minimum(d, 0.0), np.abs(d)]) @ self._bound_weights
+            for r, row in enumerate(rows):
+                first = self._block_cells(np.argmax(reach[r]))
+                incumbent = self._exact(row, shots, first).max()
+                cells = self._block_cells(np.flatnonzero(reach[r] >= incumbent))
+                values = self._exact(row, shots, cells)
+                winners[start + r] = cells[values == values.max()].min()
+        i, j = np.divmod(winners, n_lam)
         return self.grid.pi_values()[i], self.grid.lambda_values()[j]
 
 
@@ -312,18 +441,14 @@ class BootstrapReplicates:
 
 
 def bootstrap(dataset: ParityDataset, n_replicates: int,
-              grid: MLEGrid | None = None, seed=0,
-              _batch: int = 16) -> BootstrapReplicates:
+              grid: MLEGrid | None = None, seed=0) -> BootstrapReplicates:
     """Re-draw every record binomially and re-estimate, ``n_replicates`` times.
 
-    Each replicate consumes its own ``SeedSequence`` substream, so the
-    redrawn counts are reproducible and independent of evaluation order.
-    The grid argmax is not batch-independent: BLAS may round a row of a
-    ``_batch``-row product differently from the same row alone, so on a
-    near-flat surface a replicate can land on another cell when
-    ``n_replicates`` (and with it the batch layout) changes.  Datasets
-    with only the L=0 record route through the closed form with lam pinned
-    to 0.
+    Each replicate consumes its own ``SeedSequence`` substream and its
+    argmax is exact, so replicate ``k`` depends only on ``(seed, k)``: a
+    longer run extends a shorter one without changing its entries.
+    Datasets with only the L=0 record route through the closed form with
+    lam pinned to 0.
     """
     if n_replicates < 1:
         raise ValueError("n_replicates must be positive")
@@ -344,15 +469,8 @@ def bootstrap(dataset: ParityDataset, n_replicates: int,
 
     if grid is None:
         grid = MLEGrid()
-    tables = likelihood_tables(grid, dataset.layer_values())
-
-    pi_hats = np.empty(n_replicates)
-    lambda_hats = np.empty(n_replicates)
-    for start in range(0, n_replicates, _batch):
-        stop = min(start + _batch, n_replicates)
-        pi_hats[start:stop], lambda_hats[start:stop] = tables.estimate_counts(
-            even[start:stop], shots
-        )
+    pi_hats, lambda_hats = likelihood_tables(
+        grid, dataset.layer_values()).estimate_counts(even, shots)
     return BootstrapReplicates(pi_hats=pi_hats, lambda_hats=lambda_hats)
 
 

@@ -50,9 +50,10 @@ def check_version(doc, kind: str) -> None:
         raise DatasetFormatError(
             f"a {kind} file must hold a JSON object, not a {type(doc).__name__}"
         )
-    if doc.get("version") != FORMAT_VERSION:
+    version = doc.get("version")
+    if type(version) is not int or version != FORMAT_VERSION:  # not bool
         raise DatasetFormatError(
-            f"unsupported {kind} format version {doc.get('version')!r}"
+            f"unsupported {kind} format version {version!r}"
         )
 
 

@@ -117,6 +117,8 @@ def fit_lambda(curve: LikelihoodCurve, lambda_max: float = 5.0) -> LambdaFit:
     error bar is the Gauss-Newton one: delta = 1 / sqrt(sum_i J_i^2 / s_i^2)
     with J = dP/dlam at the optimum.
     """
+    if not (math.isfinite(lambda_max) and lambda_max > 0.0):
+        raise ValueError("lambda_max must be positive")
     pis, rates, weights = _curve_arrays(curve)
     half_order = curve.layers + 0.5
     cheb = np.cos((2 * curve.layers + 1) * np.arccos(pis))

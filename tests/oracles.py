@@ -15,7 +15,11 @@ import math
 
 import numpy as np
 
-from rae.inference import chebyshev_parity_probability
+from rae.inference import (
+    EstimationResult,
+    LikelihoodGrid,
+    chebyshev_parity_probability,
+)
 from rae.noisefit import CurvePoint, LikelihoodCurve
 from rae.pauli import AnsatzSpec, PauliString, PauliSum
 from rae.simulator import (
@@ -90,6 +94,54 @@ def synthetic_curve(layers: int, lam: float, pi_values=None,
         for pi in pi_values
     )
     return LikelihoodCurve(layers=layers, points=points)
+
+
+def exhaustive_scan(tables: LikelihoodGrid, even, shots) -> tuple[int, float, bool]:
+    """Every cell of the grid, summed elementwise layer by layer in record
+    order: (flat index of the first maximum, the maximum, whether a cell
+    outside its 3x3 neighbourhood comes within 1e-9 of it)."""
+    n_layers = len(tables.layer_values)
+    log_p0 = tables._log_p0.reshape(n_layers, -1)
+    log_p1 = tables._log_p1.reshape(n_layers, -1)
+    total = np.zeros(log_p0.shape[1])
+    for l in range(n_layers):
+        total += even[l] * log_p0[l]
+        total += (shots[l] - even[l]) * log_p1[l]
+    best_flat = int(np.argmax(total))
+    best = total[best_flat]
+    surface = total.reshape(tables.grid.pi_points, tables.grid.lambda_points)
+    i, j = divmod(best_flat, tables.grid.lambda_points)
+    surface[max(i - 1, 0):i + 2, max(j - 1, 0):j + 2] = -np.inf
+    return best_flat, float(best), bool(surface.max() > best - 1e-9)
+
+
+def exhaustive_estimate(dataset, grid) -> EstimationResult:
+    """The grid MLE by :func:`exhaustive_scan`."""
+    tables = LikelihoodGrid(grid, dataset.layer_values())
+    even = [r.e_even for r in dataset.records]
+    shots = [r.n_shots for r in dataset.records]
+    best_flat, best, degenerate = exhaustive_scan(tables, even, shots)
+    i, j = divmod(best_flat, grid.lambda_points)
+    return EstimationResult(pi_hat=float(grid.pi_values()[i]),
+                            lambda_hat=float(grid.lambda_values()[j]),
+                            log_likelihood_max=best,
+                            degenerate_maximum=degenerate)
+
+
+def exhaustive_bootstrap(dataset, n_replicates: int, grid, seed) -> tuple[np.ndarray, np.ndarray]:
+    """(pi_hats, lambda_hats) of the bootstrap by :func:`exhaustive_scan`:
+    replicate k redraws every record binomially at its observed rate from
+    the k-th ``SeedSequence`` child of ``seed``."""
+    tables = LikelihoodGrid(grid, dataset.layer_values())
+    shots = np.array([r.n_shots for r in dataset.records])
+    rates = np.array([r.e_even / r.n_shots for r in dataset.records])
+    flats = [
+        exhaustive_scan(tables, np.random.default_rng(child).binomial(shots, rates),
+                        shots)[0]
+        for child in np.random.SeedSequence(seed).spawn(n_replicates)
+    ]
+    i, j = np.divmod(flats, grid.lambda_points)
+    return grid.pi_values()[i], grid.lambda_values()[j]
 
 
 def numerical_fisher(pi: float, lam: float, layers, n_shots: int,

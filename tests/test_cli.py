@@ -7,10 +7,16 @@ quality is covered elsewhere, these tests pin behaviour, formats, and
 determinism.
 """
 
+import contextlib
+import io
 import json
+import pathlib
 import random
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import synthetic_curve
 from rae.cli import main, _fmt
@@ -328,6 +334,13 @@ class TestFitLambda:
     def test_no_input_rejected(self):
         assert run("fit-lambda") == 2
 
+    @pytest.mark.parametrize("lambda_max", ["-1", "nan"])
+    def test_lambda_max_validated(self, capsys, lambda_max):
+        assert run("fit-lambda", "--simulate", "--hamiltonian", "one_qubit",
+                   "--term", "Z", "--shots", 100, "--layers", 1,
+                   "--lambda-max", lambda_max) == 2
+        assert "lambda_max must be positive" in capsys.readouterr().err
+
 
 class TestSchedule:
     def test_prefix_bounds(self, tmp_path, capsys):
@@ -422,6 +435,8 @@ MALFORMED = [
     ("curve", "pi='0.5'", _entry_field("pi", "0.5")),
     ("hamiltonian", "coeff='0.3'", _entry_field("coeff", "0.3")),
     ("hamiltonian", "ansatz-without-theta", _ansatz_without_theta),
+    ("curve", "version=true", lambda doc, key: {**doc, "version": True}),
+    ("dataset", "version=1.0", lambda doc, key: {**doc, "version": 1.0}),
 ]
 
 
@@ -446,3 +461,106 @@ class TestMalformedFiles:
         path = tmp_path / f"{kind}.json"
         path.write_text(json.dumps(make_doc()))
         assert run(*argv(path, tmp_path)) == 0
+
+
+def _paths(doc, prefix=()):
+    """(path, value) for every value under the document's keys and list
+    entries, skipping the free-form dataset metadata."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        if key == "metadata":
+            continue
+        yield prefix + (key,), value
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, prefix + (key,))
+
+
+def _replace(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+JSON_SCALARS = (st.none() | st.booleans() | st.integers()
+                | st.floats(allow_nan=False) | st.text(max_size=4))
+JSON_VALUES = JSON_SCALARS | st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=4,
+)
+
+
+def _json_kind(value) -> str:
+    """The JSON type a reader expects; any JSON number may stand for a real."""
+    if isinstance(value, bool):
+        return "bool"
+    if isinstance(value, int):
+        return "integer"
+    if isinstance(value, float):
+        return "number"
+    return type(value).__name__
+
+
+def _wrong_kind(expected: str):
+    def wrong(value) -> bool:
+        kind = _json_kind(value)
+        if expected == "number":
+            return kind not in ("integer", "number")
+        return kind != expected
+    return JSON_VALUES.filter(wrong)
+
+
+@st.composite
+def malformed_documents(draw):
+    """(kind, text) of a dataset, curve or Hamiltonian file with one defect."""
+    kind = draw(st.sampled_from(sorted(INPUT_FILES)))
+    doc = INPUT_FILES[kind][0]()
+    paths = list(_paths(doc))
+    keyed = [(p, v) for p, v in paths if isinstance(p[-1], str)]
+    counts = [p for p, v in keyed if _json_kind(v) == "integer" and p != ("version",)]
+    reals = [p for p, v in keyed if _json_kind(v) == "number"]
+    defect = draw(st.sampled_from(
+        ["drop", "wrong-type", "top-level", "version", "count"]
+        + (["real"] if reals else [])))
+    if defect == "drop":
+        path = draw(st.sampled_from([p for p, _ in keyed]))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        del parent[path[-1]]
+    elif defect == "wrong-type":
+        path, value = draw(st.sampled_from(paths))
+        _replace(doc, path, draw(_wrong_kind(_json_kind(value))))
+    elif defect == "top-level":
+        doc = draw(_wrong_kind("dict"))
+    elif defect == "version":
+        doc["version"] = draw(JSON_VALUES.filter(
+            lambda v: _json_kind(v) != "integer" or v != 1))
+    elif defect == "count":
+        _replace(doc, draw(st.sampled_from(counts)), draw(
+            st.floats(allow_nan=False) | st.integers().map(str)))
+    else:
+        _replace(doc, draw(st.sampled_from(reals)), draw(
+            st.text(max_size=4) | st.floats(allow_nan=False).map(str)))
+    return kind, json.dumps(doc)
+
+
+class TestMalformedFilesFuzz:
+    """Generated variants of the defects above, over every field of the
+    three file kinds: each exits 2 or 3 and none escapes as an exception.
+    Derandomized, so the examples are the same on every run."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(malformed_documents())
+    def test_rejected_with_exit_2_or_3(self, case):
+        kind, text = case
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = pathlib.Path(tmp)
+            path = tmp / f"{kind}.json"
+            path.write_text(text)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                code = run(*INPUT_FILES[kind][2](path, tmp))
+        assert code in (2, 3), (kind, text, err.getvalue())

@@ -30,6 +30,10 @@ COMMANDS = (
      "--i-max", 3, "--shots", 64, "--seed", 7, "--out", "data"),
     ("estimate", "data/Z.json", "data/X.json", "--bootstrap", 40, *GRID,
      "--seed", 1, "--out", "estimate.json"),
+    # A ragged 997x13 grid: neither axis is a multiple of the block size.
+    ("estimate", "data/Z.json", "data/X.json", "--grid-pi", 997,
+     "--grid-lambda", 13, "--bootstrap", 33, "--seed", 1,
+     "--out", "estimate-ragged.json"),
     # Default 10^6-cell grid; 17 replicates leave a one-row last batch.
     ("generate", "--hamiltonian", "one_qubit", "--lambda", 0.05,
      "--i-max", 2, "--shots", 64, "--seed", 7, "--out", "lis2"),
@@ -55,6 +59,8 @@ GOLDEN = {
         "4e94bc91f7619b0f253faf3682991568d96e52bac1a29194b4580fc2873d4a21",
     "estimate.json":
         "ac85cb222f88bda55059a74a5b31ad318da5ea795a0981fa753ecadf118be8ff",
+    "estimate-ragged.json":
+        "116349ec9fc4cec12190d8f787dc3299192e6c53374b7d1e86dc35e2aa7443c7",
     "estimate-default.json":
         "eac53d42f25426553d47c1a7d645355d752440f60c19c74069fd0e95c0a7b1f5",
     "sweep.csv":

@@ -6,7 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from oracles import closed_form_parity
+from oracles import (
+    closed_form_parity,
+    exhaustive_bootstrap,
+    exhaustive_estimate,
+)
 from rae.inference import (
     BOOTSTRAP_REPLICATES,
     DatasetFormatError,
@@ -191,9 +195,10 @@ class TestMLEEstimate:
 
 class TestLikelihoodGrid:
     # Balanced counts make the Pi = 0 column flat in lam (T_{2L+1}(0) = 0),
-    # so the argmax there rests on the last bit of each surface value.  On
-    # OpenBLAS a multi-row estimate_counts batch rounds some cells of this
-    # surface differently and lands at lam = 0.075 instead of 0.
+    # so the argmax there rests on the last bit of each surface value.  A
+    # BLAS product rounds some of these cells differently with the number
+    # of rows it is given; the fixed-order kernel that makes every decision
+    # does not.
     FLAT = ParityDataset(pauli="Z", records=tuple(
         ParityRecord(L, 100, 50) for L in range(4)))
     GRID = MLEGrid(pi_points=1001, lambda_points=11, lambda_max=0.25)
@@ -262,12 +267,14 @@ class TestBootstrap:
         c = bootstrap(ds, 40, grid=SMALL_GRID, seed=8)
         assert not np.array_equal(a.pi_hats, c.pi_hats)
 
-    def test_batch_size_does_not_change_replicates(self):
-        ds = exact_count_dataset(0.6, 0.02, range(4), 256)
-        a = bootstrap(ds, 33, grid=SMALL_GRID, seed=1, _batch=4)
-        b = bootstrap(ds, 33, grid=SMALL_GRID, seed=1, _batch=33)
-        assert np.array_equal(a.pi_hats, b.pi_hats)
-        assert np.array_equal(a.lambda_hats, b.lambda_hats)
+    def test_replicates_do_not_depend_on_replicate_count(self):
+        # near-tied lam values on the flat Pi = 0 column: rounding that
+        # depended on the other replicates would move replicate 16
+        flat, grid = TestLikelihoodGrid.FLAT, TestLikelihoodGrid.GRID
+        a = bootstrap(flat, 17, grid=grid, seed=22)
+        b = bootstrap(flat, 18, grid=grid, seed=22)
+        assert np.array_equal(a.pi_hats, b.pi_hats[:17])
+        assert np.array_equal(a.lambda_hats, b.lambda_hats[:17])
 
     def test_prefix_property_of_substreams(self):
         # replicate k depends only on (seed, k): a longer run extends a
@@ -313,6 +320,56 @@ class TestBootstrap:
     def test_default_replicate_counts(self):
         assert BOOTSTRAP_REPLICATES[1] == 15000
         assert BOOTSTRAP_REPLICATES[2] == 10000
+
+
+def _sampled(pi, lam, layers, n_shots, seed, pauli="Z"):
+    rng = np.random.default_rng(seed)
+    return ParityDataset(pauli=pauli, records=tuple(
+        ParityRecord(L, n_shots, int(rng.binomial(
+            n_shots, chebyshev_parity_probability(pi, lam, L, 0))))
+        for L in layers))
+
+
+RAGGED_GRID = MLEGrid(pi_points=997, lambda_points=13, lambda_max=0.5)
+
+# (dataset, grid, replicates): the acceptance operating points, near-ties,
+# estimates pinned at a grid edge, few shots, one layer, records out of
+# depth order, and grids whose sizes are not multiples of the block size.
+EXHAUSTIVE_CASES = {
+    "acceptance-xx-lis8": (_sampled(-0.2238, 0.045, range(9), 8192, 1, "XX"),
+                           MLEGrid(), 6),
+    "acceptance-energy": (_sampled(-0.2238, 0.05, range(4), 8192, 2, "XX"),
+                          MLEGrid(10000, 26, 0.25), 6),
+    "acceptance-scaling": (_sampled(0.41, 0.0, (0, 1, 3, 7), 512, 3, "X"),
+                           MLEGrid(10000, 26, 0.05), 6),
+    "flat": (TestLikelihoodGrid.FLAT, TestLikelihoodGrid.GRID, 150),
+    "lambda-beyond-max": (_sampled(0.3, 0.8, range(4), 256, 4),
+                          MLEGrid(1001, 11, 0.25), 60),
+    "pi-minus-one-zz": (_sampled(-1.0, 0.05, range(4), 512, 5, "ZZ"),
+                        RAGGED_GRID, 60),
+    "16-shots": (_sampled(0.5, 0.05, range(4), 16, 6), RAGGED_GRID, 60),
+    "64-shots": (_sampled(-0.7, 0.02, range(3), 64, 7), RAGGED_GRID, 60),
+    "one-layer": (_sampled(0.2, 0.03, (1,), 64, 8), RAGGED_GRID, 60),
+    "non-increasing-layers": (_sampled(0.6, 0.04, (3, 1, 0, 2), 128, 9),
+                              SMALL_GRID, 30),
+    "ragged": (_sampled(0.1, 0.1, range(5), 1024, 10), RAGGED_GRID, 60),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXHAUSTIVE_CASES))
+class TestEqualsExhaustiveScan:
+    """The pruned argmax equals a fixed-order scan of every cell, bit for bit."""
+
+    def test_point_estimate(self, case):
+        ds, grid, _ = EXHAUSTIVE_CASES[case]
+        assert mle_estimate(ds, grid) == exhaustive_estimate(ds, grid)
+
+    def test_bootstrap(self, case):
+        ds, grid, n = EXHAUSTIVE_CASES[case]
+        reps = bootstrap(ds, n, grid=grid, seed=3)
+        pi_hats, lambda_hats = exhaustive_bootstrap(ds, n, grid, seed=3)
+        assert np.array_equal(reps.pi_hats, pi_hats)
+        assert np.array_equal(reps.lambda_hats, lambda_hats)
 
 
 class TestRmseStats:

@@ -117,6 +117,12 @@ class TestFitLambda:
             fit_lambda(curve)
 
 
+    @pytest.mark.parametrize("lambda_max", [-1.0, 0.0, math.nan, math.inf])
+    def test_lambda_max_validated(self, lambda_max):
+        with pytest.raises(ValueError, match="lambda_max"):
+            fit_lambda(synthetic_curve(1, 0.05), lambda_max=lambda_max)
+
+
 class TestLambdaProfile:
     def _curves(self, lams):
         return [synthetic_curve(layers, lam)
