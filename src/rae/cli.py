@@ -10,8 +10,7 @@ therefore produces byte-identical output files, and computing the cells of a
 sweep in any order (or in parallel) gives the same table.
 
 Exit codes: 0 success, 2 invalid configuration or arguments, 3 unreadable or
-malformed input file, 4 computation failure (unidentifiable model, fit that
-does not converge).
+malformed input file, 4 computation failure (unidentifiable model).
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from .inference import (
     rmse_stats,
     save_dataset,
 )
-from .noisefit import FitError, lambda_profile, load_curve, simulate_curve
+from .noisefit import lambda_profile, load_curve, simulate_curve
 from .pauli import (
     AnsatzSpec,
     PauliString,
@@ -424,7 +423,8 @@ def cmd_fit_lambda(args: argparse.Namespace) -> int:
     print("  L  lambda_hat    delta_lambda")
     for row in profile.rows:
         print(f"{row.layers:>3d}  {row.lambda_hat:<12.6f} {row.delta_lambda:.6f}")
-    if np.isfinite(profile.variation):
+    bounded = np.isfinite(profile.variation)
+    if bounded:
         print(f"relative variation: {100.0 * profile.variation:.1f}%")
     else:
         print("relative variation: unbounded (a fitted rate is 0)")
@@ -440,7 +440,7 @@ def cmd_fit_lambda(args: argparse.Namespace) -> int:
                 }
                 for r in profile.rows
             ],
-            "variation": float(profile.variation),
+            "variation": float(profile.variation) if bounded else None,
             "unstable": bool(profile.unstable),
             "threshold": float(args.threshold),
         })
@@ -652,7 +652,7 @@ def main(argv=None) -> int:
     except DatasetFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
-    except (IdentifiabilityError, FitError) as exc:
+    except IdentifiabilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
     except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:

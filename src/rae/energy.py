@@ -108,7 +108,8 @@ def direct_baseline(hamiltonian: PauliSum, ansatz: AnsatzSpec, lam: float,
 
 def simulate_dataset(ansatz: AnsatzSpec, target: PauliString, lam: float,
                      schedule: LayerSchedule, seed=0) -> ParityDataset:
-    """Sample one parity dataset for a term through the noisy simulator."""
+    """Sample one parity dataset for a term: one ``simulator.sample_parities``
+    draw per schedule depth."""
     base = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     children = base.spawn(len(schedule.layers))
     records = []

@@ -22,17 +22,6 @@ from .simulator import RAECircuitSpec, sample_parities
 # curves whose Chebyshev values are all this small carry no decay signal
 FLAT_TOL = 1e-12
 
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-# Golden-section search stops at this bracket width; after MAX_ITER steps
-# (reached only for a huge lambda_max) it raises FitError.
-BRACKET_TOL = 1e-12
-MAX_ITER = 500
-
-
-class FitError(RuntimeError):
-    """The least-squares minimizer exhausted its iteration budget."""
-
 
 @dataclass(frozen=True)
 class CurvePoint:
@@ -111,11 +100,12 @@ def _curve_arrays(curve: LikelihoodCurve) -> tuple[np.ndarray, np.ndarray, np.nd
 def fit_lambda(curve: LikelihoodCurve, lambda_max: float = 5.0) -> LambdaFit:
     """Weighted least-squares decay fit with a linearized error bar.
 
-    The objective chi^2(lam) = sum_i w_i (p_i - P_L(0 | pi_i, lam))^2 is
-    minimized over [0, lambda_max] by a coarse scan, golden-section
-    shrinking of the bracket, and one parabolic refinement step.  The
-    error bar is the Gauss-Newton one: delta = 1 / sqrt(sum_i J_i^2 / s_i^2)
-    with J = dP/dlam at the optimum.
+    The model P_L(0 | pi, lam) = (1 + q T_{2L+1}(pi)) / 2 is linear in the
+    decay factor q = e^{-lam (L + 1/2)}, so chi^2 = sum_i w_i (p_i - P_i)^2
+    is a convex quadratic in q.  Its minimizer has a closed form; clamped to
+    [e^{-lambda_max (L + 1/2)}, 1] it is the exact minimizer over
+    lam in [0, lambda_max].  The error bar is the Gauss-Newton one:
+    delta = 1 / sqrt(sum_i J_i^2 / s_i^2) with J = dP/dlam at the optimum.
     """
     if not (math.isfinite(lambda_max) and lambda_max > 0.0):
         raise ValueError("lambda_max must be positive")
@@ -128,61 +118,25 @@ def fit_lambda(curve: LikelihoodCurve, lambda_max: float = 5.0) -> LambdaFit:
             "at every sweep point, so lambda does not affect the model"
         )
 
-    def objective(lam: float) -> float:
-        model = 0.5 * (1.0 + np.exp(-lam * half_order) * cheb)
-        return float(np.sum(weights * (rates - model) ** 2))
+    slope = cheb / 2.0
+    q_star = float(np.sum(weights * (rates - 0.5) * slope)
+                   / np.sum(weights * slope ** 2))
+    q_min = math.exp(-lambda_max * half_order)
+    if q_star >= 1.0:
+        q, lambda_hat = 1.0, 0.0
+    elif q_star <= q_min:
+        q, lambda_hat = q_min, lambda_max
+    else:
+        q, lambda_hat = q_star, min(-math.log(q_star) / half_order, lambda_max)
 
-    # coarse scan pins the basin; the model is smooth and unimodal in the
-    # decay factor, so 201 points over the full range is ample
-    scan = np.linspace(0.0, lambda_max, 201)
-    values = [objective(l) for l in scan]
-    center = int(np.argmin(values))
-    lo = scan[max(center - 1, 0)]
-    hi = scan[min(center + 1, len(scan) - 1)]
-
-    a, b = lo, hi
-    x1 = b - GOLDEN * (b - a)
-    x2 = a + GOLDEN * (b - a)
-    f1, f2 = objective(x1), objective(x2)
-    iterations = 0
-    while b - a > BRACKET_TOL:
-        if iterations >= MAX_ITER:
-            raise FitError(
-                f"no convergence after {MAX_ITER} iterations; bracket "
-                f"[{a:.3e}, {b:.3e}], residual {min(f1, f2):.3e}"
-            )
-        if f1 < f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - GOLDEN * (b - a)
-            f1 = objective(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + GOLDEN * (b - a)
-            f2 = objective(x2)
-        iterations += 1
-    best = x1 if f1 < f2 else x2
-    best_value = min(f1, f2)
-
-    # parabolic polish through (a, best, b); degenerate spacing falls back
-    # to the golden-section answer
-    fa, fb = objective(a), objective(b)
-    denom = (a - best) * (fb - best_value) - (b - best) * (fa - best_value)
-    if abs(denom) > 0.0:
-        num = (a - best) ** 2 * (fb - best_value) - (b - best) ** 2 * (fa - best_value)
-        candidate = best + 0.5 * num / denom
-        if 0.0 <= candidate <= lambda_max and objective(candidate) < best_value:
-            best = candidate
-            best_value = objective(candidate)
-    lambda_hat = max(float(best), 0.0)
-
-    jac = -0.5 * half_order * math.exp(-lambda_hat * half_order) * cheb
+    jac = -half_order * q * slope
     curvature = float(np.sum(weights * jac ** 2))
-    if curvature <= 0.0:
+    if not curvature > 0.0:
         raise IdentifiabilityError("zero curvature at the optimum; lambda unidentifiable")
     return LambdaFit(
         lambda_hat=lambda_hat,
         delta_lambda=1.0 / math.sqrt(curvature),
-        chi_square=best_value,
+        chi_square=float(np.sum(weights * (rates - 0.5 - q * slope) ** 2)),
     )
 
 
@@ -232,7 +186,7 @@ def simulate_curve(ansatz_kind: str, target: PauliString, layers: int,
                    lam: float, n_shots: int, seed: int = 0,
                    pi_values=None) -> LikelihoodCurve:
     """Measured curve: sweep the ansatz angle through the prescribed
-    amplitudes and sample parity counts from the density-matrix simulator.
+    amplitudes and sample parity counts with ``simulator.sample_parities``.
 
     Error bars are binomial with a half-count floor so degenerate rates
     (0 or 1) still carry a positive uncertainty.

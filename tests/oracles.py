@@ -3,15 +3,18 @@
 The closed-form helpers are written directly from the measurement model,
 without importing the package internals under test: parity probabilities
 from the Chebyshev closed form, and Fisher information as the covariance of
-the numerical score.  The simulator cross-checks reach the same quantities
-by routes the package does not take: one explicit layer at a time, and a
-readout by basis rotation and bitstring parity instead of a trace.  The
+the numerical score.  The package samples parities from the closed form;
+the exact density-matrix simulator here (``evolve``, ``parity_distribution``)
+reaches the same probabilities by evolving the noisy circuit, and the
+cross-checks reach them by further routes: one explicit layer at a time, and
+a readout by basis rotation and bitstring parity instead of a trace.  The
 expectation and ground-energy references come from closed forms and dense
 diagonalization, and noise-free likelihood curves from the package's own
 parity model, so curve fits can be checked for exact recovery.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,13 +24,8 @@ from rae.inference import (
     chebyshev_parity_probability,
 )
 from rae.noisefit import CurvePoint, LikelihoodCurve
-from rae.pauli import AnsatzSpec, PauliString, PauliSum
-from rae.simulator import (
-    DensityMatrix,
-    RAECircuitSpec,
-    apply_depolarizing,
-    grover_unitary,
-)
+from rae.pauli import AnsatzSpec, PauliString, PauliSum, ansatz_state
+from rae.simulator import RAECircuitSpec
 
 _H_GATE = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
 _SDG_GATE = np.array([[1.0, 0.0], [0.0, -1.0j]], dtype=complex)
@@ -162,6 +160,86 @@ def numerical_fisher(pi: float, lam: float, layers, n_shots: int,
             score = np.array([d_pi, d_lam])
             info += n_shots * p * np.outer(score, score)
     return info
+
+
+@dataclass
+class DensityMatrix:
+    """Density operator on an n-qubit register, qubit 0 least significant."""
+
+    data: np.ndarray
+    n_qubits: int
+
+    @classmethod
+    def from_statevector(cls, psi: np.ndarray) -> "DensityMatrix":
+        psi = np.asarray(psi, dtype=complex)
+        n = int(round(math.log2(psi.size)))
+        if 2 ** n != psi.size:
+            raise ValueError(f"statevector length {psi.size} is not a power of two")
+        return cls(data=np.outer(psi, psi.conj()), n_qubits=n)
+
+    @property
+    def dim(self) -> int:
+        return 2 ** self.n_qubits
+
+    def expectation(self, string: PauliString) -> float:
+        """Tr[rho P], guaranteed real for Hermitian rho and Pauli P."""
+        if string.n_qubits != self.n_qubits:
+            raise ValueError("Pauli string and density matrix register sizes differ")
+        return float(np.trace(self.data @ string.dense()).real)
+
+
+def apply_depolarizing(dm: DensityMatrix, fidelity: float) -> DensityMatrix:
+    """Global depolarizing channel rho -> p rho + (1 - p) I / 2^n."""
+    if not 0.0 <= fidelity <= 1.0:
+        raise ValueError(f"fidelity {fidelity} outside [0, 1]")
+    mixed = np.eye(dm.dim, dtype=complex) / dm.dim
+    return DensityMatrix(data=fidelity * dm.data + (1.0 - fidelity) * mixed,
+                         n_qubits=dm.n_qubits)
+
+
+def prepare_noisy_ansatz(ansatz: AnsatzSpec, lam: float) -> DensityMatrix:
+    """Ansatz state after the state-preparation depolarizing step."""
+    if not (math.isfinite(lam) and lam >= 0.0):
+        raise ValueError("depolarizing rate must be finite and non-negative")
+    pure = DensityMatrix.from_statevector(ansatz_state(ansatz))
+    return apply_depolarizing(pure, math.exp(-lam / 2.0))
+
+
+def reflection_about(psi: np.ndarray) -> np.ndarray:
+    """R = 2|psi><psi| - I."""
+    psi = np.asarray(psi, dtype=complex)
+    return 2.0 * np.outer(psi, psi.conj()) - np.eye(psi.size, dtype=complex)
+
+
+def grover_unitary(spec: RAECircuitSpec) -> np.ndarray:
+    """One boost layer U = R_A P."""
+    return reflection_about(ansatz_state(spec.ansatz)) @ spec.target.dense()
+
+
+def evolve(spec: RAECircuitSpec) -> DensityMatrix:
+    """State after ansatz preparation and ``spec.layers`` boost layers."""
+    dm = prepare_noisy_ansatz(spec.ansatz, spec.lam)
+    if spec.layers == 0:
+        return dm
+    u = grover_unitary(spec)
+    udag = u.conj().T
+    p = math.exp(-spec.lam)
+    mixed = np.eye(dm.dim, dtype=complex) / dm.dim
+    data = dm.data
+    for _ in range(spec.layers):
+        data = p * (u @ data @ udag) + (1.0 - p) * mixed
+    return DensityMatrix(data=data, n_qubits=dm.n_qubits)
+
+
+def parity_distribution(spec: RAECircuitSpec) -> tuple[float, float]:
+    """(P(d=0), P(d=1)) for the parity measurement of the target Pauli.
+
+    The even outcome has probability (1 + Tr[rho_L P]) / 2.
+    """
+    value = evolve(spec).expectation(spec.target)
+    p_even = 0.5 * (1.0 + value)
+    p_even = min(max(p_even, 0.0), 1.0)
+    return p_even, 1.0 - p_even
 
 
 def validate(dm: DensityMatrix, atol: float = 1e-10) -> None:

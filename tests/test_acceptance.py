@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 
-from oracles import numerical_fisher, synthetic_curve
+from oracles import numerical_fisher, parity_distribution, synthetic_curve
 from rae.energy import direct_baseline, rmse_sweep
 from rae.fisher import crb_rmse, direct_mse_model, fisher_matrix
 from rae.inference import (
@@ -45,7 +45,7 @@ from rae.schedules import (
     noise_robust_schedule,
     query_cost,
 )
-from rae.simulator import RAECircuitSpec, parity_distribution, sample_parities
+from rae.simulator import RAECircuitSpec, sample_parities
 
 BASE_SEED = 20260822
 

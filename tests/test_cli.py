@@ -327,6 +327,32 @@ class TestFitLambda:
         for row in doc["rows"]:
             assert row["lambda_hat"] == pytest.approx(0.08, abs=1e-6)
 
+    def test_large_lambda_max(self, tmp_path):
+        save_curve(str(tmp_path / "c.json"),
+                   synthetic_curve(1, 0.045, std_err=0.01))
+        report = tmp_path / "fit.json"
+        assert run("fit-lambda", tmp_path / "c.json", "--lambda-max", "1e5",
+                   "--out", report) == 0
+        doc = json.loads(report.read_text())
+        assert doc["rows"][0]["lambda_hat"] == pytest.approx(0.045, abs=1e-6)
+
+    def test_unbounded_variation_is_strict_json(self, tmp_path, capsys):
+        # noiseless curves fit lam = 0 exactly at some depths, so the
+        # relative variation has no finite value
+        report = tmp_path / "fit.json"
+        assert run("fit-lambda", "--simulate", "--hamiltonian", "one_qubit",
+                   "--term", "Z", "--lambda", 0, "--seed", 0,
+                   "--out", report) == 0
+        assert "unbounded" in capsys.readouterr().out
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        doc = json.loads(report.read_text(), parse_constant=reject)
+        assert 0.0 in [row["lambda_hat"] for row in doc["rows"]]
+        assert doc["variation"] is None
+        assert doc["unstable"] is True
+
     def test_files_and_simulate_conflict(self, tmp_path):
         save_curve(str(tmp_path / "c.json"), synthetic_curve(1, 0.05))
         assert run("fit-lambda", tmp_path / "c.json", "--simulate") == 2

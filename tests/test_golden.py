@@ -72,7 +72,7 @@ GOLDEN = {
     "energy.json":
         "4d1fa26fe2df9be686acd4664acf9685c79b0df1057cc6582556a30891ed9124",
     "fit.json":
-        "d1c13164e6b06e9de15bf966faf82481d6607e0476004de0d499dd3defede983",
+        "b3790624a267c8bb64f3687f1817f07af42b00784d71bf0b398d5420824c1046",
     "schedule.json":
         "f5c468c21b88a92b05cafd4fb95457a50210a8024a63d275480480a4cda3e3d6",
 }

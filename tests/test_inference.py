@@ -10,6 +10,7 @@ from oracles import (
     closed_form_parity,
     exhaustive_bootstrap,
     exhaustive_estimate,
+    parity_distribution,
 )
 from rae.inference import (
     BOOTSTRAP_REPLICATES,
@@ -28,7 +29,7 @@ from rae.inference import (
     rmse_stats,
     save_dataset,
 )
-from rae.simulator import RAECircuitSpec, parity_distribution
+from rae.simulator import RAECircuitSpec
 from rae.pauli import PauliString, builtin_problem, oracle_expectation
 
 

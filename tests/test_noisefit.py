@@ -53,14 +53,17 @@ class TestCurveValidation:
 
 class TestFitLambda:
     def test_exact_round_trip(self):
-        for lam in (0.003, 0.043, 0.045, 0.1):
-            for layers in (1, 2, 3):
-                fit = fit_lambda(synthetic_curve(layers, lam))
-                assert abs(fit.lambda_hat - lam) < 1e-6
+        # a wide search range must not lose a well-identified rate
+        for lambda_max in (5.0, 1e5, 1e8):
+            for lam in (0.003, 0.043, 0.045, 0.1):
+                for layers in (1, 2, 3):
+                    fit = fit_lambda(synthetic_curve(layers, lam),
+                                     lambda_max=lambda_max)
+                    assert abs(fit.lambda_hat - lam) < 1e-6
 
     def test_matches_linear_solution_in_decay_factor(self):
-        # the weighted problem is linear in g = e^{-lam (L+1/2)}, which
-        # gives an independent closed form to check the search against
+        # the weighted problem is linear in g = e^{-lam (L+1/2)}; inside
+        # (0, 1] the fit must be its unconstrained least-squares solution
         rng = np.random.default_rng(0)
         pis = np.linspace(0.05, 1.0, 10)
         for _ in range(20):
@@ -80,6 +83,17 @@ class TestFitLambda:
         fit = fit_lambda(synthetic_curve(2, 0.0, std_err=1e-9))
         assert fit.lambda_hat == pytest.approx(0.0, abs=1e-9)
         assert fit.delta_lambda < 1e-8
+
+    def test_search_range_edges_are_exact(self):
+        # the least-squares decay factor q* lies outside (0, 1]: above 1 the
+        # fit is lam = 0, below 0 it is lambda_max, both exactly
+        pis = (0.1, 0.15, 0.2)  # T_5 stays below 0.85 here
+        cheb = np.cos(5 * np.arccos(pis))
+        for q, expected in ((1.1, 0.0), (-0.3, 2.5)):
+            curve = LikelihoodCurve(2, tuple(
+                CurvePoint(float(pi), float(0.5 * (1.0 + q * c)), 0.01)
+                for pi, c in zip(pis, cheb)))
+            assert fit_lambda(curve, lambda_max=2.5).lambda_hat == expected
 
     def test_sampled_curve_within_error_bar(self):
         curve = simulate_curve("one_qubit_ry", PauliString("Z"), 3, 0.047,

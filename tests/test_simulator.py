@@ -6,23 +6,20 @@ import numpy as np
 import pytest
 
 from oracles import (
+    DensityMatrix,
+    apply_depolarizing,
     apply_grover_layer,
     closed_form_parity,
     context_rotation,
+    evolve,
+    grover_unitary,
     measured_parity_distribution,
+    parity_distribution,
+    prepare_noisy_ansatz,
     validate,
 )
 from rae.pauli import AnsatzSpec, PauliString, builtin_problem, oracle_expectation
-from rae.simulator import (
-    DensityMatrix,
-    RAECircuitSpec,
-    apply_depolarizing,
-    evolve,
-    grover_unitary,
-    parity_distribution,
-    prepare_noisy_ansatz,
-    sample_parities,
-)
+from rae.simulator import RAECircuitSpec, sample_parities
 
 ANSATZ_1Q = AnsatzSpec("one_qubit_ry", -6.5095)
 ANSATZ_2Q = AnsatzSpec("two_qubit_ucc", -6.0575)
@@ -177,6 +174,24 @@ class TestSampling:
         spec = _spec(ANSATZ_2Q, "XX", 3, 0.05)
         draws = {sample_parities(spec, 4096, seed=s) for s in range(8)}
         assert len(draws) > 1
+
+    def test_closed_form_counts_equal_density_matrix_counts(self):
+        # sample_parities draws from the Chebyshev closed form; the same
+        # seed through the density-matrix probability gives the same count
+        n_shots = 8192
+        seed = 0
+        for name in ("one_qubit", "two_qubit"):
+            h, ansatz = builtin_problem(name)
+            for _, string in h.non_identity_terms():
+                for layers in range(9):
+                    for lam in (0.0, 0.045, 0.18):
+                        spec = RAECircuitSpec(ansatz=ansatz, target=string,
+                                              layers=layers, lam=lam)
+                        p_even, _ = parity_distribution(spec)
+                        expected = np.random.default_rng(seed).binomial(
+                            n_shots, p_even)
+                        assert sample_parities(spec, n_shots, seed) == expected
+                        seed += 1
 
     def test_counts_concentrate_at_the_probability(self):
         # theta = 0 puts <X> at 0, so the parity coin is fair.
