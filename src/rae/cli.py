@@ -36,13 +36,13 @@ from .fisher import advantage_verdict, crb_rmse, direct_mse_model
 from .inference import (
     BOOTSTRAP_REPLICATES,
     PI_INSET,
-    DatasetFormatError,
     IdentifiabilityError,
     MLEGrid,
     load_dataset,
     rmse_stats,
     save_dataset,
 )
+from .jsonio import DatasetFormatError
 from .noisefit import lambda_profile, load_curve, simulate_curve
 from .pauli import (
     AnsatzSpec,

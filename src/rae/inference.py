@@ -13,14 +13,12 @@ rate.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import jsonio
-from .jsonio import DatasetFormatError  # noqa: F401  (re-exported)
 from .pauli import PauliString
 
 # Probabilities are clamped to this floor before any logarithm; the model
@@ -147,6 +145,13 @@ class EstimationResult:
     degenerate_maximum: bool
 
 
+def _model_factors(pi, lam, layers):
+    """The two factors of the model's signal, T_{2L+1}(Pi) as
+    cos((2L+1) acos Pi) and the decay e^{-lam (L + 1/2)}; broadcasts over
+    all three arguments."""
+    return np.cos((2 * layers + 1) * np.arccos(pi)), np.exp(-lam * (layers + 0.5))
+
+
 def chebyshev_parity_probability(pi, lam, layers: int, d: int):
     """P_L(d | Pi, lam); broadcasts over array-valued ``pi`` and ``lam``.
 
@@ -161,9 +166,8 @@ def chebyshev_parity_probability(pi, lam, layers: int, d: int):
     lam_arr = np.asarray(lam, dtype=float)
     if np.any(lam_arr < 0.0):
         raise ValueError("lam must be non-negative")
-    cheb = np.cos((2 * layers + 1) * np.arccos(pi_arr))
-    signal = np.exp(-lam_arr * (layers + 0.5)) * cheb
-    out = 0.5 * (1.0 + (-1.0) ** d * signal)
+    cheb, decay = _model_factors(pi_arr, lam_arr, layers)
+    out = 0.5 * (1.0 + (-1.0) ** d * (decay * cheb))
     if np.isscalar(pi) and np.isscalar(lam):
         return float(out)
     return out
@@ -184,68 +188,55 @@ def log_likelihood(dataset: ParityDataset, pi, lam):
     return total
 
 
-# The bootstrap argmax bounds the surface on blocks of BLOCK x BLOCK cells
-# (ragged at the high edges of axes that are not a multiple of BLOCK).
+# The argmax bounds the likelihood on blocks of BLOCK x BLOCK cells (ragged
+# at the high edges of axes that are not a multiple of BLOCK).
 BLOCK = 10
 
-# Replicates whose block bounds come from one matrix product: a
+# Count rows whose block bounds come from one matrix product: a
 # (BOUND_ROWS, blocks) temporary, 5 MB on the default grid.
 BOUND_ROWS = 64
 
 
-def _block_reduce(surface: np.ndarray, ufunc) -> np.ndarray:
-    """``ufunc`` (``np.maximum`` or ``np.minimum``) over every block of a
-    (pi, lam) array, flattened in block order.  Whole row groups go first:
-    one pass over contiguous rows, then a short pass along lam."""
-    n_pi, n_lam = surface.shape
-    whole = n_pi - n_pi % BLOCK
-    rows = [ufunc.reduce(surface[:whole].reshape(-1, BLOCK, n_lam), axis=1)]
-    if whole < n_pi:
-        rows.append(ufunc.reduce(surface[whole:], axis=0, keepdims=True))
-    return ufunc.reduceat(np.concatenate(rows), np.arange(0, n_lam, BLOCK),
-                          axis=1).ravel()
-
-
 def _rounding_slack(n_layers: int) -> float:
-    """Relative slack that covers every rounding error the argmax compares.
+    """Relative slack that makes a row's block bound cover every kernel value
+    of the block.
 
-    Let u = eps/2, n = n_layers and gamma_k = k u / (1 - k u).  Every term of
-    S(c) = sum_l e_l T0[l, c] + (N_l - e_l) T1[l, c] is <= 0 (counts >= 0,
-    log-probabilities <= 0), so a sum of these products in any order errs
-    by at most gamma_k |S(c)| for k products plus one: gamma_(2n+1) for the
-    fixed-order kernel, gamma_(n+1) for the BLAS product.
+    The kernel's p0 at cell (i, j) is 0.5 (1 + E_j C_i), clipped, from the
+    stored factors C_i = T_{2L+1}(Pi_i) and E_j = e^{-lam_j (L + 1/2)}.  A
+    block's p_hi and p_lo go through the same operations from the extreme
+    products of the block's ranges of C and E (E >= 0), which its cells
+    attain.  Products, sums, halving and clipping are correctly rounded,
+    hence monotone, so p_lo <= p0 <= p_hi holds exactly at every cell of
+    the block, whatever the accuracy of acos, cos and exp.
 
-    Point estimate: a cell within DEGENERACY_TOL of the kernel maximum has a
-    BLAS value within (gamma_(n+1) + gamma_(2n+1)) (|S(c)| + |S(c*)|), about
-    (3n + 2) u 2 |max S|, of the BLAS maximum minus DEGENERACY_TOL.
+    The rest assumes log and log1p within k = 4 ulps (numpy's own accuracy
+    tests hold its float64 log and log1p to 1 ulp).  Let u = eps/2,
+    n = n_layers and gamma_m = m u / (1 - m u).  A kernel log value T at a
+    cell and the block's V = log(p_hi) or log1p(-p_lo) are <= 0, so
+    T <= V (1 - k u) / (1 + k u); the bounds are stored as V (1 - s),
+    rounded.  A row's kernel value K = sum_l e_l T0_l + f_l T1_l (counts
+    e, f >= 0, 2n products summed in record order) is at most
+    (1 - gamma_2n) times its exact sum, and the row's bound M, a matrix
+    product of the same counts with the stored bounds in any order, is at
+    least (1 + gamma_2n) times its exact sum.  Hence K <= M whenever
+    (1 - s) (1 + u) (1 + k u) (1 + gamma_2n) <= (1 - k u) (1 - gamma_2n),
+    that is s >= (4n + 2k + 1) u (1 + O(n u)), and a block whose bound
+    falls below a threshold holds no cell at or above it.
 
-    Bootstrap: with integer counts and an integer reference row, a
-    replicate's S_r = S_ref + sum_l d_l g_l exactly, g = T0 - T1.  Its block
-    bound max_B S_ref + sum_l [max(d_l, 0) max_B g_l + min(d_l, 0) min_B g_l]
-    is computed from the BLAS S_ref (off by gamma_(n+1) A_B, A_B the largest
-    |S_ref| in the block) and from g rounded once (u D_B, where
-    D_B = sum_l |d_l| max_B |g_l|).  As |S_r(c)| <= A_B + D_B, the kernel
-    value of any cell of the block exceeds the exact bound by at most
-    (3n + 3) u (A_B + D_B).  The slack s (A_B + D_B) is added inside the
-    bound's own arithmetic, 3n products and two sums, which errs by at most
-    gamma_(3n+2) (A_B + D_B) (1 + s).  A cell at or above the incumbent thus
-    keeps its block's computed bound at or above the incumbent whenever
-    s >= (6n + 5) u (1 + O(n u)).
-
-    16 (n + 1) u is over twice either requirement.
+    16 (n + 1) u is over twice that for every n >= 1.
     """
     return 8.0 * (n_layers + 1) * np.finfo(float).eps
 
 
 class LikelihoodGrid:
-    """Per-layer log-probability tables on a fixed grid, reusable across
-    datasets and bootstrap replicates whose records carry these layers in
-    this order: table row ``i`` belongs to record ``i``.
+    """The likelihood of count rows whose records carry these layers in this
+    order, on a fixed grid: the model's factors per grid row and column,
+    and upper bounds of ``log p0`` and ``log p1`` per layer and block.
 
-    Decisions (argmax, ties, degeneracy) rest on one fixed-order kernel,
-    :meth:`_exact`, so a cell's value never depends on what else is
-    evaluated with it; the BLAS contraction :meth:`_surface` only narrows
-    down which cells the kernel must see.
+    One fixed-order kernel, :meth:`_exact`, computes the model at the cells
+    it is given and makes every decision (argmax, ties, degeneracy), so a
+    cell's value never depends on what else is evaluated with it; the block
+    bounds only narrow down which cells the kernel must see.
     """
 
     def __init__(self, grid: MLEGrid, layer_values) -> None:
@@ -253,83 +244,80 @@ class LikelihoodGrid:
         self.layer_values = tuple(layer_values)
         if not self.layer_values:
             raise ValueError("need at least one layer")
-        pi = grid.pi_values()[:, None]
-        lam = grid.lambda_values()[None, :]
+        # (layers, pi points) and (layers, lam points)
+        self._cheb, self._decay = _model_factors(
+            grid.pi_values(), grid.lambda_values(),
+            np.array(self.layer_values, dtype=float)[:, None])
+
+        def block_range(values):
+            starts = np.arange(0, values.shape[1], BLOCK)
+            return (np.minimum.reduceat(values, starts, axis=1),
+                    np.maximum.reduceat(values, starts, axis=1))
+
+        (c_lo, c_hi), (e_lo, e_hi) = block_range(self._cheb), block_range(self._decay)
+
+        def p0_extreme(c, pick):
+            # E >= 0, so the block's extreme products pair C's extreme with
+            # either extreme of E
+            ce = pick(c[:, :, None] * e_lo[:, None, :], c[:, :, None] * e_hi[:, None, :])
+            return np.clip(0.5 * (1.0 + ce), P_EPS, 1.0 - P_EPS)
+
+        p_hi, p_lo = p0_extreme(c_hi, np.maximum), p0_extreme(c_lo, np.minimum)
         n_l = len(self.layer_values)
-        self._log_p0 = np.empty((n_l, grid.pi_points, grid.lambda_points))
-        self._log_p1 = np.empty_like(self._log_p0)
-        for i, layers in enumerate(self.layer_values):
-            p0 = np.clip(chebyshev_parity_probability(pi, lam, layers, 0),
-                         P_EPS, 1.0 - P_EPS)
-            self._log_p0[i] = np.log(p0)
-            self._log_p1[i] = np.log1p(-p0)
+        self._bounds = (1.0 - _rounding_slack(n_l)) * np.concatenate(
+            [np.log(p_hi).reshape(n_l, -1), np.log1p(-p_lo).reshape(n_l, -1)])
 
-    def _surface(self, even_row: np.ndarray, shots: np.ndarray) -> np.ndarray:
-        """Joint log-likelihood of one record-ordered count row at every
-        cell, flat.  A BLAS product: fast, but its rounding may change with
-        the shape of the product, so it never decides between cells."""
-        tables0 = self._log_p0.reshape(len(self.layer_values), -1)
-        tables1 = self._log_p1.reshape(len(self.layer_values), -1)
-        return even_row @ tables0 + (shots - even_row) @ tables1
-
-    def _exact(self, even_row: np.ndarray, shots: np.ndarray,
+    def _exact(self, even: np.ndarray, shots: np.ndarray,
                cells: np.ndarray) -> np.ndarray:
-        """Joint log-likelihood of one count row at the flat ``cells``,
-        summed elementwise layer by layer in record order."""
-        n_l = len(self.layer_values)
-        tables0 = self._log_p0.reshape(n_l, -1)[:, cells]
-        tables1 = self._log_p1.reshape(n_l, -1)[:, cells]
-        total = np.zeros(len(cells))
-        for l in range(n_l):
-            total += even_row[l] * tables0[l]
-            total += (shots[l] - even_row[l]) * tables1[l]
+        """Joint log-likelihood of every row of ``even`` at the flat
+        ``cells``, summed elementwise layer by layer in record order: a
+        (rows, cells) array."""
+        i, j = np.divmod(cells, self.grid.lambda_points)
+        total = np.zeros((len(even), len(cells)))
+        for l in range(len(self.layer_values)):
+            p0 = np.clip(0.5 * (1.0 + self._decay[l, j] * self._cheb[l, i]),
+                         P_EPS, 1.0 - P_EPS)
+            total += even[:, l, None] * np.log(p0)
+            total += (shots[l] - even[:, l, None]) * np.log1p(-p0)
         return total
 
-    @functools.cached_property
-    def _bound_weights(self) -> np.ndarray:
-        """Block max and min of g = log p0 - log p1 per layer, then its
-        largest block magnitude times the rounding slack: a (3 layers,
-        blocks) array, built on first use one layer at a time."""
-        g_max, g_min = [], []
-        for log_p0, log_p1 in zip(self._log_p0, self._log_p1):
-            g = log_p0 - log_p1
-            g_max.append(_block_reduce(g, np.maximum))
-            g_min.append(_block_reduce(g, np.minimum))
-        g_max, g_min = np.array(g_max), np.array(g_min)
-        slack = _rounding_slack(len(self.layer_values))
-        return np.concatenate(
-            [g_max, g_min, slack * np.maximum(np.abs(g_max), np.abs(g_min))])
-
     def _block_cells(self, blocks) -> np.ndarray:
-        """Flat indices of the cells of the given blocks."""
+        """Flat indices of the cells of the given blocks, ascending."""
         n_pi, n_lam = self.grid.pi_points, self.grid.lambda_points
-        bi, bj = np.divmod(np.atleast_1d(blocks), -(-n_lam // BLOCK))
+        bi, bj = np.divmod(blocks, -(-n_lam // BLOCK))
         rows = bi[:, None] * BLOCK + np.arange(BLOCK)
         cols = bj[:, None] * BLOCK + np.arange(BLOCK)
         flat = rows[:, :, None] * n_lam + cols[:, None, :]
         inside = (rows < n_pi)[:, :, None] & (cols < n_lam)[:, None, :]
-        return flat[inside]
+        return np.sort(flat[inside])
+
+    def _candidates(self, even: np.ndarray, shots: np.ndarray,
+                    tol: float) -> np.ndarray:
+        """Flat indices, ascending, of every cell of every block on which
+        some row of ``even`` may come within ``tol`` of its maximum.
+
+        A row's incumbent is its best kernel value on the rows' top blocks;
+        a block stays when the row's bound there reaches the incumbent
+        minus ``tol``.
+        """
+        reach = np.hstack([even, shots - even]) @ self._bounds
+        top = self._block_cells(np.unique(np.argmax(reach, axis=1)))
+        incumbent = self._exact(even, shots, top).max(axis=1)
+        keep = (reach >= (incumbent - tol)[:, None]).any(axis=0)
+        return self._block_cells(np.flatnonzero(keep))
 
     def estimate(self, dataset: ParityDataset) -> EstimationResult:
         """Grid argmax, flagged degenerate when a cell outside its 3x3
-        neighbourhood comes within ``DEGENERACY_TOL`` of the maximum.
-
-        The BLAS surface picks the candidates, every cell within
-        ``DEGENERACY_TOL`` plus the rounding slack of its maximum; the
-        kernel decides among them.
-        """
+        neighbourhood comes within ``DEGENERACY_TOL`` of the maximum."""
         if dataset.layer_values() != self.layer_values:
             raise ValueError(
                 f"dataset layers {list(dataset.layer_values())} differ from "
-                f"the tables' layers {list(self.layer_values)}"
+                f"the grid's layers {list(self.layer_values)}"
             )
-        even = np.array([r.e_even for r in dataset.records], dtype=float)
+        even = np.array([[r.e_even for r in dataset.records]], dtype=float)
         shots = np.array([r.n_shots for r in dataset.records], dtype=float)
-        surface = self._surface(even, shots)
-        top = surface.max()
-        slack = 2.0 * _rounding_slack(len(even)) * (abs(top) + DEGENERACY_TOL)
-        cells = np.flatnonzero(surface >= top - DEGENERACY_TOL - slack)
-        values = self._exact(even, shots, cells)
+        cells = self._candidates(even, shots, DEGENERACY_TOL)
+        values = self._exact(even, shots, cells)[0]
         k = int(np.argmax(values))  # first maximum: smallest Pi index, then lam
         best = values[k]
         n_lam = self.grid.lambda_points
@@ -348,44 +336,25 @@ class LikelihoodGrid:
         """Exact argmax of every row of ``even`` (bootstrap replicates);
         returns (pi_hats, lambda_hats) without degeneracy diagnostics.
 
-        A row differs from the rows' rounded mean by ``d``, so its surface
-        is S_ref + sum_l d_l g_l with g = log p0 - log p1, which the block
-        extremes of S_ref and g bound on every block.  The kernel evaluates
-        the block with the highest bound, then every block whose bound plus
-        the rounding slack reaches the best value found there.  Ties resolve
-        to the smallest Pi index, then the smallest lam index, as in
-        ``estimate``, and a row's result does not depend on the other rows.
+        Rows go ``BOUND_ROWS`` at a time; the kernel evaluates every row of
+        a group on the union of the group's candidate blocks, never more
+        rows at once than keep its values within one full-grid surface.
+        Ties resolve to the smallest Pi index, then the smallest lam index,
+        as in ``estimate``, and a row's result does not depend on the other
+        rows.
         """
-        n_pi, n_lam = self.grid.pi_points, self.grid.lambda_points
-        ref = np.round(even.mean(axis=0))
-        s_ref = self._surface(ref, shots).reshape(n_pi, n_lam)
-        # block max of S_ref, plus the slack on its largest magnitude (all
-        # of S_ref is <= 0, so that is minus its block min)
-        base = (_block_reduce(s_ref, np.maximum)
-                - _rounding_slack(len(shots)) * _block_reduce(s_ref, np.minimum))
-
+        n_cells = self.grid.pi_points * self.grid.lambda_points
         winners = np.empty(len(even), dtype=np.intp)
         for start in range(0, len(even), BOUND_ROWS):
-            rows = even[start:start + BOUND_ROWS]
-            d = rows - ref
-            reach = base + np.hstack(
-                [np.maximum(d, 0.0), np.minimum(d, 0.0), np.abs(d)]) @ self._bound_weights
-            for r, row in enumerate(rows):
-                first = self._block_cells(np.argmax(reach[r]))
-                incumbent = self._exact(row, shots, first).max()
-                cells = self._block_cells(np.flatnonzero(reach[r] >= incumbent))
-                values = self._exact(row, shots, cells)
-                winners[start + r] = cells[values == values.max()].min()
-        i, j = np.divmod(winners, n_lam)
+            group = even[start:start + BOUND_ROWS]
+            cells = self._candidates(group, shots, 0.0)
+            step = max(1, n_cells // len(cells))
+            for first in range(0, len(group), step):
+                values = self._exact(group[first:first + step], shots, cells)
+                winners[start + first:start + first + len(values)] = cells[
+                    np.argmax(values, axis=1)]
+        i, j = np.divmod(winners, self.grid.lambda_points)
         return self.grid.pi_values()[i], self.grid.lambda_values()[j]
-
-
-# The tables dominate estimation cost (16 MB per layer on the default grid).
-# Every caller is done with a layer set before it starts the next (file by
-# file, sweep row by row), so holding only the last set keeps every reuse.
-@functools.lru_cache(maxsize=1)
-def likelihood_tables(grid: MLEGrid, layer_values: tuple[int, ...]) -> LikelihoodGrid:
-    return LikelihoodGrid(grid, layer_values)
 
 
 def mle_estimate(dataset: ParityDataset, grid: MLEGrid | None = None) -> EstimationResult:
@@ -402,7 +371,7 @@ def mle_estimate(dataset: ParityDataset, grid: MLEGrid | None = None) -> Estimat
             "dataset contains only the L=0 circuit; (Pi, lam) are not jointly "
             "identifiable -- use direct_estimate, which pins lam = 0"
         )
-    return likelihood_tables(grid, dataset.layer_values()).estimate(dataset)
+    return LikelihoodGrid(grid, dataset.layer_values()).estimate(dataset)
 
 
 def _direct_pi(even, shots):
@@ -469,7 +438,7 @@ def bootstrap(dataset: ParityDataset, n_replicates: int,
 
     if grid is None:
         grid = MLEGrid()
-    pi_hats, lambda_hats = likelihood_tables(
+    pi_hats, lambda_hats = LikelihoodGrid(
         grid, dataset.layer_values()).estimate_counts(even, shots)
     return BootstrapReplicates(pi_hats=pi_hats, lambda_hats=lambda_hats)
 

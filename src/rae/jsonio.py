@@ -66,7 +66,10 @@ def real(value) -> float:
 
 
 def integer(value) -> int:
-    """A count read from a file: a JSON integer, never a float or a string."""
+    """A count read from a file: a JSON integer that fits in int64, never a
+    float or a string."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise DatasetFormatError(f"counts must be JSON integers, got {value!r}")
+    if not -2**63 <= value < 2**63:
+        raise DatasetFormatError(f"count {value} does not fit in a 64-bit integer")
     return value

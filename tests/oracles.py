@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from rae.inference import (
+    P_EPS,
     EstimationResult,
-    LikelihoodGrid,
     chebyshev_parity_probability,
 )
 from rae.noisefit import CurvePoint, LikelihoodCurve
@@ -94,31 +94,45 @@ def synthetic_curve(layers: int, lam: float, pi_values=None,
     return LikelihoodCurve(layers=layers, points=points)
 
 
-def exhaustive_scan(tables: LikelihoodGrid, even, shots) -> tuple[int, float, bool]:
+def dense_tables(grid, layer_values) -> tuple[np.ndarray, np.ndarray]:
+    """log p0 and log p1 at every cell of the grid, one (pi, lam) table per
+    layer, clamped to [P_EPS, 1 - P_EPS] before the logarithm."""
+    pi = grid.pi_values()[:, None]
+    lam = grid.lambda_values()[None, :]
+    log_p0 = np.empty((len(layer_values), grid.pi_points, grid.lambda_points))
+    log_p1 = np.empty_like(log_p0)
+    for i, layers in enumerate(layer_values):
+        p0 = np.clip(chebyshev_parity_probability(pi, lam, layers, 0),
+                     P_EPS, 1.0 - P_EPS)
+        log_p0[i] = np.log(p0)
+        log_p1[i] = np.log1p(-p0)
+    return log_p0, log_p1
+
+
+def exhaustive_scan(grid, tables, even, shots) -> tuple[int, float, bool]:
     """Every cell of the grid, summed elementwise layer by layer in record
-    order: (flat index of the first maximum, the maximum, whether a cell
-    outside its 3x3 neighbourhood comes within 1e-9 of it)."""
-    n_layers = len(tables.layer_values)
-    log_p0 = tables._log_p0.reshape(n_layers, -1)
-    log_p1 = tables._log_p1.reshape(n_layers, -1)
+    order against the :func:`dense_tables` ``tables``: (flat index of the
+    first maximum, the maximum, whether a cell outside its 3x3
+    neighbourhood comes within 1e-9 of it)."""
+    log_p0, log_p1 = (t.reshape(len(t), -1) for t in tables)
     total = np.zeros(log_p0.shape[1])
-    for l in range(n_layers):
+    for l in range(len(log_p0)):
         total += even[l] * log_p0[l]
         total += (shots[l] - even[l]) * log_p1[l]
     best_flat = int(np.argmax(total))
     best = total[best_flat]
-    surface = total.reshape(tables.grid.pi_points, tables.grid.lambda_points)
-    i, j = divmod(best_flat, tables.grid.lambda_points)
+    surface = total.reshape(grid.pi_points, grid.lambda_points)
+    i, j = divmod(best_flat, grid.lambda_points)
     surface[max(i - 1, 0):i + 2, max(j - 1, 0):j + 2] = -np.inf
     return best_flat, float(best), bool(surface.max() > best - 1e-9)
 
 
 def exhaustive_estimate(dataset, grid) -> EstimationResult:
     """The grid MLE by :func:`exhaustive_scan`."""
-    tables = LikelihoodGrid(grid, dataset.layer_values())
+    tables = dense_tables(grid, dataset.layer_values())
     even = [r.e_even for r in dataset.records]
     shots = [r.n_shots for r in dataset.records]
-    best_flat, best, degenerate = exhaustive_scan(tables, even, shots)
+    best_flat, best, degenerate = exhaustive_scan(grid, tables, even, shots)
     i, j = divmod(best_flat, grid.lambda_points)
     return EstimationResult(pi_hat=float(grid.pi_values()[i]),
                             lambda_hat=float(grid.lambda_values()[j]),
@@ -130,16 +144,26 @@ def exhaustive_bootstrap(dataset, n_replicates: int, grid, seed) -> tuple[np.nda
     """(pi_hats, lambda_hats) of the bootstrap by :func:`exhaustive_scan`:
     replicate k redraws every record binomially at its observed rate from
     the k-th ``SeedSequence`` child of ``seed``."""
-    tables = LikelihoodGrid(grid, dataset.layer_values())
+    tables = dense_tables(grid, dataset.layer_values())
     shots = np.array([r.n_shots for r in dataset.records])
     rates = np.array([r.e_even / r.n_shots for r in dataset.records])
     flats = [
-        exhaustive_scan(tables, np.random.default_rng(child).binomial(shots, rates),
-                        shots)[0]
+        exhaustive_scan(grid, tables,
+                        np.random.default_rng(child).binomial(shots, rates), shots)[0]
         for child in np.random.SeedSequence(seed).spawn(n_replicates)
     ]
     i, j = np.divmod(flats, grid.lambda_points)
     return grid.pi_values()[i], grid.lambda_values()[j]
+
+
+def block_maxima(table: np.ndarray, block: int) -> np.ndarray:
+    """Maximum of a (pi, lam) table over every block x block block of
+    cells (ragged at the high edges), flattened in block order."""
+    n_pi, n_lam = table.shape
+    padded = np.full((-(-n_pi // block) * block, -(-n_lam // block) * block), -np.inf)
+    padded[:n_pi, :n_lam] = table
+    blocks = padded.reshape(padded.shape[0] // block, block, -1, block)
+    return blocks.max(axis=(1, 3)).ravel()
 
 
 def numerical_fisher(pi: float, lam: float, layers, n_shots: int,

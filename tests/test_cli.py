@@ -458,6 +458,8 @@ MALFORMED = [
 ] + [
     ("dataset", "e_even=3.7", _entry_field("e_even", 3.7)),
     ("dataset", "n_shots='12'", _entry_field("n_shots", "12")),
+    ("dataset", "n_shots=1e20", _entry_field("n_shots", 10**20)),
+    ("dataset", "L=1e20", _entry_field("L", 10**20)),
     ("curve", "pi='0.5'", _entry_field("pi", "0.5")),
     ("hamiltonian", "coeff='0.3'", _entry_field("coeff", "0.3")),
     ("hamiltonian", "ansatz-without-theta", _ansatz_without_theta),

@@ -2,19 +2,22 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from oracles import (
+    block_maxima,
     closed_form_parity,
+    dense_tables,
     exhaustive_bootstrap,
     exhaustive_estimate,
     parity_distribution,
 )
 from rae.inference import (
+    BLOCK,
     BOOTSTRAP_REPLICATES,
-    DatasetFormatError,
     IdentifiabilityError,
     LikelihoodGrid,
     MLEGrid,
@@ -29,6 +32,7 @@ from rae.inference import (
     rmse_stats,
     save_dataset,
 )
+from rae.jsonio import DatasetFormatError
 from rae.simulator import RAECircuitSpec
 from rae.pauli import PauliString, builtin_problem, oracle_expectation
 
@@ -354,6 +358,18 @@ EXHAUSTIVE_CASES = {
     "non-increasing-layers": (_sampled(0.6, 0.04, (3, 1, 0, 2), 128, 9),
                               SMALL_GRID, 30),
     "ragged": (_sampled(0.1, 0.1, range(5), 1024, 10), RAGGED_GRID, 60),
+    # at L = 64, T_{2L+1} runs through several periods inside one block
+    "deep-exponential": (_sampled(0.3, 0.005, (0, 1, 2, 4, 8, 16, 32, 64), 1024, 11),
+                         MLEGrid(1001, 11, 0.05), 30),
+    # e^{-lam (L + 1/2)} underflows to 0 over the high-lam half of the grid
+    "lambda-max-50": (_sampled(0.4, 0.5, (0, 1, 2, 4, 8, 16, 32), 256, 12),
+                      MLEGrid(501, 51, 50.0), 30),
+    "pi-near-plus-one": (_sampled(1.0 - 1e-6, 0.02, range(5), 512, 13),
+                         RAGGED_GRID, 60),
+    # p0 rounds to exactly 1/2 from a lam that varies with the Pi row, so
+    # exact maxima lie in several rows and lam blocks of one block row
+    "exact-ties-across-blocks": (ParityDataset("Z", (ParityRecord(4, 100, 50),)),
+                                 MLEGrid(101, 101, 10.0), 30),
 }
 
 
@@ -371,6 +387,42 @@ class TestEqualsExhaustiveScan:
         pi_hats, lambda_hats = exhaustive_bootstrap(ds, n, grid, seed=3)
         assert np.array_equal(reps.pi_hats, pi_hats)
         assert np.array_equal(reps.lambda_hats, lambda_hats)
+
+
+DEEP_LAYERS = (0, 1, 2, 4, 8, 16, 32, 64)
+
+
+class TestBlockBounds:
+    """Each layer's block bounds of log p0 and log p1 against the maxima of
+    the dense tables over the same blocks."""
+
+    @pytest.mark.parametrize("grid", [MLEGrid(), RAGGED_GRID, MLEGrid(1001, 101, 50.0)],
+                             ids=["default", "ragged", "lambda-max-50"])
+    def test_never_below_dense_block_maxima(self, grid):
+        bounds = LikelihoodGrid(grid, DEEP_LAYERS)._bounds
+        n = len(DEEP_LAYERS)
+        for i, layers in enumerate(DEEP_LAYERS):
+            log_p0, log_p1 = dense_tables(grid, (layers,))
+            for bound, table in ((bounds[i], log_p0[0]), (bounds[n + i], log_p1[0])):
+                top = block_maxima(table, BLOCK)
+                assert np.all(bound >= top), layers
+                # and tight: both are <= 0, and the slack is ~1e-14 relative
+                assert np.all(bound <= top * (1.0 - 1e-12)), layers
+
+
+class TestMemory:
+    def test_default_grid_estimate_and_bootstrap_peak(self):
+        # a layer set no other test uses, so no cache of earlier builds could
+        # hide the allocation
+        ds = _sampled(-0.2238, 0.045, (1, 2, 3, 5, 8, 13), 8192, 14, "XX")
+        tracemalloc.start()
+        try:
+            mle_estimate(ds)
+            bootstrap(ds, 64, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 class TestRmseStats:
