@@ -13,6 +13,7 @@ rate.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -228,15 +229,51 @@ def _rounding_slack(n_layers: int) -> float:
     return 8.0 * (n_layers + 1) * np.finfo(float).eps
 
 
+def _concave_slack(shots: np.ndarray) -> float:
+    """Absolute slack that, with :func:`_rounding_slack`, makes a row's
+    concave bound on a block cover every kernel value of the block.
+
+    Each layer's term g(p) = e log p + f log(1 - p) is concave with its
+    maximum at p* = e / (e + f), so its maximum over the block's
+    [p_lo, p_hi] is at c = clamp(p*, p_lo, p_hi).  The bound evaluates g
+    at q = clamp(fl(e / N), p_lo, p_hi) instead.  Below 2^53 shots e, f
+    and N are exact and |fl(e / N) - p*| <= u p*; above it the counts
+    round too, and the distance is at most 2u (1 + u).  Call it d.  Let M = max |g''| =
+    max e / p^2 + f / (1 - p)^2 over [p_lo, p_hi], at most
+    (e + f) / (P_EPS (1 - 1e-4))^2 since p_lo >= P_EPS and
+    1 - p_hi >= P_EPS (1 - 1e-4).  If c = p* is interior, g'(c) = 0 and
+    |q - c| <= d, so g(c) - g(q) <= M d^2 / 2.  If c = p_lo > p*, then
+    0 <= q - c <= d - (c - p*) and |g'(c)| <= M (c - p*), so again
+    g(c) - g(q) <= M (c - p*)(q - c) + M (q - c)^2 / 2 <= M d^2 / 2; p_hi
+    is the mirror case.  The loss per layer is hence at most
+    2.001 u^2 N / P_EPS^2.
+
+    With the loss A added, the relative argument of :func:`_rounding_slack`
+    carries over unchanged: the kernel value is at most
+    (1 - gamma_2n)(1 - k u) (G + A) <= (1 - gamma_2n)(1 - k u) G + A for
+    the exact sum G <= 0 of the terms at q, and the computed sum of those
+    terms is at least (1 + gamma_2n)(1 + k u) G.  Scaling it by the same
+    (1 - s), rounded, and adding A, rounded (monotone), leaves it at or
+    above every kernel value of the block.
+
+    eps^2 = 4 u^2 per shot is twice that loss, which covers the rounding
+    of the slack itself.
+    """
+    return float(np.finfo(float).eps ** 2 / P_EPS ** 2 * shots.sum())
+
+
 class LikelihoodGrid:
     """The likelihood of count rows whose records carry these layers in this
     order, on a fixed grid: the model's factors per grid row and column,
-    and upper bounds of ``log p0`` and ``log p1`` per layer and block.
+    each block's range ``[p_lo, p_hi]`` of ``p0`` per layer, and upper
+    bounds of ``log p0`` and ``log p1`` per layer and block.
 
     One fixed-order kernel, :meth:`_exact`, computes the model at the cells
     it is given and makes every decision (argmax, ties, degeneracy), so a
     cell's value never depends on what else is evaluated with it; the block
-    bounds only narrow down which cells the kernel must see.
+    bounds only narrow down which cells the kernel must see.  The arrays
+    are read-only, since :func:`likelihood_tables` shares one grid among
+    its callers.
     """
 
     def __init__(self, grid: MLEGrid, layer_values) -> None:
@@ -262,10 +299,14 @@ class LikelihoodGrid:
             ce = pick(c[:, :, None] * e_lo[:, None, :], c[:, :, None] * e_hi[:, None, :])
             return np.clip(0.5 * (1.0 + ce), P_EPS, 1.0 - P_EPS)
 
-        p_hi, p_lo = p0_extreme(c_hi, np.maximum), p0_extreme(c_lo, np.minimum)
         n_l = len(self.layer_values)
+        # (blocks, layers), so that a row's blocks gather contiguous rows
+        self._p_hi = p0_extreme(c_hi, np.maximum).reshape(n_l, -1).T.copy()
+        self._p_lo = p0_extreme(c_lo, np.minimum).reshape(n_l, -1).T.copy()
         self._bounds = (1.0 - _rounding_slack(n_l)) * np.concatenate(
-            [np.log(p_hi).reshape(n_l, -1), np.log1p(-p_lo).reshape(n_l, -1)])
+            [np.log(self._p_hi.T), np.log1p(-self._p_lo.T)])
+        for values in (self._cheb, self._decay, self._p_hi, self._p_lo, self._bounds):
+            values.setflags(write=False)
 
     def _exact(self, even: np.ndarray, shots: np.ndarray,
                cells: np.ndarray) -> np.ndarray:
@@ -296,15 +337,40 @@ class LikelihoodGrid:
         """Flat indices, ascending, of every cell of every block on which
         some row of ``even`` may come within ``tol`` of its maximum.
 
-        A row's incumbent is its best kernel value on the rows' top blocks;
-        a block stays when the row's bound there reaches the incumbent
-        minus ``tol``.
+        A row's incumbent is its best kernel value on the rows' top blocks.
+        A block stays when, for some row, both bounds there reach the
+        incumbent minus ``tol``: first the linear bound, the row's counts
+        times the block bounds, then, on the (row, block) pairs that pass
+        it, the concave bound, each layer's term at its maximum over the
+        block's ``[p_lo, p_hi]``.  The pairs go in chunks, so that no
+        (pairs, layers) temporary exceeds one full-grid surface.
         """
         reach = np.hstack([even, shots - even]) @ self._bounds
         top = self._block_cells(np.unique(np.argmax(reach, axis=1)))
-        incumbent = self._exact(even, shots, top).max(axis=1)
-        keep = (reach >= (incumbent - tol)[:, None]).any(axis=0)
+        threshold = self._exact(even, shots, top).max(axis=1) - tol
+        rows, blocks = np.nonzero(reach >= threshold[:, None])
+        keep = np.zeros(len(self._p_lo), dtype=bool)
+        step = max(1, self.grid.pi_points * self.grid.lambda_points // len(shots))
+        for start in range(0, len(rows), step):
+            r, b = rows[start:start + step], blocks[start:start + step]
+            keep[b[self._concave_bound(even[r], shots, b) >= threshold[r]]] = True
         return self._block_cells(np.flatnonzero(keep))
+
+    def _concave_bound(self, even: np.ndarray, shots: np.ndarray,
+                       blocks: np.ndarray) -> np.ndarray:
+        """Upper bound of every kernel value of row ``even[k]`` on block
+        ``blocks[k]``: each layer's term ``e log p + f log(1 - p)`` at its
+        maximum over the block's ``[p_lo, p_hi]``, ``p = clamp(e / N)``,
+        summed and widened by :func:`_rounding_slack` and
+        :func:`_concave_slack`."""
+        p = np.clip(even / shots, self._p_lo[blocks], self._p_hi[blocks])
+        value = np.log1p(-p)
+        value *= shots - even
+        p = np.log(p, out=p)
+        p *= even
+        value += p
+        return ((1.0 - _rounding_slack(len(self.layer_values))) * value.sum(axis=1)
+                + _concave_slack(shots))
 
     def estimate(self, dataset: ParityDataset) -> EstimationResult:
         """Grid argmax, flagged degenerate when a cell outside its 3x3
@@ -350,11 +416,24 @@ class LikelihoodGrid:
             cells = self._candidates(group, shots, 0.0)
             step = max(1, n_cells // len(cells))
             for first in range(0, len(group), step):
-                values = self._exact(group[first:first + step], shots, cells)
-                winners[start + first:start + first + len(values)] = cells[
-                    np.argmax(values, axis=1)]
+                # no values array outlives its argmax into the next call
+                rows = group[first:first + step]
+                winners[start + first:start + first + len(rows)] = cells[
+                    np.argmax(self._exact(rows, shots, cells), axis=1)]
         i, j = np.divmod(winners, self.grid.lambda_points)
         return self.grid.pi_values()[i], self.grid.lambda_values()[j]
+
+
+@functools.lru_cache(maxsize=1)
+def likelihood_tables(grid: MLEGrid, layer_values: tuple[int, ...]) -> LikelihoodGrid:
+    """The :class:`LikelihoodGrid` of ``layer_values``, in this order, on
+    ``grid``, built once and shared while it stays the most recent.
+
+    One entry is enough: callers run one layer set back to back (a term's
+    point estimate and bootstrap, files sharing a schedule, a sweep row's
+    terms).  It holds about 3.6 MB for nine layers on the default grid.
+    """
+    return LikelihoodGrid(grid, layer_values)
 
 
 def mle_estimate(dataset: ParityDataset, grid: MLEGrid | None = None) -> EstimationResult:
@@ -371,7 +450,7 @@ def mle_estimate(dataset: ParityDataset, grid: MLEGrid | None = None) -> Estimat
             "dataset contains only the L=0 circuit; (Pi, lam) are not jointly "
             "identifiable -- use direct_estimate, which pins lam = 0"
         )
-    return LikelihoodGrid(grid, dataset.layer_values()).estimate(dataset)
+    return likelihood_tables(grid, dataset.layer_values()).estimate(dataset)
 
 
 def _direct_pi(even, shots):
@@ -438,7 +517,7 @@ def bootstrap(dataset: ParityDataset, n_replicates: int,
 
     if grid is None:
         grid = MLEGrid()
-    pi_hats, lambda_hats = LikelihoodGrid(
+    pi_hats, lambda_hats = likelihood_tables(
         grid, dataset.layer_values()).estimate_counts(even, shots)
     return BootstrapReplicates(pi_hats=pi_hats, lambda_hats=lambda_hats)
 

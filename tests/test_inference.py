@@ -15,9 +15,11 @@ from oracles import (
     exhaustive_estimate,
     parity_distribution,
 )
+from rae.cli import main
 from rae.inference import (
     BLOCK,
     BOOTSTRAP_REPLICATES,
+    DEGENERACY_TOL,
     IdentifiabilityError,
     LikelihoodGrid,
     MLEGrid,
@@ -27,6 +29,7 @@ from rae.inference import (
     chebyshev_parity_probability,
     direct_estimate,
     load_dataset,
+    likelihood_tables,
     log_likelihood,
     mle_estimate,
     rmse_stats,
@@ -370,6 +373,18 @@ EXHAUSTIVE_CASES = {
     # exact maxima lie in several rows and lam blocks of one block row
     "exact-ties-across-blocks": (ParityDataset("Z", (ParityRecord(4, 100, 50),)),
                                  MLEGrid(101, 101, 10.0), 30),
+    # e = N at L = 0 and e = 0 at L = 1 put p* at an end of every block's
+    # interval; on this grid T_3 reaches -1 and 1 exactly at lam = 0, so
+    # both clipped ends, log(P_EPS), enter the L = 1 values
+    "saturated": (ParityDataset("Z", (ParityRecord(0, 64, 64), ParityRecord(1, 64, 0),
+                                      ParityRecord(2, 64, 48))),
+                  MLEGrid(1001, 11, 0.25), 60),
+    "16-shot-flat": (ParityDataset("Z", tuple(ParityRecord(L, 16, 8) for L in range(9))),
+                     MLEGrid(1001, 11, 50.0), 30),
+    # lis(1): the concave stage cuts the most blocks where two records
+    # leave the linear bound loose
+    "lis1-two-records": (_sampled(-0.2244, 0.02, (0, 1), 8192, 15, "X"),
+                         MLEGrid(10000, 101, 0.1), 6),
 }
 
 
@@ -410,19 +425,107 @@ class TestBlockBounds:
                 assert np.all(bound <= top * (1.0 - 1e-12)), layers
 
 
+class TestConcaveBound:
+    """Each row's concave bound on every block against the row's maximum
+    over the block's cells, summed from the dense tables."""
+
+    @staticmethod
+    def rows(n_shots):
+        rng = np.random.default_rng(n_shots)
+        rows = rng.integers(0, n_shots + 1, size=(4, len(DEEP_LAYERS)))
+        rows[0, 2], rows[0, 5] = 0, n_shots  # saturated at two depths
+        rows[1], rows[2] = 0, n_shots
+        return rows.astype(float)
+
+    @pytest.mark.parametrize("n_shots", [16, 8192])
+    @pytest.mark.parametrize("grid", [MLEGrid(), RAGGED_GRID, MLEGrid(1001, 101, 50.0)],
+                             ids=["default", "ragged", "lambda-max-50"])
+    def test_never_below_dense_block_maxima(self, grid, n_shots):
+        even = self.rows(n_shots)
+        shots = np.full(len(DEEP_LAYERS), float(n_shots))
+        surfaces = np.zeros((len(even), grid.pi_points, grid.lambda_points))
+        for l, layers in enumerate(DEEP_LAYERS):
+            log_p0, log_p1 = dense_tables(grid, (layers,))
+            for surface, e in zip(surfaces, even[:, l]):
+                surface += e * log_p0[0]
+                surface += (n_shots - e) * log_p1[0]
+        tables = LikelihoodGrid(grid, DEEP_LAYERS)
+        blocks = np.arange(tables._bounds.shape[1])
+        for e, surface in zip(even, surfaces):
+            bound = tables._concave_bound(np.tile(e, (len(blocks), 1)), shots, blocks)
+            assert np.all(bound >= block_maxima(surface, BLOCK))
+
+
+class TestCandidates:
+    """How many blocks the kernel sees on the two-qubit XX lis(8) data of
+    ``rae generate --seed 11 --lambda 0.045``: the linear bound alone keeps
+    147 for the point estimate and 152 for its first 64 replicates."""
+
+    def test_lis8_keeps_few_blocks(self, tmp_path):
+        assert main(["generate", "--seed", "11", "--lambda", "0.045",
+                     "--out", str(tmp_path)]) == 0
+        ds = load_dataset(str(tmp_path / "XX.json"))
+        tables = LikelihoodGrid(MLEGrid(), ds.layer_values())
+        shots = np.array([r.n_shots for r in ds.records])
+        rates = np.array([r.e_even / r.n_shots for r in ds.records])
+        point = np.array([[r.e_even for r in ds.records]], dtype=float)
+        group = np.array([np.random.default_rng(child).binomial(shots, rates)
+                          for child in np.random.SeedSequence(0).spawn(64)], dtype=float)
+        for even, tol in ((point, DEGENERACY_TOL), (group, 0.0)):
+            cells = tables._candidates(even, shots.astype(float), tol)
+            assert len(cells) <= 16 * BLOCK**2
+
+
+class TestLikelihoodTables:
+    def test_one_grid_per_grid_and_layer_order(self):
+        likelihood_tables.cache_clear()
+        tables = likelihood_tables(SMALL_GRID, (0, 1, 2))
+        assert likelihood_tables(SMALL_GRID, (0, 1, 2)) is tables
+        assert likelihood_tables(RAGGED_GRID, (0, 1, 2)) is not tables
+        reordered = likelihood_tables(SMALL_GRID, (2, 1, 0))
+        assert reordered is not tables and reordered.layer_values == (2, 1, 0)
+
+    def test_arrays_are_read_only(self):
+        tables = likelihood_tables(SMALL_GRID, (0, 1, 2))
+        arrays = [v for v in vars(tables).values() if isinstance(v, np.ndarray)]
+        assert arrays
+        for values in arrays:
+            with pytest.raises(ValueError):
+                values.flat[0] = 0.0
+
+    def test_estimate_then_bootstrap_build_once(self):
+        ds = exact_count_dataset(0.6, 0.02, range(4), 256)
+        likelihood_tables.cache_clear()
+        mle_estimate(ds, SMALL_GRID)
+        bootstrap(ds, 10, grid=SMALL_GRID, seed=0)
+        info = likelihood_tables.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+
+def _peak_bytes(ds, grid, n_replicates) -> int:
+    """tracemalloc's peak over a point estimate and a bootstrap, from an
+    empty table cache."""
+    likelihood_tables.cache_clear()
+    tracemalloc.start()
+    try:
+        mle_estimate(ds, grid)
+        bootstrap(ds, n_replicates, grid=grid, seed=0)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestMemory:
     def test_default_grid_estimate_and_bootstrap_peak(self):
-        # a layer set no other test uses, so no cache of earlier builds could
-        # hide the allocation
         ds = _sampled(-0.2238, 0.045, (1, 2, 3, 5, 8, 13), 8192, 14, "XX")
-        tracemalloc.start()
-        try:
-            mle_estimate(ds)
-            bootstrap(ds, 64, seed=0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 64 * 2**20
+        assert _peak_bytes(ds, MLEGrid(), 64) < 64 * 2**20
+
+    def test_flat_likelihood_peak(self):
+        # balanced 2-shot counts at 30 depths: most (row, block) pairs pass
+        # the linear bound, and the concave stage's (pairs, layers)
+        # temporaries would reach ~68 grid surfaces (13 MiB) unchunked
+        ds = ParityDataset("Z", tuple(ParityRecord(L, 2, 1) for L in range(30)))
+        assert _peak_bytes(ds, MLEGrid(500, 50, 50.0), 64) < 6 * 2**20
 
 
 class TestRmseStats:
