@@ -10,7 +10,8 @@ therefore produces byte-identical output files, and computing the cells of a
 sweep in any order (or in parallel) gives the same table.
 
 Exit codes: 0 success, 2 invalid configuration or arguments, 3 unreadable or
-malformed input file, 4 computation failure (unidentifiable model).
+malformed input file, 4 computation failure (unidentifiable model, or an
+internal error reported in one line).
 """
 
 from __future__ import annotations
@@ -662,6 +663,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except Exception as exc:  # a fault of the program, not of its inputs
+        message = " ".join(str(exc).split())
+        print(f"error: internal error: {type(exc).__name__}: {message}",
+              file=sys.stderr)
+        return EXIT_COMPUTE
 
 
 if __name__ == "__main__":

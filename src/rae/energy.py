@@ -20,12 +20,13 @@ from .inference import (
     ParityDataset,
     ParityRecord,
     bootstrap,
+    chebyshev_parity_probability,
     direct_estimate,
     mle_estimate,
 )
 from .pauli import AnsatzSpec, PauliString, PauliSum, oracle_expectation
 from .schedules import LayerSchedule, query_cost
-from .simulator import RAECircuitSpec, sample_parities
+from .simulator import check_circuit, sample_parities
 
 # 1.6 mHa, the usual chemical-accuracy threshold in Hartree
 CHEMICAL_ACCURACY = 1.6e-3
@@ -108,19 +109,21 @@ def direct_baseline(hamiltonian: PauliSum, ansatz: AnsatzSpec, lam: float,
 
 def simulate_dataset(ansatz: AnsatzSpec, target: PauliString, lam: float,
                      schedule: LayerSchedule, seed=0) -> ParityDataset:
-    """Sample one parity dataset for a term: one ``simulator.sample_parities``
-    draw per schedule depth."""
+    """Sample one parity dataset for a term: the oracle expectation once,
+    then one ``simulator.sample_parities`` count per schedule depth, each
+    from its own child of ``seed``."""
     base = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     children = base.spawn(len(schedule.layers))
-    records = []
-    for layers, child in zip(schedule.layers, children):
-        spec = RAECircuitSpec(ansatz=ansatz, target=target, layers=layers,
-                              lam=lam)
-        e_even = sample_parities(spec, schedule.shots_per_layer, seed=child)
-        records.append(ParityRecord(layers, schedule.shots_per_layer, e_even))
+    # only the depth check depends on the depth, and the shallowest decides it
+    check_circuit(ansatz, target, min(schedule.layers), lam)
+    pi = oracle_expectation(ansatz, target)
+    p_even = [chebyshev_parity_probability(pi, lam, layers, 0)
+              for layers in schedule.layers]
+    counts = sample_parities(p_even, schedule.shots_per_layer, children)
     return ParityDataset(
         pauli=target.word,
-        records=tuple(records),
+        records=tuple(ParityRecord(layers, schedule.shots_per_layer, e_even)
+                      for layers, e_even in zip(schedule.layers, counts)),
         metadata={"ansatz": ansatz.kind, "theta": ansatz.theta, "lam": lam},
     )
 

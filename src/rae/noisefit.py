@@ -15,9 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jsonio
-from .inference import IdentifiabilityError
-from .pauli import AnsatzSpec, PauliString, angle_for_expectation
-from .simulator import RAECircuitSpec, sample_parities
+from .inference import IdentifiabilityError, chebyshev_parity_probability
+from .pauli import (
+    AnsatzSpec,
+    PauliString,
+    angle_for_expectation,
+    ansatz_state,
+    expectation_values,
+)
+from .simulator import check_circuit, sample_parities
 
 # curves whose Chebyshev values are all this small carry no decay signal
 FLAT_TOL = 1e-12
@@ -188,22 +194,29 @@ def simulate_curve(ansatz_kind: str, target: PauliString, layers: int,
     """Measured curve: sweep the ansatz angle through the prescribed
     amplitudes and sample parity counts with ``simulator.sample_parities``.
 
-    Error bars are binomial with a half-count floor so degenerate rates
-    (0 or 1) still carry a positive uncertainty.
+    The target's matrix is built once and every point's probability comes
+    from one ``chebyshev_parity_probability`` call; point ``i`` still draws
+    from the ``i``-th child of ``seed``.  Error bars are binomial with a
+    half-count floor so degenerate rates (0 or 1) still carry a positive
+    uncertainty.
     """
     if pi_values is None:
         pi_values = np.linspace(0.0, 1.0, 10)
     pi_values = [float(pi) for pi in pi_values]
     base = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     seeds = base.spawn(len(pi_values))
+    ansatzes = [AnsatzSpec(ansatz_kind, angle_for_expectation(ansatz_kind, target, pi))
+                for pi in pi_values]
+    if not ansatzes:  # nothing to sample; the curve's own checks reject it
+        return LikelihoodCurve(layers=layers, points=())
+    check_circuit(ansatzes[0], target, layers, lam)
+    states = np.array([ansatz_state(ansatz) for ansatz in ansatzes])
+    p_even = chebyshev_parity_probability(
+        expectation_values(states, target), lam, layers, 0)
     points = []
-    for pi, child in zip(pi_values, seeds):
-        theta = angle_for_expectation(ansatz_kind, target, float(pi))
-        spec = RAECircuitSpec(ansatz=AnsatzSpec(ansatz_kind, theta),
-                              target=target, layers=layers, lam=lam)
-        e_even = sample_parities(spec, n_shots, seed=child)
+    for pi, e_even in zip(pi_values, sample_parities(p_even, n_shots, seeds)):
         rate = e_even / n_shots
         std_err = max(math.sqrt(rate * (1.0 - rate) / n_shots),
                       0.5 / n_shots)
-        points.append(CurvePoint(float(pi), rate, std_err))
+        points.append(CurvePoint(pi, rate, std_err))
     return LikelihoodCurve(layers=layers, points=tuple(points))

@@ -147,9 +147,19 @@ def oracle_expectation(ansatz: AnsatzSpec, string: PauliString) -> float:
             f"{string.word!r} acts on {string.n_qubits} qubits, "
             f"ansatz {ansatz.kind!r} prepares {ansatz.n_qubits}"
         )
-    psi = ansatz_state(ansatz)
-    value = np.vdot(psi, string.dense() @ psi)
-    return float(value.real)
+    return float(expectation_values(ansatz_state(ansatz), string))
+
+
+def expectation_values(states: np.ndarray, string: PauliString) -> np.ndarray:
+    """<psi| P |psi> for every statevector along the last axis of ``states``.
+
+    Each value is a (1, d) @ (d, 1) product, which sums like ``np.vdot`` on
+    one vector, so a whole sweep of states costs one dense matrix and every
+    state gets the value it would get on its own.
+    """
+    bras = states.conj()[..., None, :]
+    kets = (states @ string.dense().T)[..., :, None]
+    return (bras @ kets)[..., 0, 0].real
 
 
 def angle_for_expectation(kind: str, string: PauliString, value: float) -> float:

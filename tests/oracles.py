@@ -10,7 +10,10 @@ cross-checks reach them by further routes: one explicit layer at a time, and
 a readout by basis rotation and bitstring parity instead of a trace.  The
 expectation and ground-energy references come from closed forms and dense
 diagonalization, and noise-free likelihood curves from the package's own
-parity model, so curve fits can be checked for exact recovery.
+parity model, so curve fits can be checked for exact recovery.  The
+per-point sampler (``per_point_curve``, ``per_point_dataset``) draws one
+circuit at a time as the package once did, so its batched curves and
+datasets can be checked for the same counts bit for bit.
 """
 
 import math
@@ -21,11 +24,19 @@ import numpy as np
 from rae.inference import (
     P_EPS,
     EstimationResult,
+    ParityDataset,
+    ParityRecord,
     chebyshev_parity_probability,
 )
 from rae.noisefit import CurvePoint, LikelihoodCurve
-from rae.pauli import AnsatzSpec, PauliString, PauliSum, ansatz_state
-from rae.simulator import RAECircuitSpec
+from rae.pauli import (
+    AnsatzSpec,
+    PauliString,
+    PauliSum,
+    angle_for_expectation,
+    ansatz_state,
+)
+from rae.simulator import check_circuit
 
 _H_GATE = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
 _SDG_GATE = np.array([[1.0, 0.0], [0.0, -1.0j]], dtype=complex)
@@ -184,6 +195,84 @@ def numerical_fisher(pi: float, lam: float, layers, n_shots: int,
             score = np.array([d_pi, d_lam])
             info += n_shots * p * np.outer(score, score)
     return info
+
+
+@dataclass(frozen=True)
+class RAECircuitSpec:
+    """Ansatz, target Pauli, layer count, and depolarizing rate for one
+    circuit, checked as the package checks the circuits it samples."""
+
+    ansatz: AnsatzSpec
+    target: PauliString
+    layers: int
+    lam: float
+
+    def __post_init__(self) -> None:
+        check_circuit(self.ansatz, self.target, self.layers, self.lam)
+
+
+def circuit_p_even(spec: RAECircuitSpec) -> float:
+    """Even-parity probability of one circuit as the per-point sampler took
+    it: ``np.vdot`` of the ansatz state with the target's dense matrix, then
+    the scalar closed form."""
+    psi = ansatz_state(spec.ansatz)
+    pi = float(np.vdot(psi, spec.target.dense() @ psi).real)
+    return chebyshev_parity_probability(pi, spec.lam, spec.layers, 0)
+
+
+def per_point_counts(specs, n_shots: int, seeds) -> list[int]:
+    """The sampler one circuit at a time, checks and all: the reference the
+    batched curve and dataset samplers must reproduce bit for bit."""
+    counts = []
+    for spec, seed in zip(specs, seeds):
+        if n_shots <= 0:
+            raise ValueError("n_shots must be positive")
+        rng = np.random.default_rng(seed)
+        counts.append(int(rng.binomial(n_shots, circuit_p_even(spec))))
+    return counts
+
+
+def curve_specs(ansatz_kind: str, target: PauliString, layers: int,
+                lam: float, pi_values) -> list[RAECircuitSpec]:
+    """One circuit per sweep point, at the angle that hits its amplitude."""
+    return [
+        RAECircuitSpec(AnsatzSpec(ansatz_kind,
+                                  angle_for_expectation(ansatz_kind, target, pi)),
+                       target, layers, lam)
+        for pi in pi_values
+    ]
+
+
+def per_point_curve(ansatz_kind: str, target: PauliString, layers: int,
+                    lam: float, n_shots: int, seed: int,
+                    pi_values) -> LikelihoodCurve:
+    """``noisefit.simulate_curve`` with one spec, expectation, probability
+    and generator per point."""
+    pi_values = [float(pi) for pi in pi_values]
+    children = np.random.SeedSequence(seed).spawn(len(pi_values))
+    specs = curve_specs(ansatz_kind, target, layers, lam, pi_values)
+    points = []
+    for pi, e_even in zip(pi_values, per_point_counts(specs, n_shots, children)):
+        rate = e_even / n_shots
+        std_err = max(math.sqrt(rate * (1.0 - rate) / n_shots), 0.5 / n_shots)
+        points.append(CurvePoint(pi, rate, std_err))
+    return LikelihoodCurve(layers=layers, points=tuple(points))
+
+
+def per_point_dataset(ansatz: AnsatzSpec, target: PauliString, lam: float,
+                      schedule, seed: int) -> ParityDataset:
+    """``energy.simulate_dataset`` with one spec, expectation, probability
+    and generator per depth."""
+    children = np.random.SeedSequence(seed).spawn(len(schedule.layers))
+    specs = [RAECircuitSpec(ansatz, target, layers, lam)
+             for layers in schedule.layers]
+    counts = per_point_counts(specs, schedule.shots_per_layer, children)
+    return ParityDataset(
+        pauli=target.word,
+        records=tuple(ParityRecord(spec.layers, schedule.shots_per_layer, e)
+                      for spec, e in zip(specs, counts)),
+        metadata={"ansatz": ansatz.kind, "theta": ansatz.theta, "lam": lam},
+    )
 
 
 @dataclass

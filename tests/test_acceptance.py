@@ -16,7 +16,13 @@ import time
 
 import numpy as np
 
-from oracles import numerical_fisher, parity_distribution, synthetic_curve
+from oracles import (
+    RAECircuitSpec,
+    circuit_p_even,
+    numerical_fisher,
+    parity_distribution,
+    synthetic_curve,
+)
 from rae.energy import direct_baseline, rmse_sweep
 from rae.fisher import crb_rmse, direct_mse_model, fisher_matrix
 from rae.inference import (
@@ -45,7 +51,7 @@ from rae.schedules import (
     noise_robust_schedule,
     query_cost,
 )
-from rae.simulator import RAECircuitSpec, sample_parities
+from rae.simulator import sample_parities
 
 BASE_SEED = 20260822
 
@@ -214,9 +220,10 @@ def _direct_sampling_mse(pi: float, lam: float, n_shots: int,
     theta = angle_for_expectation("one_qubit_ry", PauliString("Z"), pi)
     spec = RAECircuitSpec(ansatz=AnsatzSpec("one_qubit_ry", theta),
                           target=PauliString("Z"), layers=0, lam=lam)
+    p_even = circuit_p_even(spec)
     sq_errors = np.empty(trials)
     for t in range(trials):
-        e_even = sample_parities(spec, n_shots, seed=seed0 + t)
+        e_even = sample_parities([p_even], n_shots, [seed0 + t])[0]
         sq_errors[t] = ((2.0 * e_even - n_shots) / n_shots - pi) ** 2
     return float(sq_errors.mean()), float(sq_errors.std() / math.sqrt(trials))
 

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import synthetic_curve
+from rae import cli
 from rae.cli import main, _fmt
 from rae.energy import sweep_cell
 from rae.inference import (
@@ -366,6 +367,42 @@ class TestFitLambda:
                    "--term", "Z", "--shots", 100, "--layers", 1,
                    "--lambda-max", lambda_max) == 2
         assert "lambda_max must be positive" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("argv,message", [
+        (("--shots", 0), "n_shots must be positive"),
+        (("--points", 2), "curve needs at least 3 points"),
+        (("--lambda", "-1"), "depolarizing rate must be finite and non-negative"),
+        (("--lambda", "nan"), "depolarizing rate must be finite and non-negative"),
+        # the circuit is checked before the shots, and both before the curve
+        (("--shots", 0, "--lambda", "-1"),
+         "depolarizing rate must be finite and non-negative"),
+        (("--points", 2, "--shots", 0), "n_shots must be positive"),
+    ])
+    def test_simulate_rejects_bad_arguments(self, capsys, argv, message):
+        assert run("fit-lambda", "--simulate", "--hamiltonian", "one_qubit",
+                   "--layers", 1, *argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+
+    def test_simulate_needs_an_invertible_term(self, capsys):
+        assert run("fit-lambda", "--simulate", "--hamiltonian", "two_qubit",
+                   "--term", "Z", "--layers", 1) == 2
+        err = capsys.readouterr().err
+        assert "has no invertible closed form" in err
+        assert err.count("\n") == 1
+
+
+class TestInternalError:
+    def test_one_line_and_exit_4(self, monkeypatch, capsys):
+        def fail(args):
+            raise RuntimeError("kernel state\nlost")
+
+        monkeypatch.setattr(cli, "cmd_schedule", fail)
+        assert run("schedule") == 4
+        err = capsys.readouterr().err
+        assert err == "error: internal error: RuntimeError: kernel state lost\n"
+        assert "Traceback" not in err
 
 
 class TestSchedule:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import numerical_fisher
+from oracles import RAECircuitSpec, circuit_p_even, numerical_fisher
 from rae.fisher import (
     SINGULARITY_TOL,
     FisherMatrix,
@@ -18,7 +18,7 @@ from rae.fisher import (
 from rae.inference import IdentifiabilityError
 from rae.pauli import PauliString, builtin_problem, oracle_expectation
 from rae.schedules import LayerSchedule, lis
-from rae.simulator import RAECircuitSpec, sample_parities
+from rae.simulator import sample_parities
 
 
 def random_draw(rng):
@@ -145,9 +145,10 @@ class TestDirectMseModel:
         pi = oracle_expectation(ansatz, target)
         lam, n_shots, trials = 0.045, 512, 2000
         spec = RAECircuitSpec(ansatz=ansatz, target=target, layers=0, lam=lam)
+        p_even = circuit_p_even(spec)
         sq_errors = np.empty(trials)
         for t in range(trials):
-            e_even = sample_parities(spec, n_shots, seed=9000 + t)
+            e_even = sample_parities([p_even], n_shots, [9000 + t])[0]
             sq_errors[t] = ((2.0 * e_even - n_shots) / n_shots - pi) ** 2
         model = direct_mse_model(pi, lam, n_shots)
         se = sq_errors.std() / math.sqrt(trials)

@@ -46,6 +46,13 @@ COMMANDS = (
      "--out", "fit.json"),
     ("schedule", "--schedule", "lis", "--i-max", 4, "--shots", 64,
      "--lambda", 0.05, "--pi", 0.9, "--out", "schedule.json"),
+    # The two-qubit register through the sampler: five terms, ZZ included,
+    # and a curve swept through the two-qubit ansatz.
+    ("generate", "--hamiltonian", "two_qubit", "--lambda", 0.05,
+     "--i-max", 3, "--shots", 64, "--seed", 7, "--out", "data2"),
+    ("fit-lambda", "--simulate", "--hamiltonian", "two_qubit", "--term", "XX",
+     "--layers", "0,3", "--points", 7, "--lambda", 0.1, "--shots", 64,
+     "--seed", 9, "--out", "fit-xx.json"),
 )
 
 GOLDEN = {
@@ -75,6 +82,18 @@ GOLDEN = {
         "b3790624a267c8bb64f3687f1817f07af42b00784d71bf0b398d5420824c1046",
     "schedule.json":
         "f5c468c21b88a92b05cafd4fb95457a50210a8024a63d275480480a4cda3e3d6",
+    "data2/IZ.json":
+        "7ff27825f649a9bbfc7ad35b32e86d793e987c276a8c3ac725f5a4d04652e34b",
+    "data2/XX.json":
+        "f072a56cbc47f58d90d4b37adbf8f0d5d2727bc5386a2c384a5475e0bb3fff90",
+    "data2/YY.json":
+        "d185686e88e48298cf2394c525eb6ed2d8f638aab28578e35327487c593c432a",
+    "data2/ZI.json":
+        "71d6a52fe2872ec31124615f622385c29f7e87ea3afc701b1d1a1240c298aabd",
+    "data2/ZZ.json":
+        "8b9acc7042e0f71ccecb401937dec269c6349d3a5d4bdf6207f318d05d37a638",
+    "fit-xx.json":
+        "ee8dccfdbc0255d300d95d2fd548b0e2d899747d322559625c68de75a59b6881",
 }
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    RAECircuitSpec,
     block_maxima,
     closed_form_parity,
     dense_tables,
@@ -36,7 +37,6 @@ from rae.inference import (
     save_dataset,
 )
 from rae.jsonio import DatasetFormatError
-from rae.simulator import RAECircuitSpec
 from rae.pauli import PauliString, builtin_problem, oracle_expectation
 
 

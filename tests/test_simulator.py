@@ -7,19 +7,26 @@ import pytest
 
 from oracles import (
     DensityMatrix,
+    RAECircuitSpec,
     apply_depolarizing,
     apply_grover_layer,
+    circuit_p_even,
     closed_form_parity,
     context_rotation,
+    curve_specs,
     evolve,
     grover_unitary,
     measured_parity_distribution,
     parity_distribution,
+    per_point_curve,
+    per_point_dataset,
     prepare_noisy_ansatz,
     validate,
 )
+from rae import energy, jsonio, noisefit
 from rae.pauli import AnsatzSpec, PauliString, builtin_problem, oracle_expectation
-from rae.simulator import RAECircuitSpec, sample_parities
+from rae.schedules import LayerSchedule
+from rae.simulator import sample_parities
 
 ANSATZ_1Q = AnsatzSpec("one_qubit_ry", -6.5095)
 ANSATZ_2Q = AnsatzSpec("two_qubit_ucc", -6.0575)
@@ -27,6 +34,10 @@ ANSATZ_2Q = AnsatzSpec("two_qubit_ucc", -6.0575)
 
 def _spec(ansatz, word, layers, lam):
     return RAECircuitSpec(ansatz=ansatz, target=PauliString(word), layers=layers, lam=lam)
+
+
+def _draw(spec, n_shots, seed):
+    return sample_parities([circuit_p_even(spec)], n_shots, [seed])[0]
 
 
 class TestChannels:
@@ -166,18 +177,18 @@ class TestSpecValidation:
 class TestSampling:
     def test_same_seed_same_counts(self):
         spec = _spec(ANSATZ_2Q, "XX", 3, 0.05)
-        a = sample_parities(spec, 4096, seed=123)
-        b = sample_parities(spec, 4096, seed=123)
+        a = _draw(spec, 4096, 123)
+        b = _draw(spec, 4096, 123)
         assert a == b
 
     def test_different_seeds_decorrelate(self):
         spec = _spec(ANSATZ_2Q, "XX", 3, 0.05)
-        draws = {sample_parities(spec, 4096, seed=s) for s in range(8)}
+        draws = {_draw(spec, 4096, s) for s in range(8)}
         assert len(draws) > 1
 
     def test_closed_form_counts_equal_density_matrix_counts(self):
-        # sample_parities draws from the Chebyshev closed form; the same
-        # seed through the density-matrix probability gives the same count
+        # a count drawn at the Chebyshev closed form equals the count the
+        # same seed draws at the density-matrix probability
         n_shots = 8192
         seed = 0
         for name in ("one_qubit", "two_qubit"):
@@ -190,12 +201,94 @@ class TestSampling:
                         p_even, _ = parity_distribution(spec)
                         expected = np.random.default_rng(seed).binomial(
                             n_shots, p_even)
-                        assert sample_parities(spec, n_shots, seed) == expected
+                        assert _draw(spec, n_shots, seed) == expected
                         seed += 1
 
     def test_counts_concentrate_at_the_probability(self):
         # theta = 0 puts <X> at 0, so the parity coin is fair.
         spec = _spec(AnsatzSpec("one_qubit_ry", 0.0), "X", 0, 0.0)
         n = 10**6
-        mean = np.mean([sample_parities(spec, n, seed=s) / n for s in range(20)])
+        mean = np.mean([_draw(spec, n, s) / n for s in range(20)])
         assert mean == pytest.approx(0.5, abs=0.002)
+
+
+# Every (ansatz, term) pair the curve sweep can invert, the depths and rates
+# of the per-point comparison, and a sweep that reaches pi = 0 and pi = 1.
+CURVE_PAIRS = [("one_qubit_ry", "Z"), ("one_qubit_ry", "X"),
+               ("two_qubit_ucc", "IZ"), ("two_qubit_ucc", "ZI"),
+               ("two_qubit_ucc", "XX"), ("two_qubit_ucc", "YY")]
+DEPTHS = (0, 1, 7, 20)
+RATES = (0.0, 0.045, 0.7)
+SWEEP = np.linspace(0.0, 1.0, 200)
+
+
+@pytest.fixture
+def sampled_probabilities(monkeypatch):
+    """The probability arrays the package hands to ``sample_parities``."""
+    seen = []
+
+    def spy(p_even, n_shots, seeds):
+        seen.append(np.array(p_even, dtype=float))
+        return sample_parities(p_even, n_shots, seeds)
+
+    monkeypatch.setattr(noisefit, "sample_parities", spy)
+    monkeypatch.setattr(energy, "sample_parities", spy)
+    return seen
+
+
+class TestBatchedEqualsPerPoint:
+    """A curve or dataset sampled in one call equals the circuits sampled
+    one at a time: the same probabilities bit for bit, hence the same counts."""
+
+    @pytest.mark.parametrize("kind,word", CURVE_PAIRS)
+    def test_curves(self, sampled_probabilities, kind, word):
+        target = PauliString(word)
+        seed = 401
+        for layers in DEPTHS:
+            for lam in RATES:
+                curve = noisefit.simulate_curve(kind, target, layers, lam, 8192,
+                                                seed=seed, pi_values=SWEEP)
+                reference = per_point_curve(kind, target, layers, lam, 8192,
+                                            seed, SWEEP)
+                assert jsonio.dumps(curve.to_dict()) == jsonio.dumps(reference.to_dict())
+                expected = [circuit_p_even(spec) for spec in
+                            curve_specs(kind, target, layers, lam, SWEEP)]
+                assert sampled_probabilities.pop().tobytes() == \
+                    np.array(expected).tobytes()
+                seed += 1
+
+    @pytest.mark.parametrize("name", ["one_qubit", "two_qubit"])
+    def test_datasets(self, sampled_probabilities, name):
+        h, builtin = builtin_problem(name)
+        schedule = LayerSchedule(DEPTHS, 8192)
+        seed = 401
+        for theta in (builtin.theta, *np.linspace(-7.0, 7.0, 15)):
+            ansatz = AnsatzSpec(builtin.kind, float(theta))
+            for _, target in h.non_identity_terms():
+                for lam in RATES:
+                    dataset = energy.simulate_dataset(ansatz, target, lam,
+                                                      schedule, seed=seed)
+                    reference = per_point_dataset(ansatz, target, lam,
+                                                  schedule, seed)
+                    assert dataset == reference
+                    expected = [circuit_p_even(_spec(ansatz, target.word, layers, lam))
+                                for layers in DEPTHS]
+                    assert sampled_probabilities.pop().tobytes() == \
+                        np.array(expected).tobytes()
+                    seed += 1
+
+    def test_checks_run_once_per_curve_and_dataset(self):
+        with pytest.raises(ValueError, match="n_shots must be positive"):
+            noisefit.simulate_curve("one_qubit_ry", PauliString("Z"), 1, 0.1, 0)
+        with pytest.raises(ValueError, match="ansatz prepares 1"):
+            energy.simulate_dataset(ANSATZ_1Q, PauliString("XX"), 0.1,
+                                    LayerSchedule((0, 1), 64))
+        with pytest.raises(ValueError, match="non-identity"):
+            energy.simulate_dataset(ANSATZ_2Q, PauliString("II"), 0.1,
+                                    LayerSchedule((0, 1), 64))
+        with pytest.raises(ValueError, match="layer count"):
+            noisefit.simulate_curve("one_qubit_ry", PauliString("Z"), -1, 0.1, 64)
+        for lam in (-0.1, math.inf, math.nan):
+            with pytest.raises(ValueError, match="depolarizing rate"):
+                energy.simulate_dataset(ANSATZ_1Q, PauliString("Z"), lam,
+                                        LayerSchedule((0, 1), 64))
