@@ -312,8 +312,9 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def _sweep_setup(args: argparse.Namespace):
-    """Shared front half of ``sweep`` and ``energy``: seed, problem, grid,
-    and the report config."""
+    """Shared front half of ``sweep`` and ``energy``: seed, problem, one
+    schedule per row (sizes 0 to ``--i-max``), grid, and the report
+    config."""
     seed = _resolve_seed(args.seed)
     h, ansatz = _load_problem(args.hamiltonian, args.theta)
     if ansatz is None:
@@ -324,8 +325,11 @@ def _sweep_setup(args: argparse.Namespace):
         raise ValueError(
             "sweeps need a schedule family with a single size axis, not 'nris'"
         )
+    if args.i_max < 0:
+        raise ValueError("i_max must be non-negative")
+    schedules = [_build_schedule(args, i) for i in range(args.i_max + 1)]
     config = _config(args, seed, _SWEEP_KEYS, ansatz)
-    return seed, h, ansatz, _grid_from_args(args), config
+    return seed, h, ansatz, schedules, _grid_from_args(args), config
 
 
 def _write_table(args: argparse.Namespace, header: str, columns,
@@ -344,10 +348,9 @@ def _write_table(args: argparse.Namespace, header: str, columns,
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    seed, h, ansatz, grid, config = _sweep_setup(args)
+    seed, h, ansatz, schedules, grid, config = _sweep_setup(args)
     rows = []
-    for i in range(args.i_max + 1):
-        schedule = _build_schedule(args, i)
+    for i, schedule in enumerate(schedules):
         l_max = max(schedule.layers)
         n_queries = query_cost(schedule)
         for j, (_, string) in enumerate(h.non_identity_terms()):
@@ -372,12 +375,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_energy(args: argparse.Namespace) -> int:
-    seed, h, ansatz, grid, config = _sweep_setup(args)
-    estimates = rmse_sweep(
-        h, ansatz, args.lam, lambda i_max, _: _build_schedule(args, i_max),
-        tuple(range(args.i_max + 1)), args.shots, args.bootstrap,
-        seed=seed, grid=grid,
-    )
+    seed, h, ansatz, schedules, grid, config = _sweep_setup(args)
+    estimates = rmse_sweep(h, ansatz, args.lam, schedules, args.bootstrap,
+                           seed=seed, grid=grid)
     rows = []
     for row in estimates:
         baseline = direct_baseline(h, ansatz, args.lam, row.n_queries_per_term)
@@ -520,7 +520,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=None,
         help="base seed (default: RAE_SEED environment variable, then 0)",
     )
-    seeding.add_argument(
+    stamping = argparse.ArgumentParser(add_help=False)
+    stamping.add_argument(
         "--stamp", action="store_true",
         help="embed a UTC timestamp in outputs (off by default so reruns "
              "are byte-identical)",
@@ -543,10 +544,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="schedule size parameter (default: 8)")
     family.add_argument("--degree", type=int, default=2,
                         help="growth exponent for poly schedules (default: 2)")
-    family.add_argument("--c", type=float, default=1.0,
-                        help="edge-guard width multiplier for nris (default: 1)")
     family.add_argument("--shots", type=int, default=8192,
                         help="shots per layer (default: 8192)")
+
+    # only the commands that can build an nris schedule read --c
+    nris = argparse.ArgumentParser(add_help=False)
+    nris.add_argument("--c", type=float, default=1.0,
+                      help="edge-guard width multiplier for nris (default: 1)")
 
     parser = argparse.ArgumentParser(
         prog="rae",
@@ -557,7 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser(
-        "generate", parents=[problem, family, seeding],
+        "generate", parents=[problem, family, nris, seeding, stamping],
         help="simulate parity datasets, one JSON file per Pauli term",
     )
     p.add_argument("--lambda", dest="lam", type=float, default=0.0,
@@ -566,7 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser(
-        "estimate", parents=[grid, seeding],
+        "estimate", parents=[grid, seeding, stamping],
         help="joint amplitude and decay-rate estimates for saved datasets",
     )
     p.add_argument("files", nargs="+", help="dataset JSON files")
@@ -582,7 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser(
-        "sweep", parents=[problem, family, grid, seeding],
+        "sweep", parents=[problem, family, grid, seeding, stamping],
         help="per-term estimation error versus schedule size, as CSV",
     )
     p.add_argument("--lambda", dest="lam", type=float, default=0.0,
@@ -594,7 +598,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser(
-        "energy", parents=[problem, family, grid, seeding],
+        "energy", parents=[problem, family, grid, seeding, stamping],
         help="ground-state energy error versus schedule size, as CSV",
     )
     p.add_argument("--lambda", dest="lam", type=float, default=0.0,
@@ -606,7 +610,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_energy)
 
     p = sub.add_parser(
-        "fit-lambda", parents=[problem, seeding],
+        "fit-lambda", parents=[problem, seeding, stamping],
         help="fit the decay rate from likelihood curves and report stability",
     )
     p.add_argument("files", nargs="*", help="saved curve JSON files")
@@ -632,7 +636,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fit_lambda)
 
     p = sub.add_parser(
-        "schedule", parents=[family, seeding],
+        "schedule", parents=[family, nris, stamping],
         help="print a schedule's layers, query cost, and best-case rmse",
     )
     p.add_argument("--lambda", dest="lam", type=float, default=None,

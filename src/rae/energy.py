@@ -110,16 +110,13 @@ def direct_baseline(hamiltonian: PauliSum, ansatz: AnsatzSpec, lam: float,
 def simulate_dataset(ansatz: AnsatzSpec, target: PauliString, lam: float,
                      schedule: LayerSchedule, seed=0) -> ParityDataset:
     """Sample one parity dataset for a term: the oracle expectation once,
-    then one ``simulator.sample_parities`` count per schedule depth, each
-    from its own child of ``seed``."""
-    base = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    children = base.spawn(len(schedule.layers))
+    then one ``simulator.sample_parities`` count per schedule depth."""
     # only the depth check depends on the depth, and the shallowest decides it
     check_circuit(ansatz, target, min(schedule.layers), lam)
     pi = oracle_expectation(ansatz, target)
     p_even = [chebyshev_parity_probability(pi, lam, layers, 0)
               for layers in schedule.layers]
-    counts = sample_parities(p_even, schedule.shots_per_layer, children)
+    counts = sample_parities(p_even, schedule.shots_per_layer, seed)
     return ParityDataset(
         pauli=target.word,
         records=tuple(ParityRecord(layers, schedule.shots_per_layer, e_even)
@@ -158,19 +155,16 @@ def sweep_cell(ansatz: AnsatzSpec, string: PauliString, lam: float,
 
 
 def rmse_sweep(hamiltonian: PauliSum, ansatz: AnsatzSpec, lam: float,
-               schedule_builder, sizes, n_shots: int,
-               m_bootstrap: int, seed: int = 0,
+               schedules, m_bootstrap: int, seed: int = 0,
                grid: MLEGrid | None = None) -> tuple[EnergyEstimate, ...]:
-    """Energy error versus layer budget for one schedule family.
+    """Energy error versus layer budget, one row per entry of ``schedules``.
 
-    ``schedule_builder(size, n_shots)`` supplies the schedule of each row,
-    one row per entry of ``sizes``; every term of a row is one
-    :func:`sweep_cell`, and the row's ``l_max`` is its deepest layer.
+    Every term of a row is one :func:`sweep_cell`, and the row's ``l_max``
+    is its schedule's deepest layer.
     """
     terms = hamiltonian.non_identity_terms()
     rows = []
-    for i, size in enumerate(sizes):
-        schedule = schedule_builder(size, n_shots)
+    for i, schedule in enumerate(schedules):
         estimates = {}
         for j, (_, string) in enumerate(terms):
             result, replicates = sweep_cell(ansatz, string, lam, schedule,

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import jsonio
 from .pauli import PauliString
+from .simulator import sample_parities
 
 # Probabilities are clamped to this floor before any logarithm; the model
 # genuinely reaches 0 and 1 (noiseless, |Pi| = 1), and counts there must
@@ -492,23 +493,19 @@ def bootstrap(dataset: ParityDataset, n_replicates: int,
               grid: MLEGrid | None = None, seed=0) -> BootstrapReplicates:
     """Re-draw every record binomially and re-estimate, ``n_replicates`` times.
 
-    Each replicate consumes its own ``SeedSequence`` substream and its
-    argmax is exact, so replicate ``k`` depends only on ``(seed, k)``: a
+    Replicate ``k`` is entry ``k`` of one ``simulator.sample_parities``
+    draw and its argmax is exact, so it depends only on ``(seed, k)``: a
     longer run extends a shorter one without changing its entries.
     Datasets with only the L=0 record route through the closed form with
     lam pinned to 0.
     """
     if n_replicates < 1:
         raise ValueError("n_replicates must be positive")
-    base = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    children = base.spawn(n_replicates)
-
     shots = np.array([r.n_shots for r in dataset.records], dtype=float)
     rates = np.array([r.e_even / r.n_shots for r in dataset.records])
-    even = np.empty((n_replicates, len(dataset.records)))
-    for k, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        even[k] = rng.binomial(shots.astype(np.int64), rates)
+    even = np.array(sample_parities(
+        np.broadcast_to(rates, (n_replicates, len(rates))),
+        shots.astype(np.int64), seed), dtype=float)
 
     if set(dataset.layer_values()) == {0}:
         pi_hats = _direct_pi(even[:, 0], shots[0])

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jsonio
-from .inference import IdentifiabilityError, chebyshev_parity_probability
+from .inference import IdentifiabilityError, _model_factors, chebyshev_parity_probability
 from .pauli import (
     AnsatzSpec,
     PauliString,
@@ -117,7 +117,7 @@ def fit_lambda(curve: LikelihoodCurve, lambda_max: float = 5.0) -> LambdaFit:
         raise ValueError("lambda_max must be positive")
     pis, rates, weights = _curve_arrays(curve)
     half_order = curve.layers + 0.5
-    cheb = np.cos((2 * curve.layers + 1) * np.arccos(pis))
+    cheb, _ = _model_factors(pis, 0.0, curve.layers)
     if np.max(np.abs(cheb)) < FLAT_TOL:
         raise IdentifiabilityError(
             "curve carries no decay signal: the boosted amplitude vanishes "
@@ -195,16 +195,13 @@ def simulate_curve(ansatz_kind: str, target: PauliString, layers: int,
     amplitudes and sample parity counts with ``simulator.sample_parities``.
 
     The target's matrix is built once and every point's probability comes
-    from one ``chebyshev_parity_probability`` call; point ``i`` still draws
-    from the ``i``-th child of ``seed``.  Error bars are binomial with a
-    half-count floor so degenerate rates (0 or 1) still carry a positive
-    uncertainty.
+    from one ``chebyshev_parity_probability`` call.  Error bars are binomial
+    with a half-count floor so degenerate rates (0 or 1) still carry a
+    positive uncertainty.
     """
     if pi_values is None:
         pi_values = np.linspace(0.0, 1.0, 10)
     pi_values = [float(pi) for pi in pi_values]
-    base = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    seeds = base.spawn(len(pi_values))
     ansatzes = [AnsatzSpec(ansatz_kind, angle_for_expectation(ansatz_kind, target, pi))
                 for pi in pi_values]
     if not ansatzes:  # nothing to sample; the curve's own checks reject it
@@ -214,7 +211,7 @@ def simulate_curve(ansatz_kind: str, target: PauliString, layers: int,
     p_even = chebyshev_parity_probability(
         expectation_values(states, target), lam, layers, 0)
     points = []
-    for pi, e_even in zip(pi_values, sample_parities(p_even, n_shots, seeds)):
+    for pi, e_even in zip(pi_values, sample_parities(p_even, n_shots, seed)):
         rate = e_even / n_shots
         std_err = max(math.sqrt(rate * (1.0 - rate) / n_shots),
                       0.5 / n_shots)

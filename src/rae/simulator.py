@@ -10,9 +10,10 @@ Under this noise model the even-parity probability of every circuit is the
 closed form ``inference.chebyshev_parity_probability`` at the ansatz's exact
 expectation value.  Callers evaluate it once for a whole curve or dataset,
 check the circuit with ``check_circuit``, and draw every count with
-``sample_parities``: shot noise enters only there.  The density-matrix
-evolution that this closed form summarizes is kept in the tests as the
-reference it is checked against.
+``sample_parities``: shot noise enters only there.  It is also where the
+bootstrap redraws its counts, so every seed in the package becomes counts
+in that one function.  The density-matrix evolution that this closed form
+summarizes is kept in the tests as the reference it is checked against.
 """
 
 from __future__ import annotations
@@ -41,14 +42,18 @@ def check_circuit(ansatz: AnsatzSpec, target: PauliString, layers: int,
         raise ValueError("depolarizing rate must be finite and non-negative")
 
 
-def sample_parities(p_even, n_shots: int, seeds) -> list[int]:
-    """Even-parity counts among ``n_shots`` measurements, one per
-    (probability, seed) pair in order.
+def sample_parities(p_even, n_shots, seed) -> list:
+    """Even-parity counts among ``n_shots`` measurements, one per entry
+    along the first axis of ``p_even``; the package's only source of
+    randomness.
 
-    Each count comes from its own generator, ``default_rng(seed)``, so a
-    point's draw does not depend on how many points are sampled with it.
+    ``seed`` (an int or a ``SeedSequence``) spawns one child per entry, and
+    entry ``k`` is ``default_rng(child_k).binomial(n_shots, p_even[k])``:
+    an int for a scalar entry, an array for a row.  Entry ``k`` therefore
+    depends only on ``(seed, k)``, and a longer draw extends a shorter one.
     """
-    if n_shots <= 0:
+    if np.any(np.asarray(n_shots) <= 0):
         raise ValueError("n_shots must be positive")
-    return [int(np.random.default_rng(seed).binomial(n_shots, p))
-            for p, seed in zip(p_even, seeds)]
+    base = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    return [np.random.default_rng(child).binomial(n_shots, p)
+            for child, p in zip(base.spawn(len(p_even)), p_even)]

@@ -10,12 +10,14 @@ a pass is a pass on every machine.
 """
 
 import math
+import os
 import subprocess
 import sys
 import time
 
 import numpy as np
 
+import rae
 from oracles import (
     RAECircuitSpec,
     circuit_p_even,
@@ -51,7 +53,6 @@ from rae.schedules import (
     noise_robust_schedule,
     query_cost,
 )
-from rae.simulator import sample_parities
 
 BASE_SEED = 20260822
 
@@ -223,7 +224,7 @@ def _direct_sampling_mse(pi: float, lam: float, n_shots: int,
     p_even = circuit_p_even(spec)
     sq_errors = np.empty(trials)
     for t in range(trials):
-        e_even = sample_parities([p_even], n_shots, [seed0 + t])[0]
+        e_even = np.random.default_rng(seed0 + t).binomial(n_shots, p_even)
         sq_errors[t] = ((2.0 * e_even - n_shots) / n_shots - pi) ** 2
     return float(sq_errors.mean()), float(sq_errors.std() / math.sqrt(trials))
 
@@ -271,7 +272,7 @@ def test_09_energy_pipeline(capsys):
     """Full sweeps reach chemical accuracy and beat the depth-0 baseline."""
     t0 = time.perf_counter()
     h2, ansatz2 = builtin_problem("two_qubit")
-    rows2 = rmse_sweep(h2, ansatz2, 0.05, lis, (0, 1, 2, 3), 8192, 300,
+    rows2 = rmse_sweep(h2, ansatz2, 0.05, [lis(i, 8192) for i in range(4)], 300,
                        seed=5, grid=MLEGrid(10000, 26, 0.25))
     two_qubit_ok = all(
         row.rmse < 1.6e-3
@@ -280,7 +281,7 @@ def test_09_energy_pipeline(capsys):
         for row in rows2 if row.l_max >= 2
     )
     h1, ansatz1 = builtin_problem("one_qubit")
-    rows1 = rmse_sweep(h1, ansatz1, 0.003, lis, (0, 1, 2, 3, 4), 8192, 300,
+    rows1 = rmse_sweep(h1, ansatz1, 0.003, [lis(i, 8192) for i in range(5)], 300,
                        seed=7, grid=MLEGrid(10000, 101, 0.1))
     one_qubit_ok = all(row.rmse < 1.6e-3 for row in rows1 if row.l_max > 2)
     elapsed = time.perf_counter() - t0
@@ -312,9 +313,15 @@ def test_10_noise_robust_schedule(capsys):
            f"schedule")
 
 
+# CLI subprocesses import the same ``rae`` as this module, whether it comes
+# from an install or from pytest's ``pythonpath`` setting
+_CLI_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (
+    os.path.dirname(os.path.dirname(rae.__file__)), os.environ.get("PYTHONPATH"))))}
+
+
 def _run_cli(args) -> None:
     subprocess.run([sys.executable, "-m", "rae.cli", *[str(a) for a in args]],
-                   check=True, capture_output=True)
+                   check=True, capture_output=True, env=_CLI_ENV)
 
 
 def test_11_cli_determinism(tmp_path, capsys):
@@ -359,7 +366,7 @@ def test_11_cli_determinism(tmp_path, capsys):
         procs.append(subprocess.Popen(
             [sys.executable, "-m", "rae.cli",
              *[str(a) for a in energy_args(d / "energy.csv", d / "energy.json")]],
-            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL))
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=_CLI_ENV))
     for proc in procs:
         assert proc.wait() == 0
     serial = (tmp_path / "a" / "energy.csv").read_bytes()

@@ -249,6 +249,12 @@ class TestSweep:
             "--shots", 16, "--out", tmp_path / "x.csv",
         ) == 2
 
+    def test_negative_i_max_rejected(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert run(*self.ARGS, "--i-max", -1, "--out", out) == 2
+        assert capsys.readouterr().err == "error: i_max must be non-negative\n"
+        assert not out.exists()
+
 
 class TestEnergy:
     ARGS = (
@@ -287,6 +293,12 @@ class TestEnergy:
                  for line in (tmp_path / "s.csv").read_text().splitlines()[1:]]
         assert energy == [0, 1, 2, 4]
         assert sweep == [depth for depth in energy for _ in range(2)]
+
+    def test_negative_i_max_rejected(self, tmp_path, capsys):
+        out, sidecar = tmp_path / "energy.csv", tmp_path / "energy.json"
+        assert run(*self.ARGS, "--i-max", -1, "--out", out, "--json", sidecar) == 2
+        assert capsys.readouterr().err == "error: i_max must be non-negative\n"
+        assert not out.exists() and not sidecar.exists()
 
     def test_rerun_is_byte_identical(self, tmp_path):
         for name in ("a", "b"):
@@ -437,6 +449,23 @@ class TestSchedule:
 
     def test_nris_without_prior_rejected(self):
         assert run("schedule", "--schedule", "nris", "--lambda", 0.05) == 2
+
+
+class TestUnreadFlags:
+    """A command accepts only the flags it reads: ``schedule`` draws no
+    counts, and ``sweep`` and ``energy`` reject nris, the only schedule
+    that reads ``--c``."""
+
+    @pytest.mark.parametrize("argv", [
+        ("schedule", "--seed", 3),
+        ("sweep", "--c", 2.0, "--out", "x.csv"),
+        ("energy", "--c", 2.0, "--out", "x.csv"),
+    ], ids=["schedule-seed", "sweep-c", "energy-c"])
+    def test_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 

@@ -182,7 +182,7 @@ class TestRmseSweep:
         )
         sq_errors = np.empty(n_seeds)
         for t in range(n_seeds):
-            row = rmse_sweep(H1, ANSATZ1, 0.0, lis, (0,), n_shots, 5,
+            row = rmse_sweep(H1, ANSATZ1, 0.0, [lis(0, n_shots)], 5,
                              seed=t)[0]
             sq_errors[t] = (row.energy - truth) ** 2
         se = sq_errors.std() / math.sqrt(n_seeds)
@@ -195,13 +195,13 @@ class TestRmseSweep:
         predicted = math.sqrt(sum(
             c * c * (1 - oracle_expectation(ANSATZ1, s) ** 2) / n_shots
             for c, s in H1.non_identity_terms()))
-        row = rmse_sweep(H1, ANSATZ1, 0.0, lis, (0,), n_shots, 400, seed=3)[0]
+        row = rmse_sweep(H1, ANSATZ1, 0.0, [lis(0, n_shots)], 400, seed=3)[0]
         assert 0.5 * predicted < row.rmse < 2.5 * predicted
 
     def test_error_shrinks_with_layer_budget(self):
         grid = MLEGrid(pi_points=4001, lambda_points=26, lambda_max=0.25)
-        rows = rmse_sweep(H2, ANSATZ2, 0.05, lis, (0, 2, 4), 2048, 80,
-                          seed=5, grid=grid)
+        rows = rmse_sweep(H2, ANSATZ2, 0.05, [lis(i, 2048) for i in (0, 2, 4)],
+                          80, seed=5, grid=grid)
         assert [r.l_max for r in rows] == [0, 2, 4]
         assert rows[1].rmse < rows[0].rmse
         assert rows[2].rmse < rows[0].rmse
@@ -211,9 +211,9 @@ class TestRmseSweep:
         # each row draws on substreams keyed by its position and term, so
         # computing a row alone reproduces the full sweep's row
         grid = MLEGrid(pi_points=1001, lambda_points=11, lambda_max=0.25)
-        full = rmse_sweep(H1, ANSATZ1, 0.02, lis, (0, 2), 512, 40, seed=9,
-                          grid=grid)
-        alone = rmse_sweep(H1, ANSATZ1, 0.02, lis, (0,), 512, 40, seed=9,
+        full = rmse_sweep(H1, ANSATZ1, 0.02, [lis(0, 512), lis(2, 512)], 40,
+                          seed=9, grid=grid)
+        alone = rmse_sweep(H1, ANSATZ1, 0.02, [lis(0, 512)], 40, seed=9,
                            grid=grid)
         assert full[0] == alone[0]
 

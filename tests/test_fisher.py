@@ -18,7 +18,6 @@ from rae.fisher import (
 from rae.inference import IdentifiabilityError
 from rae.pauli import PauliString, builtin_problem, oracle_expectation
 from rae.schedules import LayerSchedule, lis
-from rae.simulator import sample_parities
 
 
 def random_draw(rng):
@@ -148,7 +147,7 @@ class TestDirectMseModel:
         p_even = circuit_p_even(spec)
         sq_errors = np.empty(trials)
         for t in range(trials):
-            e_even = sample_parities([p_even], n_shots, [9000 + t])[0]
+            e_even = np.random.default_rng(9000 + t).binomial(n_shots, p_even)
             sq_errors[t] = ((2.0 * e_even - n_shots) / n_shots - pi) ** 2
         model = direct_mse_model(pi, lam, n_shots)
         se = sq_errors.std() / math.sqrt(trials)

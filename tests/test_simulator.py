@@ -37,7 +37,7 @@ def _spec(ansatz, word, layers, lam):
 
 
 def _draw(spec, n_shots, seed):
-    return sample_parities([circuit_p_even(spec)], n_shots, [seed])[0]
+    return np.random.default_rng(seed).binomial(n_shots, circuit_p_even(spec))
 
 
 class TestChannels:
@@ -222,14 +222,46 @@ RATES = (0.0, 0.045, 0.7)
 SWEEP = np.linspace(0.0, 1.0, 200)
 
 
+class TestSampleParities:
+    """The one seed-to-counts path: entry ``k`` is drawn from the ``k``-th
+    spawned child of the seed, so it depends only on ``(seed, k)``."""
+
+    @pytest.mark.parametrize("p_even,n_shots,kind", [
+        (np.linspace(0.0, 1.0, 7), 100, int),
+        (np.broadcast_to([0.1, 0.5, 0.93], (6, 3)), np.array([64, 128, 8192]),
+         np.ndarray),
+    ], ids=["scalar", "row"])
+    def test_entry_k_depends_only_on_seed_and_k(self, p_even, n_shots, kind):
+        seed = 31
+        counts = sample_parities(p_even, n_shots, seed)
+        children = np.random.SeedSequence(seed).spawn(len(p_even))
+        assert len(counts) == len(p_even)
+        for k, count in enumerate(counts):
+            assert type(count) is kind
+            assert np.array_equal(
+                count, np.random.default_rng(children[k]).binomial(n_shots, p_even[k]))
+        for k in range(len(p_even)):
+            prefix = sample_parities(p_even[:k], n_shots, seed)
+            assert len(prefix) == k
+            assert all(map(np.array_equal, prefix, counts))
+        same = sample_parities(p_even, n_shots, np.random.SeedSequence(seed))
+        assert all(map(np.array_equal, same, counts))
+
+    @pytest.mark.parametrize("n_shots", [0, -5, np.array([64, 0, 64])])
+    def test_non_positive_shots_rejected(self, n_shots):
+        for p_even in (np.full(3, 0.5), np.full((2, 3), 0.5)):
+            with pytest.raises(ValueError, match="n_shots must be positive"):
+                sample_parities(p_even, n_shots, 0)
+
+
 @pytest.fixture
 def sampled_probabilities(monkeypatch):
     """The probability arrays the package hands to ``sample_parities``."""
     seen = []
 
-    def spy(p_even, n_shots, seeds):
+    def spy(p_even, n_shots, seed):
         seen.append(np.array(p_even, dtype=float))
-        return sample_parities(p_even, n_shots, seeds)
+        return sample_parities(p_even, n_shots, seed)
 
     monkeypatch.setattr(noisefit, "sample_parities", spy)
     monkeypatch.setattr(energy, "sample_parities", spy)
