@@ -70,15 +70,22 @@ _BUILTIN_PROBLEMS = ("one_qubit", "two_qubit")
 
 
 def _resolve_seed(value: int | None) -> int:
+    """The --seed value, else RAE_SEED, else 0.  A negative seed is
+    rejected here, before any output exists: numpy would reject it only
+    once a command builds its first generator."""
     if value is not None:
-        return int(value)
-    env = os.environ.get("RAE_SEED")
-    if env is not None:
+        seed, source = int(value), "--seed"
+    else:
+        env = os.environ.get("RAE_SEED")
+        if env is None:
+            return 0
         try:
-            return int(env)
+            seed, source = int(env), "RAE_SEED"
         except ValueError:
             raise ValueError(f"RAE_SEED must be an integer, got {env!r}") from None
-    return 0
+    if seed < 0:
+        raise ValueError(f"{source} must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _load_problem(spec: str, theta: float | None):

@@ -191,10 +191,14 @@ def log_likelihood(dataset: ParityDataset, pi, lam):
 
 
 # The argmax bounds the likelihood on blocks of BLOCK x BLOCK cells (ragged
-# at the high edges of axes that are not a multiple of BLOCK).
+# at the high edges of axes that are not a multiple of BLOCK), and first on
+# super-blocks of SUPER blocks along Pi within one lam block.  A super-block
+# stays one block wide in lam: the lam axis has few blocks, and one that
+# spans the decay range bounds so loosely that most of the grid survives.
 BLOCK = 10
+SUPER = 10
 
-# Count rows whose block bounds come from one matrix product: a
+# Count rows whose bounds come from one matrix product per level: at most a
 # (BOUND_ROWS, blocks) temporary, 5 MB on the default grid.
 BOUND_ROWS = 64
 
@@ -265,13 +269,19 @@ def _concave_slack(shots: np.ndarray) -> float:
 
 class LikelihoodGrid:
     """The likelihood of count rows whose records carry these layers in this
-    order, on a fixed grid: the model's factors per grid row and column,
-    each block's range ``[p_lo, p_hi]`` of ``p0`` per layer, and upper
-    bounds of ``log p0`` and ``log p1`` per layer and block.
+    order, on a fixed grid: the grid's axes, the model's factors per grid
+    row and column, and two levels of bounds.  Each block has a range
+    ``[p_lo, p_hi]`` of ``p0`` per layer and upper bounds of ``log p0`` and
+    ``log p1`` per layer; each super-block, ``SUPER`` blocks along Pi in
+    one lam block, has the max of its blocks' upper bounds and ``p_hi`` and
+    the min of their ``p_lo``.  A super-block's values are thus the
+    extremes of stored values that bound every cell of its blocks, and the
+    arguments of :func:`_rounding_slack` and :func:`_concave_slack` carry
+    over to it unchanged.
 
     One fixed-order kernel, :meth:`_exact`, computes the model at the cells
     it is given and makes every decision (argmax, ties, degeneracy), so a
-    cell's value never depends on what else is evaluated with it; the block
+    cell's value never depends on what else is evaluated with it; the
     bounds only narrow down which cells the kernel must see.  The arrays
     are read-only, since :func:`likelihood_tables` shares one grid among
     its callers.
@@ -282,9 +292,10 @@ class LikelihoodGrid:
         self.layer_values = tuple(layer_values)
         if not self.layer_values:
             raise ValueError("need at least one layer")
+        self.pi_values, self.lambda_values = grid.pi_values(), grid.lambda_values()
         # (layers, pi points) and (layers, lam points)
         self._cheb, self._decay = _model_factors(
-            grid.pi_values(), grid.lambda_values(),
+            self.pi_values, self.lambda_values,
             np.array(self.layer_values, dtype=float)[:, None])
 
         def block_range(values):
@@ -306,22 +317,85 @@ class LikelihoodGrid:
         self._p_lo = p0_extreme(c_lo, np.minimum).reshape(n_l, -1).T.copy()
         self._bounds = (1.0 - _rounding_slack(n_l)) * np.concatenate(
             [np.log(self._p_hi.T), np.log1p(-self._p_lo.T)])
-        for values in (self._cheb, self._decay, self._p_hi, self._p_lo, self._bounds):
-            values.setflags(write=False)
+
+        n_bi, n_bj = -(-grid.pi_points // BLOCK), -(-grid.lambda_points // BLOCK)
+        n_si = -(-n_bi // SUPER)
+
+        def coarsen(values, pick, axis):
+            # the flat block axis splits into (Pi-blocks, lam-blocks), and a
+            # super-block is SUPER consecutive Pi-blocks; repeating the last
+            # Pi-block fills a ragged last super-block without changing
+            # its extremes
+            head, tail = values.shape[:axis], values.shape[axis + 1:]
+            split = values.reshape(head + (n_bi, n_bj) + tail)
+            if n_si * SUPER > n_bi:
+                last = np.take(split, [n_bi - 1] * (n_si * SUPER - n_bi), axis=axis)
+                split = np.concatenate([split, last], axis=axis)
+            return pick.reduce(split.reshape(head + (n_si, SUPER, n_bj) + tail),
+                               axis=axis + 1).reshape(head + (-1,) + tail)
+
+        self._super_p_hi = coarsen(self._p_hi, np.maximum, 0)
+        self._super_p_lo = coarsen(self._p_lo, np.minimum, 0)
+        self._super_bounds = coarsen(self._bounds, np.maximum, 1)
+        for values in vars(self).values():
+            if isinstance(values, np.ndarray):
+                values.setflags(write=False)
 
     def _exact(self, even: np.ndarray, shots: np.ndarray,
                cells: np.ndarray) -> np.ndarray:
         """Joint log-likelihood of every row of ``even`` at the flat
-        ``cells``, summed elementwise layer by layer in record order: a
-        (rows, cells) array."""
+        ``cells``: a (rows, cells) array.  ``log p0`` and ``log p1`` are
+        computed once per layer and cell and shared by every row, whose
+        values are summed elementwise layer by layer in record order."""
         i, j = np.divmod(cells, self.grid.lambda_points)
+        log_p0 = np.take(self._cheb, i, axis=1)
+        log_p1 = np.take(self._decay, j, axis=1)
+        log_p1 *= log_p0
+        log_p1 += 1.0
+        log_p1 *= 0.5
+        p0 = np.clip(log_p1, P_EPS, 1.0 - P_EPS, out=log_p1)
+        np.log(p0, out=log_p0)
+        np.log1p(np.negative(p0, out=p0), out=log_p1)
+        odd = shots - even
         total = np.zeros((len(even), len(cells)))
+        term = np.empty_like(total)
         for l in range(len(self.layer_values)):
-            p0 = np.clip(0.5 * (1.0 + self._decay[l, j] * self._cheb[l, i]),
-                         P_EPS, 1.0 - P_EPS)
-            total += even[:, l, None] * np.log(p0)
-            total += (shots[l] - even[:, l, None]) * np.log1p(-p0)
+            total += np.multiply(even[:, l, None], log_p0[l], out=term)
+            total += np.multiply(odd[:, l, None], log_p1[l], out=term)
         return total
+
+    def _tiles(self, cells: np.ndarray, rows: int) -> list[np.ndarray]:
+        """``cells`` in consecutive slices small enough that neither a
+        slice's ``(layers, tile)`` log tables nor its ``(rows, tile)``
+        values exceed one full-grid surface."""
+        n_cells = self.grid.pi_points * self.grid.lambda_points
+        size = max(1, min(n_cells // (2 * len(self.layer_values)), n_cells // rows))
+        return [cells[k:k + size] for k in range(0, len(cells), size)]
+
+    def _maxima(self, even: np.ndarray, shots: np.ndarray,
+                cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's maximum over the ascending ``cells`` and the first
+        cell that attains it, kept as a running first maximum over the
+        kernel's tiles."""
+        best = np.full(len(even), -np.inf)
+        where = np.zeros(len(even), dtype=np.intp)
+        for tile in self._tiles(cells, len(even)):
+            values = self._exact(even, shots, tile)
+            k = np.argmax(values, axis=1)
+            top = values[np.arange(len(even)), k]
+            better = top > best
+            best[better], where[better] = top[better], tile[k[better]]
+        return best, where
+
+    def _members(self, supers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The blocks of the given super-blocks, grouped by super-block, and
+        the position in ``supers`` of each block's super-block."""
+        n_bi = -(-self.grid.pi_points // BLOCK)
+        n_bj = -(-self.grid.lambda_points // BLOCK)
+        si, bj = np.divmod(supers, n_bj)
+        bi = si[:, None] * SUPER + np.arange(SUPER)
+        inside = bi < n_bi
+        return (bi * n_bj + bj[:, None])[inside], np.nonzero(inside)[0]
 
     def _block_cells(self, blocks) -> np.ndarray:
         """Flat indices of the cells of the given blocks, ascending."""
@@ -329,43 +403,74 @@ class LikelihoodGrid:
         bi, bj = np.divmod(blocks, -(-n_lam // BLOCK))
         rows = bi[:, None] * BLOCK + np.arange(BLOCK)
         cols = bj[:, None] * BLOCK + np.arange(BLOCK)
-        flat = rows[:, :, None] * n_lam + cols[:, None, :]
         inside = (rows < n_pi)[:, :, None] & (cols < n_lam)[:, None, :]
-        return np.sort(flat[inside])
+        cells = (rows[:, :, None] * n_lam + cols[:, None, :])[inside]
+        cells.sort()
+        return cells
 
     def _candidates(self, even: np.ndarray, shots: np.ndarray,
                     tol: float) -> np.ndarray:
         """Flat indices, ascending, of every cell of every block on which
         some row of ``even`` may come within ``tol`` of its maximum.
 
-        A row's incumbent is its best kernel value on the rows' top blocks.
-        A block stays when, for some row, both bounds there reach the
-        incumbent minus ``tol``: first the linear bound, the row's counts
-        times the block bounds, then, on the (row, block) pairs that pass
-        it, the concave bound, each layer's term at its maximum over the
-        block's ``[p_lo, p_hi]``.  The pairs go in chunks, so that no
-        (pairs, layers) temporary exceeds one full-grid surface.
+        A row's incumbent is its best kernel value on the rows' top blocks
+        of their top super-blocks, both by the linear bound.  The search
+        then filters super-blocks, and the blocks of the super-blocks that
+        survive for a row, with :meth:`_survivors`.
         """
-        reach = np.hstack([even, shots - even]) @ self._bounds
-        top = self._block_cells(np.unique(np.argmax(reach, axis=1)))
-        threshold = self._exact(even, shots, top).max(axis=1) - tol
-        rows, blocks = np.nonzero(reach >= threshold[:, None])
-        keep = np.zeros(len(self._p_lo), dtype=bool)
-        step = max(1, self.grid.pi_points * self.grid.lambda_points // len(shots))
+        counts = np.hstack([even, shots - even])
+        reach = counts @ self._super_bounds
+        blocks, _ = self._members(np.unique(np.argmax(reach, axis=1)))
+        top = np.unique(blocks[np.argmax(counts @ self._bounds[:, blocks], axis=1)])
+        threshold = self._maxima(even, shots, self._block_cells(top))[0] - tol
+        rows, supers = self._survivors(even, shots, threshold, reach,
+                                       self._super_p_lo, self._super_p_hi)
+        supers, owner = np.unique(supers, return_inverse=True)
+        alive = np.zeros((len(even), len(supers)), dtype=bool)
+        alive[rows, owner] = True
+        blocks, owner = self._members(supers)
+        reach = counts @ self._bounds[:, blocks]
+        reach[~alive[:, owner]] = -np.inf
+        # where the super-blocks' linear bounds ranked poorly (deep layers
+        # span most of [0, 1] in a super-block), the incumbent rises to the
+        # rows' best surviving blocks
+        best = set(blocks[np.argmax(reach, axis=1)].tolist()).difference(top.tolist())
+        if best:
+            cells = self._block_cells(np.fromiter(best, dtype=np.intp))
+            threshold = np.maximum(threshold, self._maxima(even, shots, cells)[0] - tol)
+        _, kept = self._survivors(even, shots, threshold, reach,
+                                  self._p_lo[blocks], self._p_hi[blocks])
+        return self._block_cells(np.unique(blocks[kept]))
+
+    def _survivors(self, even: np.ndarray, shots: np.ndarray,
+                   threshold: np.ndarray, reach: np.ndarray,
+                   p_lo: np.ndarray, p_hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The (row, column) pairs of ``reach``, a (rows, units) linear
+        bound, where both bounds reach the row's threshold: first the
+        linear bound, then, on the pairs that pass it, the concave bound
+        from the units' ``[p_lo, p_hi]``.  The pairs go in chunks, so that
+        a chunk's (pairs, layers) temporaries, six at most, stay within one
+        full-grid surface together."""
+        rows, units = np.nonzero(reach >= threshold[:, None])
+        keep = np.zeros(len(rows), dtype=bool)
+        step = max(1, self.grid.pi_points * self.grid.lambda_points // (6 * len(shots)))
         for start in range(0, len(rows), step):
-            r, b = rows[start:start + step], blocks[start:start + step]
-            keep[b[self._concave_bound(even[r], shots, b) >= threshold[r]]] = True
-        return self._block_cells(np.flatnonzero(keep))
+            r, u = rows[start:start + step], units[start:start + step]
+            keep[start:start + step] = self._concave_bound(
+                even[r], shots, p_lo[u], p_hi[u]) >= threshold[r]
+        return rows[keep], units[keep]
 
     def _concave_bound(self, even: np.ndarray, shots: np.ndarray,
-                       blocks: np.ndarray) -> np.ndarray:
-        """Upper bound of every kernel value of row ``even[k]`` on block
-        ``blocks[k]``: each layer's term ``e log p + f log(1 - p)`` at its
-        maximum over the block's ``[p_lo, p_hi]``, ``p = clamp(e / N)``,
-        summed and widened by :func:`_rounding_slack` and
-        :func:`_concave_slack`."""
-        p = np.clip(even / shots, self._p_lo[blocks], self._p_hi[blocks])
-        value = np.log1p(-p)
+                       p_lo: np.ndarray, p_hi: np.ndarray) -> np.ndarray:
+        """Upper bound of every kernel value of row ``even[k]`` on a block
+        or super-block with range ``[p_lo[k], p_hi[k]]``: each layer's term
+        ``e log p + f log(1 - p)`` at its maximum over the range,
+        ``p = clamp(e / N)``, summed and widened by
+        :func:`_rounding_slack` and :func:`_concave_slack`."""
+        p = np.divide(even, shots)
+        np.clip(p, p_lo, p_hi, out=p)
+        value = np.negative(p)
+        np.log1p(value, out=value)
         value *= shots - even
         p = np.log(p, out=p)
         p *= even
@@ -384,19 +489,23 @@ class LikelihoodGrid:
         even = np.array([[r.e_even for r in dataset.records]], dtype=float)
         shots = np.array([r.n_shots for r in dataset.records], dtype=float)
         cells = self._candidates(even, shots, DEGENERACY_TOL)
-        values = self._exact(even, shots, cells)[0]
+        values = np.empty(len(cells))
+        start = 0
+        for tile in self._tiles(cells, 1):
+            values[start:start + len(tile)] = self._exact(even, shots, tile)[0]
+            start += len(tile)
         k = int(np.argmax(values))  # first maximum: smallest Pi index, then lam
         best = values[k]
         n_lam = self.grid.lambda_points
         i, j = divmod(int(cells[k]), n_lam)
-        ci, cj = np.divmod(cells, n_lam)
+        ci, cj = np.divmod(cells[values > best - DEGENERACY_TOL], n_lam)
         far = (np.abs(ci - i) > 1) | (np.abs(cj - j) > 1)
 
         return EstimationResult(
-            pi_hat=float(self.grid.pi_values()[i]),
-            lambda_hat=float(self.grid.lambda_values()[j]),
+            pi_hat=float(self.pi_values[i]),
+            lambda_hat=float(self.lambda_values[j]),
             log_likelihood_max=float(best),
-            degenerate_maximum=bool(np.any(values[far] > best - DEGENERACY_TOL)),
+            degenerate_maximum=bool(np.any(far)),
         )
 
     def estimate_counts(self, even: np.ndarray, shots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -404,25 +513,18 @@ class LikelihoodGrid:
         returns (pi_hats, lambda_hats) without degeneracy diagnostics.
 
         Rows go ``BOUND_ROWS`` at a time; the kernel evaluates every row of
-        a group on the union of the group's candidate blocks, never more
-        rows at once than keep its values within one full-grid surface.
-        Ties resolve to the smallest Pi index, then the smallest lam index,
-        as in ``estimate``, and a row's result does not depend on the other
-        rows.
+        a group on the union of the group's candidate blocks, one tile of
+        cells at a time.  Ties resolve to the smallest Pi index, then the
+        smallest lam index, as in ``estimate``, and a row's result does not
+        depend on the other rows.
         """
-        n_cells = self.grid.pi_points * self.grid.lambda_points
         winners = np.empty(len(even), dtype=np.intp)
         for start in range(0, len(even), BOUND_ROWS):
             group = even[start:start + BOUND_ROWS]
-            cells = self._candidates(group, shots, 0.0)
-            step = max(1, n_cells // len(cells))
-            for first in range(0, len(group), step):
-                # no values array outlives its argmax into the next call
-                rows = group[first:first + step]
-                winners[start + first:start + first + len(rows)] = cells[
-                    np.argmax(self._exact(rows, shots, cells), axis=1)]
+            winners[start:start + len(group)] = self._maxima(
+                group, shots, self._candidates(group, shots, 0.0))[1]
         i, j = np.divmod(winners, self.grid.lambda_points)
-        return self.grid.pi_values()[i], self.grid.lambda_values()[j]
+        return self.pi_values[i], self.lambda_values[j]
 
 
 @functools.lru_cache(maxsize=1)
@@ -432,7 +534,7 @@ def likelihood_tables(grid: MLEGrid, layer_values: tuple[int, ...]) -> Likelihoo
 
     One entry is enough: callers run one layer set back to back (a term's
     point estimate and bootstrap, files sharing a schedule, a sweep row's
-    terms).  It holds about 3.6 MB for nine layers on the default grid.
+    terms).  It holds about 4.0 MB for nine layers on the default grid.
     """
     return LikelihoodGrid(grid, layer_values)
 

@@ -167,13 +167,14 @@ def exhaustive_bootstrap(dataset, n_replicates: int, grid, seed) -> tuple[np.nda
     return grid.pi_values()[i], grid.lambda_values()[j]
 
 
-def block_maxima(table: np.ndarray, block: int) -> np.ndarray:
-    """Maximum of a (pi, lam) table over every block x block block of
-    cells (ragged at the high edges), flattened in block order."""
+def block_maxima(table: np.ndarray, pi_block: int, lam_block: int) -> np.ndarray:
+    """Maximum of a (pi, lam) table over every pi_block x lam_block block
+    of cells (ragged at the high edges), flattened in block order."""
     n_pi, n_lam = table.shape
-    padded = np.full((-(-n_pi // block) * block, -(-n_lam // block) * block), -np.inf)
+    padded = np.full((-(-n_pi // pi_block) * pi_block,
+                      -(-n_lam // lam_block) * lam_block), -np.inf)
     padded[:n_pi, :n_lam] = table
-    blocks = padded.reshape(padded.shape[0] // block, block, -1, block)
+    blocks = padded.reshape(padded.shape[0] // pi_block, pi_block, -1, lam_block)
     return blocks.max(axis=(1, 3)).ravel()
 
 

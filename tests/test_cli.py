@@ -90,6 +90,19 @@ class TestGenerate:
         assert env == (tmp_path / "flag" / "Z.json").read_bytes()
         assert env != (tmp_path / "zero" / "Z.json").read_bytes()
 
+    @pytest.mark.parametrize("source", ["--seed", "RAE_SEED"])
+    def test_negative_seed_rejected(self, tmp_path, monkeypatch, capsys, source):
+        argv = ["generate", "--hamiltonian", "one_qubit", "--i-max", 1,
+                "--shots", 16, "--out", tmp_path / "neg"]
+        if source == "--seed":
+            argv += ["--seed", -1]
+        else:
+            monkeypatch.setenv("RAE_SEED", "-1")
+        assert run(*argv) == 2
+        assert capsys.readouterr().err == \
+            f"error: {source} must be a non-negative integer, got -1\n"
+        assert not (tmp_path / "neg").exists()
+
     def test_nris_rejects_zero_lambda(self, tmp_path):
         code = run(
             "generate", "--schedule", "nris", "--lambda", 0.0,

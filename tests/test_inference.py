@@ -21,6 +21,7 @@ from rae.inference import (
     BLOCK,
     BOOTSTRAP_REPLICATES,
     DEGENERACY_TOL,
+    SUPER,
     IdentifiabilityError,
     LikelihoodGrid,
     MLEGrid,
@@ -381,6 +382,12 @@ EXHAUSTIVE_CASES = {
                   MLEGrid(1001, 11, 0.25), 60),
     "16-shot-flat": (ParityDataset("Z", tuple(ParityRecord(L, 16, 8) for L in range(9))),
                      MLEGrid(1001, 11, 50.0), 30),
+    # from lam = 10 on, e^{-4.5 lam} T_9(Pi) rounds p0 to exactly 1/2, so
+    # balanced counts tie at every cell of those columns: the point
+    # estimate's 10,201 candidates span three kernel tiles of 5,100 cells,
+    # and the replicates that redraw 50 span thirty tiles of 340
+    "ties-across-tiles": (ParityDataset("Z", (ParityRecord(4, 100, 50),)),
+                          MLEGrid(101, 101, 1000.0), 30),
     # lis(1): the concave stage cuts the most blocks where two records
     # leave the linear bound loose
     "lis1-two-records": (_sampled(-0.2244, 0.02, (0, 1), 8192, 15, "X"),
@@ -406,28 +413,38 @@ class TestEqualsExhaustiveScan:
 
 DEEP_LAYERS = (0, 1, 2, 4, 8, 16, 32, 64)
 
+BOUND_GRIDS = pytest.mark.parametrize(
+    "grid", [MLEGrid(), RAGGED_GRID, MLEGrid(1001, 101, 50.0)],
+    ids=["default", "ragged", "lambda-max-50"])
+
+# Each level of the search: the cells its units span along (Pi, lam), and
+# the names of its linear bounds and of its [p_lo, p_hi] ranges.
+LEVELS = [((BLOCK, BLOCK), "_bounds", "_p_lo", "_p_hi"),
+          ((BLOCK * SUPER, BLOCK), "_super_bounds", "_super_p_lo", "_super_p_hi")]
+
 
 class TestBlockBounds:
-    """Each layer's block bounds of log p0 and log p1 against the maxima of
-    the dense tables over the same blocks."""
+    """Each layer's block and super-block bounds of log p0 and log p1
+    against the maxima of the dense tables over the same cells."""
 
-    @pytest.mark.parametrize("grid", [MLEGrid(), RAGGED_GRID, MLEGrid(1001, 101, 50.0)],
-                             ids=["default", "ragged", "lambda-max-50"])
+    @BOUND_GRIDS
     def test_never_below_dense_block_maxima(self, grid):
-        bounds = LikelihoodGrid(grid, DEEP_LAYERS)._bounds
+        tables = LikelihoodGrid(grid, DEEP_LAYERS)
         n = len(DEEP_LAYERS)
-        for i, layers in enumerate(DEEP_LAYERS):
-            log_p0, log_p1 = dense_tables(grid, (layers,))
-            for bound, table in ((bounds[i], log_p0[0]), (bounds[n + i], log_p1[0])):
-                top = block_maxima(table, BLOCK)
-                assert np.all(bound >= top), layers
-                # and tight: both are <= 0, and the slack is ~1e-14 relative
-                assert np.all(bound <= top * (1.0 - 1e-12)), layers
+        for span, bounds, _, _ in LEVELS:
+            bounds = getattr(tables, bounds)
+            for i, layers in enumerate(DEEP_LAYERS):
+                log_p0, log_p1 = dense_tables(grid, (layers,))
+                for bound, table in ((bounds[i], log_p0[0]), (bounds[n + i], log_p1[0])):
+                    top = block_maxima(table, *span)
+                    assert np.all(bound >= top), (span, layers)
+                    # and tight: both are <= 0, and the slack is ~1e-14 relative
+                    assert np.all(bound <= top * (1.0 - 1e-12)), (span, layers)
 
 
 class TestConcaveBound:
-    """Each row's concave bound on every block against the row's maximum
-    over the block's cells, summed from the dense tables."""
+    """Each row's concave bound on every block and super-block against the
+    row's maximum over its cells, summed from the dense tables."""
 
     @staticmethod
     def rows(n_shots):
@@ -438,8 +455,7 @@ class TestConcaveBound:
         return rows.astype(float)
 
     @pytest.mark.parametrize("n_shots", [16, 8192])
-    @pytest.mark.parametrize("grid", [MLEGrid(), RAGGED_GRID, MLEGrid(1001, 101, 50.0)],
-                             ids=["default", "ragged", "lambda-max-50"])
+    @BOUND_GRIDS
     def test_never_below_dense_block_maxima(self, grid, n_shots):
         even = self.rows(n_shots)
         shots = np.full(len(DEEP_LAYERS), float(n_shots))
@@ -450,16 +466,21 @@ class TestConcaveBound:
                 surface += e * log_p0[0]
                 surface += (n_shots - e) * log_p1[0]
         tables = LikelihoodGrid(grid, DEEP_LAYERS)
-        blocks = np.arange(tables._bounds.shape[1])
-        for e, surface in zip(even, surfaces):
-            bound = tables._concave_bound(np.tile(e, (len(blocks), 1)), shots, blocks)
-            assert np.all(bound >= block_maxima(surface, BLOCK))
+        for span, _, p_lo, p_hi in LEVELS:
+            p_lo, p_hi = getattr(tables, p_lo), getattr(tables, p_hi)
+            for e, surface in zip(even, surfaces):
+                bound = tables._concave_bound(np.tile(e, (len(p_lo), 1)), shots, p_lo, p_hi)
+                assert np.all(bound >= block_maxima(surface, *span))
 
 
 class TestCandidates:
     """How many blocks the kernel sees on the two-qubit XX lis(8) data of
-    ``rae generate --seed 11 --lambda 0.045``: the linear bound alone keeps
-    147 for the point estimate and 152 for its first 64 replicates."""
+    ``rae generate --seed 11 --lambda 0.045``.  For the point estimate, 28
+    of the 1,000 super-blocks pass the linear bound and 2 the concave one;
+    20 of their blocks pass the linear bound and 2 reach the kernel.  For
+    its first 64 replicates, 1,787 (row, super-block) pairs pass the linear
+    bound and 125 the concave one; 1,250 (row, block) pairs then pass the
+    linear bound, 227 the concave one, and they cover 9 blocks."""
 
     def test_lis8_keeps_few_blocks(self, tmp_path):
         assert main(["generate", "--seed", "11", "--lambda", "0.045",
@@ -493,6 +514,11 @@ class TestLikelihoodTables:
             with pytest.raises(ValueError):
                 values.flat[0] = 0.0
 
+    def test_axes_are_the_grid_values(self):
+        tables = likelihood_tables(RAGGED_GRID, (0, 1, 2))
+        assert tables.pi_values.tobytes() == RAGGED_GRID.pi_values().tobytes()
+        assert tables.lambda_values.tobytes() == RAGGED_GRID.lambda_values().tobytes()
+
     def test_estimate_then_bootstrap_build_once(self):
         ds = exact_count_dataset(0.6, 0.02, range(4), 256)
         likelihood_tables.cache_clear()
@@ -502,14 +528,15 @@ class TestLikelihoodTables:
         assert (info.misses, info.hits) == (1, 1)
 
 
-def _peak_bytes(ds, grid, n_replicates) -> int:
-    """tracemalloc's peak over a point estimate and a bootstrap, from an
-    empty table cache."""
+def _peak_bytes(ds, grid, n_replicates=0) -> int:
+    """tracemalloc's peak over a point estimate and a bootstrap (if
+    ``n_replicates``), from an empty table cache."""
     likelihood_tables.cache_clear()
     tracemalloc.start()
     try:
         mle_estimate(ds, grid)
-        bootstrap(ds, n_replicates, grid=grid, seed=0)
+        if n_replicates:
+            bootstrap(ds, n_replicates, grid=grid, seed=0)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -519,6 +546,17 @@ class TestMemory:
     def test_default_grid_estimate_and_bootstrap_peak(self):
         ds = _sampled(-0.2238, 0.045, (1, 2, 3, 5, 8, 13), 8192, 14, "XX")
         assert _peak_bytes(ds, MLEGrid(), 64) < 64 * 2**20
+
+    def test_flat_point_estimate_peak(self):
+        # balanced 2-shot counts at 30 depths: the point estimate's
+        # candidates cover all 25,000 cells, where (layers, cells) log
+        # tables would take 60 grid surfaces (11 MiB)
+        ds = ParityDataset("Z", tuple(ParityRecord(L, 2, 1) for L in range(30)))
+        grid = MLEGrid(500, 50, 50.0)
+        tables = LikelihoodGrid(grid, ds.layer_values())
+        even = np.array([[1.0] * 30])
+        assert len(tables._candidates(even, np.full(30, 2.0), DEGENERACY_TOL)) == 25000
+        assert _peak_bytes(ds, grid) < 4 * 2**20
 
     def test_flat_likelihood_peak(self):
         # balanced 2-shot counts at 30 depths: most (row, block) pairs pass
