@@ -32,15 +32,14 @@ from .energy import (
     rmse_sweep,
     simulate_dataset,
     sweep_cell,
+    term_row,
 )
-from .fisher import advantage_verdict, crb_rmse, direct_mse_model
+from .fisher import advantage_verdict, crb_rmse
 from .inference import (
     BOOTSTRAP_REPLICATES,
-    PI_INSET,
     IdentifiabilityError,
     MLEGrid,
     load_dataset,
-    rmse_stats,
     save_dataset,
 )
 from .jsonio import DatasetFormatError
@@ -217,20 +216,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _reference_expectation(dataset) -> float | None:
-    """Oracle value recorded in the metadata, when enough of it is present."""
-    meta = dataset.metadata
-    if meta.get("ansatz") is None or meta.get("theta") is None:
-        return None
-    try:
-        ansatz = AnsatzSpec(str(meta["ansatz"]), float(meta["theta"]))
-        return oracle_expectation(ansatz, PauliString(dataset.pauli))
-    except (ValueError, TypeError):
-        return None
-
-
 def cmd_estimate(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
+    if not (np.isfinite(args.band) and args.band > 0.0):
+        raise ValueError(f"--band must be a finite positive number, got {args.band}")
     datasets = [(path, load_dataset(path)) for path in args.files]
     provenance = {
         (d.metadata.get("ansatz"), d.metadata.get("theta"), d.metadata.get("lam"))
@@ -254,54 +243,15 @@ def cmd_estimate(args: argparse.Namespace) -> int:
                     f"no default replicate count for {len(dataset.pauli)}-qubit "
                     "terms; pass --bootstrap"
                 )
-        result, reps = estimate_term(
+        row = term_row(dataset, *estimate_term(
             dataset, m, grid=grid,
             seed=np.random.SeedSequence(seed, spawn_key=(j,)),
-        )
-        direct_route = dataset.layer_values() == (0,)
-        pi_ref = _reference_expectation(dataset)
-        reference = pi_ref if pi_ref is not None else result.pi_hat
-        stats = rmse_stats(reps.pi_hats, reference)
-        n_queries = sum((2 * r.layers + 1) * r.n_shots for r in dataset.records)
-        crb = None
-        note = None
-        shot_counts = {r.n_shots for r in dataset.records}
-        if direct_route:
-            note = "single-depth data: decay rate pinned at 0, no joint error bound"
-        elif len(shot_counts) != 1:
-            note = "records carry unequal shot counts, no closed-form bound reported"
-        else:
-            schedule = LayerSchedule(tuple(sorted(dataset.layer_values())),
-                                     shot_counts.pop())
-            pi_bound = min(max(result.pi_hat, -1.0 + PI_INSET), 1.0 - PI_INSET)
-            try:
-                crb = crb_rmse(pi_bound, result.lambda_hat, schedule)
-            except IdentifiabilityError as exc:
-                note = str(exc)
-        mse_direct = direct_mse_model(result.pi_hat, result.lambda_hat, n_queries)
-        verdict = None
-        if crb is not None:
-            verdict = advantage_verdict(
-                stats.rmse, stats.sigma_rmse, crb, mse_direct, k=args.band
-            ).value
-        rows.append({
-            "file": path,
-            "term": dataset.pauli,
-            "method": "direct" if direct_route else "mle",
-            "pi_hat": float(result.pi_hat),
-            "lambda_hat": float(result.lambda_hat),
-            "degenerate_maximum": bool(result.degenerate_maximum),
-            "n_queries": int(n_queries),
-            "n_bootstrap": int(m),
-            "pi_ref": None if pi_ref is None else float(pi_ref),
-            "reference": "oracle" if pi_ref is not None else "pi_hat",
-            "rmse": float(stats.rmse),
-            "sigma_rmse": float(stats.sigma_rmse),
-            "crb": None if crb is None else float(crb),
-            "mse_direct": float(mse_direct),
-            "verdict": verdict,
-            "note": note,
-        })
+        ))
+        row["file"] = path
+        row["verdict"] = None if row["crb"] is None else advantage_verdict(
+            row["rmse"], row["sigma_rmse"], row["crb"], row["mse_direct"],
+            k=args.band).value
+        rows.append(row)
     for row in rows:
         line = (
             f"{row['term']}: pi_hat={row['pi_hat']:+.6f} "
@@ -356,27 +306,15 @@ def _write_table(args: argparse.Namespace, header: str, columns,
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     seed, h, ansatz, schedules, grid, config = _sweep_setup(args)
-    rows = []
-    for i, schedule in enumerate(schedules):
-        l_max = max(schedule.layers)
-        n_queries = query_cost(schedule)
-        for j, (_, string) in enumerate(h.non_identity_terms()):
-            result, reps = sweep_cell(
-                ansatz, string, args.lam, schedule, args.bootstrap, grid,
-                seed, (i, j),
-            )
-            stats = rmse_stats(reps.pi_hats, oracle_expectation(ansatz, string))
-            rows.append({
-                "term": string.word,
-                "l_max": int(l_max),
-                "n_queries": int(n_queries),
-                "pi_hat": float(result.pi_hat),
-                "lambda_hat": float(result.lambda_hat),
-                "rmse": float(stats.rmse),
-                "sigma_rmse": float(stats.sigma_rmse),
-            })
     columns = ("term", "l_max", "n_queries", "pi_hat", "lambda_hat", "rmse",
                "sigma_rmse")
+    rows = []
+    for i, schedule in enumerate(schedules):
+        for j, (_, string) in enumerate(h.non_identity_terms()):
+            row = term_row(*sweep_cell(ansatz, string, args.lam, schedule,
+                                       args.bootstrap, grid, seed, (i, j)))
+            row["l_max"] = int(max(schedule.layers))
+            rows.append({c: row[c] for c in columns})
     _write_table(args, ",".join(columns), columns, rows, config)
     return EXIT_OK
 

@@ -14,8 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fisher import direct_error_model
+from .fisher import crb_rmse, direct_error_model, direct_mse_model
 from .inference import (
+    PI_INSET,
+    IdentifiabilityError,
     MLEGrid,
     ParityDataset,
     ParityRecord,
@@ -23,6 +25,7 @@ from .inference import (
     chebyshev_parity_probability,
     direct_estimate,
     mle_estimate,
+    rmse_stats,
 )
 from .pauli import AnsatzSpec, PauliString, PauliSum, oracle_expectation
 from .schedules import LayerSchedule, query_cost
@@ -139,7 +142,8 @@ def estimate_term(dataset: ParityDataset, m_bootstrap: int,
 def sweep_cell(ansatz: AnsatzSpec, string: PauliString, lam: float,
                schedule: LayerSchedule, m_bootstrap: int, grid: MLEGrid | None,
                seed: int, position: tuple[int, int]):
-    """Simulate and estimate the (budget row, term) cell at ``position``.
+    """Simulate and estimate the (budget row, term) cell at ``position``;
+    returns the dataset with its point estimate and replicates.
 
     The data and bootstrap substreams are keyed by (row, term, 0) and
     (row, term, 1) only, so cells can be computed in any order, or
@@ -150,8 +154,71 @@ def sweep_cell(ansatz: AnsatzSpec, string: PauliString, lam: float,
         ansatz, string, lam, schedule,
         seed=np.random.SeedSequence(seed, spawn_key=(i, j, 0)),
     )
-    return estimate_term(dataset, m_bootstrap, grid=grid,
-                         seed=np.random.SeedSequence(seed, spawn_key=(i, j, 1)))
+    result, replicates = estimate_term(
+        dataset, m_bootstrap, grid=grid,
+        seed=np.random.SeedSequence(seed, spawn_key=(i, j, 1)))
+    return dataset, result, replicates
+
+
+def _reference_expectation(dataset: ParityDataset) -> float | None:
+    """Oracle value recorded in the metadata, when enough of it is present."""
+    meta = dataset.metadata
+    if meta.get("ansatz") is None or meta.get("theta") is None:
+        return None
+    try:
+        ansatz = AnsatzSpec(str(meta["ansatz"]), float(meta["theta"]))
+        return oracle_expectation(ansatz, PauliString(dataset.pauli))
+    except (ValueError, TypeError):
+        return None
+
+
+def term_row(dataset: ParityDataset, result, replicates) -> dict:
+    """The per-term report row of ``estimate`` and ``sweep``.
+
+    The bootstrap RMSE is taken about the oracle value of the ansatz the
+    dataset's metadata names, else about ``pi_hat``.  The Cramer-Rao bound
+    needs one shot count for every record and a jointly identifiable depth
+    set; where either is missing ``crb`` is None and ``note`` says why.
+    ``mse_direct`` is the depth-0 sampling model at the fitted point with
+    the same query budget.
+    """
+    direct_route = dataset.layer_values() == (0,)
+    pi_ref = _reference_expectation(dataset)
+    stats = rmse_stats(replicates.pi_hats,
+                       result.pi_hat if pi_ref is None else pi_ref)
+    n_queries = sum((2 * r.layers + 1) * r.n_shots for r in dataset.records)
+    crb = note = None
+    shot_counts = {r.n_shots for r in dataset.records}
+    if direct_route:
+        note = "single-depth data: decay rate pinned at 0, no joint error bound"
+    elif len(shot_counts) != 1:
+        note = "records carry unequal shot counts, no closed-form bound reported"
+    else:
+        schedule = LayerSchedule(tuple(sorted(dataset.layer_values())),
+                                 shot_counts.pop())
+        # the bound needs |Pi| < 1; an edge fit is taken at the grid's inset
+        pi_bound = min(max(result.pi_hat, -1.0 + PI_INSET), 1.0 - PI_INSET)
+        try:
+            crb = crb_rmse(pi_bound, result.lambda_hat, schedule)
+        except IdentifiabilityError as exc:
+            note = str(exc)
+    return {
+        "term": dataset.pauli,
+        "method": "direct" if direct_route else "mle",
+        "pi_hat": float(result.pi_hat),
+        "lambda_hat": float(result.lambda_hat),
+        "degenerate_maximum": bool(result.degenerate_maximum),
+        "n_queries": int(n_queries),
+        "n_bootstrap": len(replicates.pi_hats),
+        "pi_ref": None if pi_ref is None else float(pi_ref),
+        "reference": "pi_hat" if pi_ref is None else "oracle",
+        "rmse": float(stats.rmse),
+        "sigma_rmse": float(stats.sigma_rmse),
+        "crb": None if crb is None else float(crb),
+        "mse_direct": float(direct_mse_model(result.pi_hat, result.lambda_hat,
+                                             n_queries)),
+        "note": note,
+    }
 
 
 def rmse_sweep(hamiltonian: PauliSum, ansatz: AnsatzSpec, lam: float,
@@ -167,8 +234,8 @@ def rmse_sweep(hamiltonian: PauliSum, ansatz: AnsatzSpec, lam: float,
     for i, schedule in enumerate(schedules):
         estimates = {}
         for j, (_, string) in enumerate(terms):
-            result, replicates = sweep_cell(ansatz, string, lam, schedule,
-                                            m_bootstrap, grid, seed, (i, j))
+            _, result, replicates = sweep_cell(ansatz, string, lam, schedule,
+                                               m_bootstrap, grid, seed, (i, j))
             pi_ref = oracle_expectation(ansatz, string)
             estimates[string.word] = TermEstimate(
                 pi_hat=result.pi_hat,

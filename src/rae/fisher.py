@@ -124,8 +124,9 @@ def advantage_verdict(rmse_rae: float, sigma_rmse: float, crb: float,
     k sigma; NO_ADVANTAGE requires losing by more than k sigma; anything
     else is INCONCLUSIVE.
     """
-    if min(rmse_rae, sigma_rmse, crb, mse_direct) < 0.0 or k <= 0.0:
-        raise ValueError("inputs must be non-negative and k positive")
+    if min(rmse_rae, sigma_rmse, crb, mse_direct) < 0.0 or not (
+            math.isfinite(k) and k > 0.0):
+        raise ValueError("inputs must be non-negative and k finite and positive")
     baseline = math.sqrt(mse_direct)
     if crb <= rmse_rae and rmse_rae + k * sigma_rmse < baseline:
         return Verdict.ADVANTAGE

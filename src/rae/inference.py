@@ -143,7 +143,6 @@ class EstimationResult:
 
     pi_hat: float
     lambda_hat: float
-    log_likelihood_max: float
     degenerate_maximum: bool
 
 
@@ -173,21 +172,6 @@ def chebyshev_parity_probability(pi, lam, layers: int, d: int):
     if np.isscalar(pi) and np.isscalar(lam):
         return float(out)
     return out
-
-
-def log_likelihood(dataset: ParityDataset, pi, lam):
-    """Joint log-likelihood of all records; broadcasts like the probability."""
-    total = 0.0
-    for record in dataset.records:
-        p_even = np.clip(
-            chebyshev_parity_probability(pi, lam, record.layers, 0),
-            P_EPS, 1.0 - P_EPS,
-        )
-        total = total + record.e_even * np.log(p_even) \
-            + (record.n_shots - record.e_even) * np.log1p(-p_even)
-    if np.isscalar(pi) and np.isscalar(lam):
-        return float(total)
-    return total
 
 
 # The argmax bounds the likelihood on blocks of BLOCK x BLOCK cells (ragged
@@ -504,7 +488,6 @@ class LikelihoodGrid:
         return EstimationResult(
             pi_hat=float(self.pi_values[i]),
             lambda_hat=float(self.lambda_values[j]),
-            log_likelihood_max=float(best),
             degenerate_maximum=bool(np.any(far)),
         )
 
@@ -574,7 +557,6 @@ def direct_estimate(dataset: ParityDataset) -> EstimationResult:
     return EstimationResult(
         pi_hat=pi_hat,
         lambda_hat=0.0,
-        log_likelihood_max=log_likelihood(dataset, pi_hat, 0.0),
         degenerate_maximum=False,
     )
 
@@ -627,19 +609,15 @@ class BootstrapSummary:
 
     rmse: float
     sigma_rmse: float
-    mse: float
-    var_mse: float
-    n_replicates: int
-    zero_rmse: bool
 
 
 def rmse_stats(pi_hats, pi_ref: float) -> BootstrapSummary:
-    """MSE, its empirical variance, and sigma_RMSE = sqrt(Var)/(2 RMSE).
+    """RMSE about ``pi_ref`` and sigma_RMSE = sqrt(Var(MSE)) / (2 RMSE).
 
-    All three follow the population conventions: MSE = mean of squared
+    Both follow the population conventions: MSE = mean of squared
     deviations from ``pi_ref``, Var(MSE) = mean of {squared deviation -
     MSE}^2, and the sigma comes from propagating Var(MSE) through the
-    square root.
+    square root; it is 0 when the RMSE is.
     """
     values = np.asarray(pi_hats, dtype=float)
     if values.size == 0:
@@ -648,12 +626,5 @@ def rmse_stats(pi_hats, pi_ref: float) -> BootstrapSummary:
     mse = float(np.mean(sq))
     var_mse = float(np.mean((sq - mse) ** 2))
     rmse = math.sqrt(mse)
-    if rmse > 0.0:
-        sigma = math.sqrt(var_mse) / (2.0 * rmse)
-        zero = False
-    else:
-        sigma = 0.0
-        zero = True
-    return BootstrapSummary(rmse=rmse, sigma_rmse=sigma, mse=mse,
-                            var_mse=var_mse, n_replicates=values.size,
-                            zero_rmse=zero)
+    sigma = math.sqrt(var_mse) / (2.0 * rmse) if rmse > 0.0 else 0.0
+    return BootstrapSummary(rmse=rmse, sigma_rmse=sigma)

@@ -105,6 +105,22 @@ def synthetic_curve(layers: int, lam: float, pi_values=None,
     return LikelihoodCurve(layers=layers, points=points)
 
 
+def log_likelihood(dataset, pi, lam):
+    """Joint log-likelihood of all records, each probability clamped to
+    [P_EPS, 1 - P_EPS]; broadcasts like the probability."""
+    total = 0.0
+    for record in dataset.records:
+        p_even = np.clip(
+            chebyshev_parity_probability(pi, lam, record.layers, 0),
+            P_EPS, 1.0 - P_EPS,
+        )
+        total = total + record.e_even * np.log(p_even) \
+            + (record.n_shots - record.e_even) * np.log1p(-p_even)
+    if np.isscalar(pi) and np.isscalar(lam):
+        return float(total)
+    return total
+
+
 def dense_tables(grid, layer_values) -> tuple[np.ndarray, np.ndarray]:
     """log p0 and log p1 at every cell of the grid, one (pi, lam) table per
     layer, clamped to [P_EPS, 1 - P_EPS] before the logarithm."""
@@ -143,11 +159,10 @@ def exhaustive_estimate(dataset, grid) -> EstimationResult:
     tables = dense_tables(grid, dataset.layer_values())
     even = [r.e_even for r in dataset.records]
     shots = [r.n_shots for r in dataset.records]
-    best_flat, best, degenerate = exhaustive_scan(grid, tables, even, shots)
+    best_flat, _, degenerate = exhaustive_scan(grid, tables, even, shots)
     i, j = divmod(best_flat, grid.lambda_points)
     return EstimationResult(pi_hat=float(grid.pi_values()[i]),
                             lambda_hat=float(grid.lambda_values()[j]),
-                            log_likelihood_max=best,
                             degenerate_maximum=degenerate)
 
 

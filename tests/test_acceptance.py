@@ -21,6 +21,7 @@ import rae
 from oracles import (
     RAECircuitSpec,
     circuit_p_even,
+    log_likelihood,
     numerical_fisher,
     parity_distribution,
     synthetic_curve,
@@ -34,7 +35,6 @@ from rae.inference import (
     ParityRecord,
     chebyshev_parity_probability,
     direct_estimate,
-    log_likelihood,
     mle_estimate,
 )
 from rae.noisefit import fit_lambda, lambda_profile, simulate_curve

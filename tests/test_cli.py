@@ -28,6 +28,7 @@ from rae.inference import (
     ParityRecord,
     load_dataset,
     rmse_stats,
+    save_dataset,
 )
 from rae.noisefit import save_curve
 from rae.pauli import (
@@ -207,6 +208,38 @@ class TestEstimate:
                    "--out", report) == 0
         assert json.loads(report.read_text())["terms"][0]["crb"] > 0
 
+    def test_single_boosted_depth_has_no_verdict(self, tmp_path, capsys):
+        path = tmp_path / "L2.json"
+        save_dataset(path, ParityDataset("Z", (ParityRecord(2, 256, 200),)))
+        report = tmp_path / "rep.json"
+        assert run("estimate", path, "--bootstrap", 10, *SMALL_GRID_ARGS,
+                   "--out", report) == 0
+        row = json.loads(report.read_text())["terms"][0]
+        assert row["method"] == "mle"
+        assert row["verdict"] is None
+        assert "singular" in row["note"]
+        assert "verdict=" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("band", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("i_max", [0, 2])
+    def test_band_must_be_finite_and_positive(self, tmp_path, capsys,
+                                              monkeypatch, band, i_max):
+        """Rejected before any estimate, on a depth-0 file (no verdict to
+        reach) and on a multi-depth one alike."""
+        data = self.generated(tmp_path, i_max=i_max)
+        capsys.readouterr()
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("estimated before the band was checked")
+
+        monkeypatch.setattr(cli, "estimate_term", no_work)
+        report = tmp_path / "rep.json"
+        assert run("estimate", data / "Z.json", f"--band={band}",
+                   "--bootstrap", 10, *SMALL_GRID_ARGS, "--out", report) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --band must be a finite positive number")
+        assert not report.exists()
+
 
 class TestSweep:
     ARGS = (
@@ -241,9 +274,11 @@ class TestSweep:
         recomputed = {}
         for i, j in cells:
             schedule = lis(i, 128)
-            result, reps = sweep_cell(
+            dataset, result, reps = sweep_cell(
                 ansatz, terms[j][1], 0.02, schedule, 30, grid, 4, (i, j),
             )
+            assert dataset.pauli == terms[j][1].word
+            assert dataset.layer_values() == schedule.layers
             stats = rmse_stats(reps.pi_hats,
                                oracle_expectation(ansatz, terms[j][1]))
             recomputed[(i, j)] = (

@@ -15,15 +15,25 @@ from rae.energy import (
     estimate_term,
     rmse_sweep,
     simulate_dataset,
+    term_row,
 )
-from rae.inference import MLEGrid, direct_estimate
+from rae.fisher import crb_rmse, direct_mse_model
+from rae.inference import (
+    PI_INSET,
+    IdentifiabilityError,
+    MLEGrid,
+    ParityDataset,
+    ParityRecord,
+    direct_estimate,
+    rmse_stats,
+)
 from rae.pauli import (
     PauliString,
     PauliSum,
     builtin_problem,
     oracle_expectation,
 )
-from rae.schedules import LayerSchedule, lis
+from rae.schedules import LayerSchedule, lis, query_cost
 
 H1, ANSATZ1 = builtin_problem("one_qubit")
 H2, ANSATZ2 = builtin_problem("two_qubit")
@@ -168,6 +178,73 @@ class TestEstimateTerm:
         result, replicates = estimate_term(ds, 30, grid=grid, seed=1)
         assert result.lambda_hat > 0.0
         assert len(replicates.pi_hats) == 30
+
+
+class TestTermRow:
+    GRID = MLEGrid(pi_points=1001, lambda_points=11, lambda_max=0.25)
+
+    def row(self, dataset, m_bootstrap=20):
+        return term_row(dataset, *estimate_term(dataset, m_bootstrap,
+                                                grid=self.GRID, seed=1))
+
+    def test_simulated_term_is_judged_against_its_oracle(self):
+        schedule = lis(3, 512)
+        ds = simulate_dataset(ANSATZ1, PauliString("Z"), 0.05, schedule,
+                              seed=2)
+        result, replicates = estimate_term(ds, 20, grid=self.GRID, seed=1)
+        row = term_row(ds, result, replicates)
+        pi_ref = oracle_expectation(ANSATZ1, PauliString("Z"))
+        assert row["method"] == "mle"
+        assert row["reference"] == "oracle" and row["pi_ref"] == pi_ref
+        assert row["rmse"] == rmse_stats(replicates.pi_hats, pi_ref).rmse
+        assert row["n_queries"] == query_cost(schedule)
+        assert row["n_bootstrap"] == 20
+        assert row["crb"] == crb_rmse(result.pi_hat, result.lambda_hat,
+                                      schedule)
+        assert row["mse_direct"] == direct_mse_model(
+            result.pi_hat, result.lambda_hat, query_cost(schedule))
+        assert row["note"] is None
+
+    def test_bound_at_the_grid_edge(self):
+        # noiseless ZZ is exactly -1: every count is odd, the fit pins at
+        # the grid's inset edge, and the bound is taken there
+        schedule = lis(3, 64)
+        ds = simulate_dataset(ANSATZ2, PauliString("ZZ"), 0.0, schedule,
+                              seed=2)
+        row = self.row(ds)
+        assert row["pi_hat"] == -1.0 + PI_INSET
+        assert row["lambda_hat"] == 0.0
+        assert row["crb"] == crb_rmse(-1.0 + PI_INSET, 0.0, schedule)
+
+    def test_unequal_shot_counts_have_no_bound(self):
+        ds = ParityDataset("Z", (ParityRecord(0, 256, 230),
+                                 ParityRecord(1, 512, 300),
+                                 ParityRecord(2, 256, 40)))
+        row = self.row(ds)
+        assert row["method"] == "mle"
+        assert row["crb"] is None
+        assert "unequal shot counts" in row["note"]
+        assert row["n_queries"] == 256 * 1 + 512 * 3 + 256 * 5
+
+    def test_single_boosted_depth_notes_the_singular_bound(self):
+        # one depth L >= 1 goes to the grid MLE, but its Fisher matrix is
+        # singular: the bound's error message becomes the note
+        ds = ParityDataset("Z", (ParityRecord(2, 256, 200),))
+        row = self.row(ds)
+        assert row["method"] == "mle"
+        assert row["crb"] is None
+        with pytest.raises(IdentifiabilityError) as exc:
+            crb_rmse(row["pi_hat"], row["lambda_hat"], LayerSchedule((2,), 256))
+        assert row["note"] == str(exc.value)
+
+    def test_without_metadata_the_reference_is_the_estimate(self):
+        ds = ParityDataset("X", (ParityRecord(0, 256, 90),
+                                 ParityRecord(1, 256, 200)))
+        result, replicates = estimate_term(ds, 20, grid=self.GRID, seed=1)
+        row = term_row(ds, result, replicates)
+        assert row["reference"] == "pi_hat"
+        assert row["pi_ref"] is None
+        assert row["rmse"] == rmse_stats(replicates.pi_hats, result.pi_hat).rmse
 
 
 class TestRmseSweep:

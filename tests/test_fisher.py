@@ -187,3 +187,8 @@ class TestAdvantageVerdict:
             advantage_verdict(-0.001, 0.0001, 0.0005, 1e-4)
         with pytest.raises(ValueError):
             advantage_verdict(0.001, 0.0001, 0.0005, 1e-4, k=0.0)
+
+    @pytest.mark.parametrize("k", [float("nan"), float("inf")])
+    def test_non_finite_band_rejected(self, k):
+        with pytest.raises(ValueError):
+            advantage_verdict(0.001, 0.0001, 0.0005, 1e-4, k=k)

@@ -53,6 +53,16 @@ COMMANDS = (
     ("fit-lambda", "--simulate", "--hamiltonian", "two_qubit", "--term", "XX",
      "--layers", "0,3", "--points", 7, "--lambda", 0.1, "--shots", 64,
      "--seed", 9, "--out", "fit-xx.json"),
+    # Every two-qubit term: ZZ fits at the grid's -1 edge, so its bound is
+    # taken at the inset amplitude, and it still gets a verdict.
+    ("estimate", "data2/IZ.json", "data2/XX.json", "data2/YY.json",
+     "data2/ZI.json", "data2/ZZ.json", "--bootstrap", 40, *GRID, "--seed", 1,
+     "--out", "estimate2.json"),
+    # Depth-0 files take the direct route: no bound, no verdict, a note.
+    ("generate", "--hamiltonian", "one_qubit", "--lambda", 0.05,
+     "--i-max", 0, "--shots", 64, "--seed", 7, "--out", "lis0"),
+    ("estimate", "lis0/Z.json", "lis0/X.json", "--bootstrap", 40, *GRID,
+     "--seed", 1, "--out", "estimate-direct.json"),
 )
 
 GOLDEN = {
@@ -70,6 +80,10 @@ GOLDEN = {
         "116349ec9fc4cec12190d8f787dc3299192e6c53374b7d1e86dc35e2aa7443c7",
     "estimate-default.json":
         "eac53d42f25426553d47c1a7d645355d752440f60c19c74069fd0e95c0a7b1f5",
+    "estimate2.json":
+        "3af10f5a570411a1faa88d7d7c16dc21c1b78b1f543c743984fdb808fb30a795",
+    "estimate-direct.json":
+        "bdaf38a681f6882e6039010624c6b07e504e3bbf2dde316acbf76c14c5a05935",
     "sweep.csv":
         "fb8c2e18622dbba719392ea5b5ad7f5b626329f3e5233d815aa92c29d66e86be",
     "sweep.json":

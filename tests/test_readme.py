@@ -1,4 +1,4 @@
-"""The library examples in README.md import names that exist."""
+"""The library examples in README.md import names that exist, and run."""
 
 import importlib
 import pathlib
@@ -9,6 +9,7 @@ README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 # ``from rae.x import a, b`` on one line, or ``from rae.x import (...)``
 # across several.
 IMPORT = re.compile(r"^from (rae(?:\.\w+)*) import (\([^)]*\)|[^\n]*)", re.MULTILINE)
+PYTHON_BLOCK = re.compile(r"^```python\n(.*?)^```", re.MULTILINE | re.DOTALL)
 
 
 def readme_imports():
@@ -26,3 +27,15 @@ def test_readme_imports_resolve():
     missing = [f"{module}.{name}" for module, name in pairs
                if not hasattr(importlib.import_module(module), name)]
     assert missing == []
+
+
+def test_readme_examples_run(tmp_path, monkeypatch):
+    """Every ``python`` block runs, in README order and in one namespace
+    (a later block may use an earlier one's names), from an empty working
+    directory, so a renamed function or field fails here."""
+    blocks = PYTHON_BLOCK.findall(README.read_text(encoding="utf-8"))
+    assert len(blocks) >= 2, "README.md has no python examples"
+    monkeypatch.chdir(tmp_path)
+    namespace = {"__name__": "readme_example"}
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), namespace)
