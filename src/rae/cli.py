@@ -87,6 +87,13 @@ def _resolve_seed(value: int | None) -> int:
     return seed
 
 
+def _check_bootstrap(count: int | None) -> None:
+    """Reject a ``--bootstrap`` count below 1 before any work; ``None``
+    leaves the per-register default of ``estimate``."""
+    if count is not None and count < 1:
+        raise ValueError(f"--bootstrap must be a positive integer, got {count}")
+
+
 def _load_problem(spec: str, theta: float | None):
     """Builtin problem name or path to a saved Hamiltonian file."""
     if spec in _BUILTIN_PROBLEMS:
@@ -220,6 +227,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
     if not (np.isfinite(args.band) and args.band > 0.0):
         raise ValueError(f"--band must be a finite positive number, got {args.band}")
+    _check_bootstrap(args.bootstrap)
     datasets = [(path, load_dataset(path)) for path in args.files]
     provenance = {
         (d.metadata.get("ansatz"), d.metadata.get("theta"), d.metadata.get("lam"))
@@ -273,6 +281,7 @@ def _sweep_setup(args: argparse.Namespace):
     schedule per row (sizes 0 to ``--i-max``), grid, and the report
     config."""
     seed = _resolve_seed(args.seed)
+    _check_bootstrap(args.bootstrap)
     h, ansatz = _load_problem(args.hamiltonian, args.theta)
     if ansatz is None:
         raise ValueError(

@@ -16,7 +16,6 @@ import numpy as np
 
 from .fisher import crb_rmse, direct_error_model, direct_mse_model
 from .inference import (
-    PI_INSET,
     IdentifiabilityError,
     MLEGrid,
     ParityDataset,
@@ -196,10 +195,9 @@ def term_row(dataset: ParityDataset, result, replicates) -> dict:
     else:
         schedule = LayerSchedule(tuple(sorted(dataset.layer_values())),
                                  shot_counts.pop())
-        # the bound needs |Pi| < 1; an edge fit is taken at the grid's inset
-        pi_bound = min(max(result.pi_hat, -1.0 + PI_INSET), 1.0 - PI_INSET)
+        # a grid fit has |Pi| <= 1 - PI_INSET, inside the bound's domain
         try:
-            crb = crb_rmse(pi_bound, result.lambda_hat, schedule)
+            crb = crb_rmse(result.pi_hat, result.lambda_hat, schedule)
         except IdentifiabilityError as exc:
             note = str(exc)
     return {

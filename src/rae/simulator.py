@@ -18,6 +18,7 @@ summarizes is kept in the tests as the reference it is checked against.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -47,13 +48,126 @@ def sample_parities(p_even, n_shots, seed) -> list:
     along the first axis of ``p_even``; the package's only source of
     randomness.
 
-    ``seed`` (an int or a ``SeedSequence``) spawns one child per entry, and
-    entry ``k`` is ``default_rng(child_k).binomial(n_shots, p_even[k])``:
-    an int for a scalar entry, an array for a row.  Entry ``k`` therefore
-    depends only on ``(seed, k)``, and a longer draw extends a shorter one.
+    Entry ``k`` is ``default_rng(child_k).binomial(n_shots, p_even[k])``
+    for the ``k``-th child that ``SeedSequence.spawn`` would give ``seed``
+    (an int or a ``SeedSequence``): an int for a scalar entry, an array for
+    a row.  Entry ``k`` therefore depends only on ``(seed, k)``, and a
+    longer draw extends a shorter one.  The children's PCG64 seeds are
+    derived in one pass (``_child_seed_words``), not by spawning, so a
+    ``SeedSequence`` passed in is numbered from its ``n_children_spawned``
+    but not advanced: passing it twice draws the same counts twice.  No
+    caller in the package does.
     """
     if np.any(np.asarray(n_shots) <= 0):
         raise ValueError("n_shots must be positive")
-    base = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    return [np.random.default_rng(child).binomial(n_shots, p)
-            for child, p in zip(base.spawn(len(p_even)), p_even)]
+    from numpy.random import PCG64, Generator, SeedSequence
+    base = seed if isinstance(seed, SeedSequence) else SeedSequence(seed)
+    child_seed = _child_seed_type()
+    return [Generator(PCG64(child_seed(words))).binomial(n_shots, p)
+            for words, p in zip(_child_seed_words(base, len(p_even)), p_even)]
+
+
+# NumPy's SeedSequence hash (numpy/random/bit_generator.pyx), whose output
+# NumPy keeps stable across releases.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+# generate_state(4, uint64) hashes 8 uint32 words, word i from pool lane
+# i % pool_size, each with its own constant.
+_OUT_CONSTS = [_INIT_B * pow(_MULT_B, i, 2**32) & _MASK32 for i in range(9)]
+_OUT_XOR = np.array(_OUT_CONSTS[:8], np.uint32)[:, None]
+_OUT_MULT = np.array(_OUT_CONSTS[1:], np.uint32)[:, None]
+_OUT_WORDS = np.arange(8)
+
+
+def _hashmix(value: int, const: int) -> tuple:
+    """One word through the hash: the hashed word and the next constant."""
+    const_next = const * _MULT_A & _MASK32
+    value = (value ^ const) * const_next & _MASK32
+    return value ^ value >> 16, const_next
+
+
+def _mix(x: int, y: int) -> int:
+    mixed = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return mixed ^ mixed >> 16
+
+
+def _uint32_words(value) -> list:
+    """An int, or a nested sequence of ints, as SeedSequence's uint32 words
+    (each int little-endian, 0 as one word)."""
+    if isinstance(value, (int, np.integer)):
+        value = int(value)
+        words = [value & _MASK32]
+        while value > _MASK32:
+            value >>= 32
+            words.append(value & _MASK32)
+        return words
+    return [word for item in value for word in _uint32_words(item)]
+
+
+def _child_seed_words(base, n: int) -> np.ndarray:
+    """``(n, 4)`` uint64: row ``k`` equals
+    ``base.spawn(...)[k].generate_state(4, np.uint64)`` for the ``n``
+    children numbered from ``base.n_children_spawned``.
+
+    A child's entropy is the base's, zero-padded to the pool size, then the
+    base's spawn key, then its own index.  Everything up to the index is
+    the same for every child, so it is hashed into the pool once, with
+    Python ints; only the index is mixed in per child, as a
+    ``(pool_size, n)`` uint32 array with one hash constant per pool lane.
+    """
+    first = base.n_children_spawned
+    if first + n > 2**32:
+        raise ValueError("child index must be below 2**32")
+    size = base.pool_size
+    prefix = _uint32_words(base.entropy)
+    prefix += [0] * (size - len(prefix)) + _uint32_words(base.spawn_key)
+    const = _INIT_A
+    pool = []
+    for word in prefix[:size]:
+        hashed, const = _hashmix(word, const)
+        pool.append(hashed)
+    for src in range(size):
+        for dst in range(size):
+            if src != dst:
+                hashed, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], hashed)
+    for word in prefix[size:]:
+        for dst in range(size):
+            hashed, const = _hashmix(word, const)
+            pool[dst] = _mix(pool[dst], hashed)
+    # The index k enters lane d as _mix(pool[d], _hashmix(k, const_d)[0]).
+    consts = [const]
+    for _ in range(size):
+        consts.append(consts[-1] * _MULT_A & _MASK32)
+    xor, mult, scaled = np.array(
+        [consts[:-1], consts[1:], [_MIX_L * word & _MASK32 for word in pool]],
+        np.uint32)[:, :, None]
+    index = np.arange(first, first + n, dtype=np.uint64).astype(np.uint32)
+    hashed = (index ^ xor) * mult
+    hashed ^= hashed >> 16
+    lanes = scaled - hashed * _MIX_R
+    lanes ^= lanes >> 16
+    state = (lanes[_OUT_WORDS % size] ^ _OUT_XOR) * _OUT_MULT
+    state ^= state >> 16
+    return np.ascontiguousarray(state.T, "<u4").view("<u8").astype(np.uint64, copy=False)
+
+
+@functools.cache
+def _child_seed_type():
+    """A seed sequence that hands PCG64 one row of ``_child_seed_words``.
+    Built on first use so that importing ``rae`` does not load
+    ``numpy.random``."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class _ChildSeed(ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError("a child seed holds only PCG64's four uint64 words")
+            return self.words
+
+    return _ChildSeed

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import synthetic_curve
-from rae import cli
+from rae import cli, energy
 from rae.cli import main, _fmt
 from rae.energy import sweep_cell
 from rae.inference import (
@@ -47,6 +47,21 @@ def run(*argv):
 SMALL_GRID_ARGS = (
     "--grid-pi", 1001, "--grid-lambda", 11, "--grid-lambda-max", 0.25,
 )
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("estimated before the flags were checked")
+
+
+def _bootstrap_count_rejected(argv, count, outputs, capsys, monkeypatch):
+    """``sweep`` and ``energy`` reject ``--bootstrap count`` in their shared
+    set-up: exit 2 naming the flag, no cell estimated, no file written."""
+    monkeypatch.setattr(cli, "sweep_cell", _no_work)
+    monkeypatch.setattr(energy, "sweep_cell", _no_work)
+    assert run(*argv, "--bootstrap", count) == 2
+    assert capsys.readouterr().err == \
+        f"error: --bootstrap must be a positive integer, got {count}\n"
+    assert not any(path.exists() for path in outputs)
 
 
 class TestGenerate:
@@ -240,6 +255,20 @@ class TestEstimate:
         assert err.startswith("error: --band must be a finite positive number")
         assert not report.exists()
 
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_bootstrap_must_be_positive(self, tmp_path, capsys, monkeypatch,
+                                        count):
+        """Rejected before the first term's estimate, naming the flag."""
+        data = self.generated(tmp_path)
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "estimate_term", _no_work)
+        report = tmp_path / "rep.json"
+        assert run("estimate", data / "Z.json", data / "X.json",
+                   "--bootstrap", count, *SMALL_GRID_ARGS, "--out", report) == 2
+        assert capsys.readouterr().err == \
+            f"error: --bootstrap must be a positive integer, got {count}\n"
+        assert not report.exists()
+
 
 class TestSweep:
     ARGS = (
@@ -303,6 +332,13 @@ class TestSweep:
         assert capsys.readouterr().err == "error: i_max must be non-negative\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_bootstrap_must_be_positive(self, tmp_path, capsys, monkeypatch,
+                                        count):
+        out = tmp_path / "sweep.csv"
+        _bootstrap_count_rejected((*self.ARGS, "--out", out), count, [out],
+                                  capsys, monkeypatch)
+
 
 class TestEnergy:
     ARGS = (
@@ -347,6 +383,13 @@ class TestEnergy:
         assert run(*self.ARGS, "--i-max", -1, "--out", out, "--json", sidecar) == 2
         assert capsys.readouterr().err == "error: i_max must be non-negative\n"
         assert not out.exists() and not sidecar.exists()
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_bootstrap_must_be_positive(self, tmp_path, capsys, monkeypatch,
+                                        count):
+        out, sidecar = tmp_path / "energy.csv", tmp_path / "energy.json"
+        _bootstrap_count_rejected((*self.ARGS, "--out", out, "--json", sidecar),
+                                  count, [out, sidecar], capsys, monkeypatch)
 
     def test_rerun_is_byte_identical(self, tmp_path):
         for name in ("a", "b"):

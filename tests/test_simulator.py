@@ -1,6 +1,9 @@
 """Density-matrix pipeline against the Chebyshev closed form."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -23,10 +26,11 @@ from oracles import (
     prepare_noisy_ansatz,
     validate,
 )
+import rae
 from rae import energy, jsonio, noisefit
 from rae.pauli import AnsatzSpec, PauliString, builtin_problem, oracle_expectation
 from rae.schedules import LayerSchedule
-from rae.simulator import sample_parities
+from rae.simulator import _child_seed_type, _child_seed_words, sample_parities
 
 ANSATZ_1Q = AnsatzSpec("one_qubit_ry", -6.5095)
 ANSATZ_2Q = AnsatzSpec("two_qubit_ucc", -6.0575)
@@ -252,6 +256,95 @@ class TestSampleParities:
         for p_even in (np.full(3, 0.5), np.full((2, 3), 0.5)):
             with pytest.raises(ValueError, match="n_shots must be positive"):
                 sample_parities(p_even, n_shots, 0)
+
+
+def _spawned_words(base, n):
+    """NumPy's own path: the PCG64 seed words of ``base.spawn(n)``."""
+    return np.array([child.generate_state(4, np.uint64) for child in base.spawn(n)])
+
+
+class TestChildSeedWords:
+    """The one-pass child seeds equal the seeds of ``SeedSequence.spawn``'s
+    children, bit for bit."""
+
+    @pytest.mark.parametrize("pool_size", [4, 8])
+    @pytest.mark.parametrize("spawn_key", [(), (3,), (1, 2, 0), (2**33,)])
+    @pytest.mark.parametrize("entropy", [0, 31, 2**40 + 7, 2**130 + 5,
+                                         [1, 2, 3, 4, 5, 6]],
+                             ids=["0", "31", "2^40+7", "2^130+5", "list"])
+    def test_equal_spawned_children(self, entropy, spawn_key, pool_size):
+        for n in (1, 2, 300):
+            base = np.random.SeedSequence(entropy, spawn_key=spawn_key,
+                                          pool_size=pool_size)
+            words = _child_seed_words(base, n)
+            assert words.dtype == np.uint64 and words.shape == (n, 4)
+            assert np.array_equal(words, _spawned_words(base, n))
+
+    @pytest.mark.parametrize("entropy,spawn_key,pool_size", [
+        (31, (), 4), (2**130 + 5, (1, 2, 0), 8)])
+    def test_large_call(self, entropy, spawn_key, pool_size):
+        base = np.random.SeedSequence(entropy, spawn_key=spawn_key,
+                                      pool_size=pool_size)
+        assert np.array_equal(_child_seed_words(base, 10_000),
+                              _spawned_words(base, 10_000))
+
+    def test_numbered_from_children_already_spawned(self):
+        base = np.random.SeedSequence(31, spawn_key=(3,))
+        base.spawn(5)
+        words = _child_seed_words(base, 7)
+        assert base.n_children_spawned == 5
+        assert np.array_equal(words, _spawned_words(base, 7))
+        fresh = np.random.SeedSequence(31, spawn_key=(3,), n_children_spawned=5)
+        assert np.array_equal(_child_seed_words(fresh, 7), words)
+
+    def test_sampler_reads_but_does_not_advance_the_counter(self):
+        base = np.random.SeedSequence(8, spawn_key=(2,))
+        base.spawn(3)
+        p_even = np.linspace(0.1, 0.9, 4)
+        counts = sample_parities(p_even, 100, base)
+        assert base.n_children_spawned == 3
+        assert sample_parities(p_even, 100, base) == counts
+        assert counts == [np.random.default_rng(child).binomial(100, p)
+                          for child, p in zip(base.spawn(4), p_even)]
+
+    def test_child_index_must_fit_one_word(self):
+        # the last one-word child is built directly: NumPy 2.4's own
+        # ``spawn`` from this counter does not return
+        base = np.random.SeedSequence(7, n_children_spawned=2**32 - 1)
+        last = np.random.SeedSequence(7, spawn_key=(2**32 - 1,))
+        assert np.array_equal(_child_seed_words(base, 1)[0],
+                              last.generate_state(4, np.uint64))
+        assert _child_seed_words(base, 0).shape == (0, 4)
+        for call in (lambda: _child_seed_words(base, 2),
+                     lambda: sample_parities(np.full(2, 0.5), 10, base)):
+            with pytest.raises(ValueError, match="below 2\\*\\*32"):
+                call()
+
+    def test_child_seed_serves_only_pcg64(self):
+        seed = _child_seed_type()(_child_seed_words(np.random.SeedSequence(1), 1)[0])
+        assert seed.generate_state(4, np.uint64).shape == (4,)
+        for n_words, dtype in ((4, np.uint32), (8, np.uint64), (2, np.uint64)):
+            with pytest.raises(ValueError, match="PCG64"):
+                seed.generate_state(n_words, dtype)
+
+
+def test_import_leaves_numpy_random_unloaded():
+    """``numpy.random`` is loaded on the first draw, not by importing any
+    ``rae`` module: it would add to every command's start-up time."""
+    src = os.path.dirname(os.path.dirname(rae.__file__))
+    code = (
+        "import importlib, pkgutil, sys, rae\n"
+        "names = [m.name for m in pkgutil.iter_modules(rae.__path__)]\n"
+        "for name in names:\n"
+        "    importlib.import_module('rae.' + name)\n"
+        "print(len(names), 'numpy' in sys.modules, 'numpy.random' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True, env=env).stdout.split()
+    assert int(out[0]) >= 9
+    assert out[1:] == ["True", "False"]
 
 
 @pytest.fixture
