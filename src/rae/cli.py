@@ -17,6 +17,7 @@ internal error reported in one line).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import hashlib
 import json
@@ -135,6 +136,16 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
+@contextlib.contextmanager
+def _writing(path):
+    """Report a failure to write ``path`` as a bad output argument (exit 2),
+    not as an unreadable input."""
+    try:
+        yield
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _write_report(path: str, stamp: bool, body: dict,
                   config: dict | None = None) -> None:
     """JSON report: ``body`` plus the format version and the optional
@@ -143,7 +154,8 @@ def _write_report(path: str, stamp: bool, body: dict,
     if config is not None:
         doc["config"] = config
         doc["config_sha256"] = _config_digest(config)
-    _write_text(path, jsonio.dumps(doc))
+    with _writing(path):
+        _write_text(path, jsonio.dumps(doc))
     print(f"wrote {path}")
 
 
@@ -198,7 +210,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
                                   "degree", "c", "shots"), ansatz)
     digest = _config_digest(config)
     stamp = _utc_stamp(args.stamp)
-    os.makedirs(args.out, exist_ok=True)
+    with _writing(args.out):
+        os.makedirs(args.out, exist_ok=True)
     for j, (_, string) in enumerate(terms):
         prior = None
         if args.schedule == "nris":
@@ -215,7 +228,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
         if stamp is not None:
             dataset.metadata["generated_at"] = stamp
         path = os.path.join(args.out, f"{string.word}.json")
-        save_dataset(path, dataset)
+        with _writing(path):
+            save_dataset(path, dataset)
         print(
             f"wrote {path}: {len(dataset.records)} depths, "
             f"{query_cost(schedule)} queries"
@@ -229,11 +243,12 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         raise ValueError(f"--band must be a finite positive number, got {args.band}")
     _check_bootstrap(args.bootstrap)
     datasets = [(path, load_dataset(path)) for path in args.files]
-    provenance = {
+    # compared by equality: metadata is free-form and may not be hashable
+    provenance = [
         (d.metadata.get("ansatz"), d.metadata.get("theta"), d.metadata.get("lam"))
         for _, d in datasets
-    }
-    if len(provenance) > 1 and not args.force:
+    ]
+    if any(p != provenance[0] for p in provenance) and not args.force:
         raise ValueError(
             "input datasets disagree on ansatz/theta/lambda metadata; "
             "pass --force to combine them anyway"
@@ -307,7 +322,8 @@ def _write_table(args: argparse.Namespace, header: str, columns,
                  for c in columns)
         for row in rows
     ]
-    _write_text(args.out, "\n".join(lines) + "\n")
+    with _writing(args.out):
+        _write_text(args.out, "\n".join(lines) + "\n")
     print(f"wrote {args.out} ({len(rows)} rows)")
     if args.json:
         _write_report(args.json, args.stamp, {"rows": rows}, config)
@@ -352,6 +368,9 @@ def cmd_energy(args: argparse.Namespace) -> int:
 
 def cmd_fit_lambda(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
+    if not (np.isfinite(args.threshold) and args.threshold >= 0.0):
+        raise ValueError(
+            f"--threshold must be a finite non-negative number, got {args.threshold}")
     if args.files and args.simulate:
         raise ValueError("give saved curve files or --simulate, not both")
     if args.files:
@@ -501,6 +520,18 @@ def build_parser() -> argparse.ArgumentParser:
     family.add_argument("--shots", type=int, default=8192,
                         help="shots per layer (default: 8192)")
 
+    noise = argparse.ArgumentParser(add_help=False)
+    noise.add_argument("--lambda", dest="lam", type=float, default=0.0,
+                       help="depolarizing rate per layer (default: 0)")
+
+    table = argparse.ArgumentParser(add_help=False)
+    table.add_argument("--bootstrap", type=int, default=300,
+                       help="bootstrap replicates per term at each schedule size "
+                            "(default: 300)")
+    table.add_argument("--out", required=True, help="output CSV path")
+    table.add_argument("--json", default=None,
+                       help="also write a JSON report here")
+
     # only the commands that can build an nris schedule read --c
     nris = argparse.ArgumentParser(add_help=False)
     nris.add_argument("--c", type=float, default=1.0,
@@ -515,11 +546,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser(
-        "generate", parents=[problem, family, nris, seeding, stamping],
+        "generate", parents=[problem, family, nris, seeding, stamping, noise],
         help="simulate parity datasets, one JSON file per Pauli term",
     )
-    p.add_argument("--lambda", dest="lam", type=float, default=0.0,
-                   help="depolarizing rate per layer (default: 0)")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_generate)
 
@@ -540,27 +569,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser(
-        "sweep", parents=[problem, family, grid, seeding, stamping],
+        "sweep",
+        parents=[problem, family, grid, seeding, stamping, noise, table],
         help="per-term estimation error versus schedule size, as CSV",
     )
-    p.add_argument("--lambda", dest="lam", type=float, default=0.0,
-                   help="depolarizing rate per layer (default: 0)")
-    p.add_argument("--bootstrap", type=int, default=300,
-                   help="bootstrap replicates per cell (default: 300)")
-    p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--json", default=None, help="also write a JSON report here")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser(
-        "energy", parents=[problem, family, grid, seeding, stamping],
+        "energy",
+        parents=[problem, family, grid, seeding, stamping, noise, table],
         help="ground-state energy error versus schedule size, as CSV",
     )
-    p.add_argument("--lambda", dest="lam", type=float, default=0.0,
-                   help="depolarizing rate per layer (default: 0)")
-    p.add_argument("--bootstrap", type=int, default=300,
-                   help="bootstrap replicates per term (default: 300)")
-    p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--json", default=None, help="also write a JSON report here")
     p.set_defaults(func=cmd_energy)
 
     p = sub.add_parser(

@@ -65,7 +65,10 @@ def fisher_matrix(pi: float, lam: float, schedule: LayerSchedule) -> FisherMatri
         k = 2 * layers + 1
         s = math.sin(k * phi)
         c = math.cos(k * phi)
-        e = math.exp(lam * k)
+        try:
+            e = math.exp(lam * k)
+        except OverflowError:  # no contrast left: the layer adds zero information
+            e = math.inf
         gap = e - c * c
         i11 += n * k * k * s * s / (one_minus_pi2 * gap)
         i12 += n * (layers + 0.5) ** 2 * (2.0 * s * c) / (math.sqrt(one_minus_pi2) * -gap)

@@ -100,8 +100,13 @@ class ParityDataset:
                          jsonio.integer(r["e_even"]))
             for r in doc["records"]
         )
+        metadata = doc.get("metadata", {})
+        if not isinstance(metadata, dict):
+            raise jsonio.DatasetFormatError(
+                f"dataset metadata must be a JSON object, not a "
+                f"{type(metadata).__name__}")
         return cls(pauli=str(doc["pauli"]), records=records,
-                   metadata=dict(doc.get("metadata", {})))
+                   metadata=dict(metadata))
 
 
 def save_dataset(path: str, dataset: ParityDataset) -> None:
@@ -256,12 +261,14 @@ class LikelihoodGrid:
     order, on a fixed grid: the grid's axes, the model's factors per grid
     row and column, and two levels of bounds.  Each block has a range
     ``[p_lo, p_hi]`` of ``p0`` per layer and upper bounds of ``log p0`` and
-    ``log p1`` per layer; each super-block, ``SUPER`` blocks along Pi in
-    one lam block, has the max of its blocks' upper bounds and ``p_hi`` and
-    the min of their ``p_lo``.  A super-block's values are thus the
-    extremes of stored values that bound every cell of its blocks, and the
-    arguments of :func:`_rounding_slack` and :func:`_concave_slack` carry
-    over to it unchanged.
+    ``log p1`` per layer.  Each super-block, ``SUPER`` blocks along Pi in
+    one lam block, has the same values, computed the same way from the
+    range of ``C`` over its Pi rows.  They bound every cell of its blocks,
+    so the arguments of :func:`_rounding_slack` and :func:`_concave_slack`
+    carry over to it unchanged.  Its ``p_lo`` and ``p_hi`` are exactly the
+    extremes of its blocks' (each step from ``C`` to ``p0`` is monotone
+    and correctly rounded), and so are its log bounds wherever ``log`` and
+    ``log1p`` are monotone.
 
     One fixed-order kernel, :meth:`_exact`, computes the model at the cells
     it is given and makes every decision (argmax, ties, degeneracy), so a
@@ -282,45 +289,30 @@ class LikelihoodGrid:
             self.pi_values, self.lambda_values,
             np.array(self.layer_values, dtype=float)[:, None])
 
-        def block_range(values):
-            starts = np.arange(0, values.shape[1], BLOCK)
+        def block_range(values, width):
+            starts = np.arange(0, values.shape[1], width)
             return (np.minimum.reduceat(values, starts, axis=1),
                     np.maximum.reduceat(values, starts, axis=1))
 
-        (c_lo, c_hi), (e_lo, e_hi) = block_range(self._cheb), block_range(self._decay)
+        e_lo, e_hi = block_range(self._decay, BLOCK)
+        n_l = len(self.layer_values)
 
         def p0_extreme(c, pick):
             # E >= 0, so the block's extreme products pair C's extreme with
-            # either extreme of E
+            # either extreme of E; (blocks, layers), so that a row's blocks
+            # gather contiguous rows
             ce = pick(c[:, :, None] * e_lo[:, None, :], c[:, :, None] * e_hi[:, None, :])
-            return np.clip(0.5 * (1.0 + ce), P_EPS, 1.0 - P_EPS)
+            return np.clip(0.5 * (1.0 + ce), P_EPS, 1.0 - P_EPS).reshape(n_l, -1).T.copy()
 
-        n_l = len(self.layer_values)
-        # (blocks, layers), so that a row's blocks gather contiguous rows
-        self._p_hi = p0_extreme(c_hi, np.maximum).reshape(n_l, -1).T.copy()
-        self._p_lo = p0_extreme(c_lo, np.minimum).reshape(n_l, -1).T.copy()
-        self._bounds = (1.0 - _rounding_slack(n_l)) * np.concatenate(
-            [np.log(self._p_hi.T), np.log1p(-self._p_lo.T)])
+        def level(width):
+            # p0 ranges and log bounds of blocks `width` Pi rows tall
+            c_lo, c_hi = block_range(self._cheb, width)
+            p_lo, p_hi = p0_extreme(c_lo, np.minimum), p0_extreme(c_hi, np.maximum)
+            return p_lo, p_hi, (1.0 - _rounding_slack(n_l)) * np.concatenate(
+                [np.log(p_hi.T), np.log1p(-p_lo.T)])
 
-        n_bi, n_bj = -(-grid.pi_points // BLOCK), -(-grid.lambda_points // BLOCK)
-        n_si = -(-n_bi // SUPER)
-
-        def coarsen(values, pick, axis):
-            # the flat block axis splits into (Pi-blocks, lam-blocks), and a
-            # super-block is SUPER consecutive Pi-blocks; repeating the last
-            # Pi-block fills a ragged last super-block without changing
-            # its extremes
-            head, tail = values.shape[:axis], values.shape[axis + 1:]
-            split = values.reshape(head + (n_bi, n_bj) + tail)
-            if n_si * SUPER > n_bi:
-                last = np.take(split, [n_bi - 1] * (n_si * SUPER - n_bi), axis=axis)
-                split = np.concatenate([split, last], axis=axis)
-            return pick.reduce(split.reshape(head + (n_si, SUPER, n_bj) + tail),
-                               axis=axis + 1).reshape(head + (-1,) + tail)
-
-        self._super_p_hi = coarsen(self._p_hi, np.maximum, 0)
-        self._super_p_lo = coarsen(self._p_lo, np.minimum, 0)
-        self._super_bounds = coarsen(self._bounds, np.maximum, 1)
+        self._p_lo, self._p_hi, self._bounds = level(BLOCK)
+        self._super_p_lo, self._super_p_hi, self._super_bounds = level(BLOCK * SUPER)
         for values in vars(self).values():
             if isinstance(values, np.ndarray):
                 values.setflags(write=False)

@@ -81,29 +81,12 @@ _OUT_MULT = np.array(_OUT_CONSTS[1:], np.uint32)[:, None]
 _OUT_WORDS = np.arange(8)
 
 
-def _hashmix(value: int, const: int) -> tuple:
-    """One word through the hash: the hashed word and the next constant."""
-    const_next = const * _MULT_A & _MASK32
-    value = (value ^ const) * const_next & _MASK32
-    return value ^ value >> 16, const_next
-
-
-def _mix(x: int, y: int) -> int:
-    mixed = (_MIX_L * x - _MIX_R * y) & _MASK32
-    return mixed ^ mixed >> 16
-
-
-def _uint32_words(value) -> list:
-    """An int, or a nested sequence of ints, as SeedSequence's uint32 words
-    (each int little-endian, 0 as one word)."""
+def _n_words(value) -> int:
+    """How many uint32 words SeedSequence makes of an int, or of a nested
+    sequence of ints (each int little-endian, 0 as one word)."""
     if isinstance(value, (int, np.integer)):
-        value = int(value)
-        words = [value & _MASK32]
-        while value > _MASK32:
-            value >>= 32
-            words.append(value & _MASK32)
-        return words
-    return [word for item in value for word in _uint32_words(item)]
+        return max(1, -(-int(value).bit_length() // 32))
+    return sum(map(_n_words, value))
 
 
 def _child_seed_words(base, n: int) -> np.ndarray:
@@ -113,37 +96,25 @@ def _child_seed_words(base, n: int) -> np.ndarray:
 
     A child's entropy is the base's, zero-padded to the pool size, then the
     base's spawn key, then its own index.  Everything up to the index is
-    the same for every child, so it is hashed into the pool once, with
-    Python ints; only the index is mixed in per child, as a
-    ``(pool_size, n)`` uint32 array with one hash constant per pool lane.
+    the same for every child and already hashed into ``base.pool``; only
+    the index is mixed in per child, as a ``(pool_size, n)`` uint32 array
+    with one hash constant per pool lane.  Building the pool from ``w``
+    words advanced the hash constant ``w * pool_size`` times: once per
+    lane for the first ``pool_size`` words, ``pool_size * (pool_size - 1)``
+    times for the all-pairs mix, and ``pool_size`` times per later word.
     """
     first = base.n_children_spawned
     if first + n > 2**32:
         raise ValueError("child index must be below 2**32")
     size = base.pool_size
-    prefix = _uint32_words(base.entropy)
-    prefix += [0] * (size - len(prefix)) + _uint32_words(base.spawn_key)
-    const = _INIT_A
-    pool = []
-    for word in prefix[:size]:
-        hashed, const = _hashmix(word, const)
-        pool.append(hashed)
-    for src in range(size):
-        for dst in range(size):
-            if src != dst:
-                hashed, const = _hashmix(pool[src], const)
-                pool[dst] = _mix(pool[dst], hashed)
-    for word in prefix[size:]:
-        for dst in range(size):
-            hashed, const = _hashmix(word, const)
-            pool[dst] = _mix(pool[dst], hashed)
-    # The index k enters lane d as _mix(pool[d], _hashmix(k, const_d)[0]).
-    consts = [const]
-    for _ in range(size):
-        consts.append(consts[-1] * _MULT_A & _MASK32)
-    xor, mult, scaled = np.array(
-        [consts[:-1], consts[1:], [_MIX_L * word & _MASK32 for word in pool]],
-        np.uint32)[:, :, None]
+    words = max(_n_words(base.entropy), size) + _n_words(base.spawn_key)
+    # The index k enters lane d as mix(pool[d], hashmix(k)): hashmix xors
+    # with const_d and multiplies by const_{d+1}, mix is
+    # MIX_L * pool[d] - MIX_R * hashed, and each ends with x ^= x >> 16.
+    consts = [_INIT_A * pow(_MULT_A, words * size + d, 2**32) & _MASK32
+              for d in range(size + 1)]
+    xor, mult = np.array([consts[:-1], consts[1:]], np.uint32)[:, :, None]
+    scaled = (base.pool * _MIX_L)[:, None]
     index = np.arange(first, first + n, dtype=np.uint64).astype(np.uint32)
     hashed = (index ^ xor) * mult
     hashed ^= hashed >> 16

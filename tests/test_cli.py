@@ -200,6 +200,27 @@ class TestEstimate:
         assert run(*argv) == 2
         assert run(*argv, "--force") == 0
 
+    def test_unhashable_provenance_compared_by_equality(self, tmp_path,
+                                                         capsys):
+        """A list-valued theta names no ansatz angle, so the file is
+        estimated about pi_hat; two files that differ only in it still
+        disagree on provenance."""
+        doc = json.loads((self.generated(tmp_path) / "Z.json").read_text())
+        paths = []
+        for theta in ([1, 2], [1, 3]):
+            doc["metadata"]["theta"] = theta
+            paths.append(tmp_path / f"theta-{theta[1]}.json")
+            paths[-1].write_text(json.dumps(doc))
+        report = tmp_path / "rep.json"
+        assert run("estimate", paths[0], "--bootstrap", 10, *SMALL_GRID_ARGS,
+                   "--out", report) == 0
+        assert json.loads(report.read_text())["terms"][0]["reference"] == "pi_hat"
+        capsys.readouterr()
+        argv = ("estimate", *paths, "--bootstrap", 10, *SMALL_GRID_ARGS)
+        assert run(*argv) == 2
+        assert "disagree on ansatz/theta/lambda" in capsys.readouterr().err
+        assert run(*argv, "--force") == 0
+
     def test_corrupt_file_exit_3(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"version": 1, "records": [')
@@ -488,6 +509,17 @@ class TestFitLambda:
         err = capsys.readouterr().err
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-0.5"])
+    def test_threshold_must_be_finite_and_non_negative(self, capsys,
+                                                       monkeypatch, threshold):
+        """Rejected before any curve is simulated, naming the flag."""
+        monkeypatch.setattr(cli, "simulate_curve", _no_work)
+        assert run("fit-lambda", "--simulate", "--hamiltonian", "one_qubit",
+                   "--layers", 1, f"--threshold={threshold}") == 2
+        assert capsys.readouterr().err == (
+            "error: --threshold must be a finite non-negative number, "
+            f"got {float(threshold)}\n")
+
     def test_simulate_needs_an_invertible_term(self, capsys):
         assert run("fit-lambda", "--simulate", "--hamiltonian", "two_qubit",
                    "--term", "Z", "--layers", 1) == 2
@@ -527,6 +559,23 @@ class TestSchedule:
         assert bounds[-1] < bounds[0]
         assert "n/a" in capsys.readouterr().out
 
+    def test_overflowing_depths_repeat_the_shallower_bound(self, tmp_path,
+                                                           capsys):
+        """Layers whose contrast e^{-lam (2L+1)} underflows add no
+        information: their prefixes repeat the bound before them, and a
+        schedule with no usable layer prints n/a throughout."""
+        report = tmp_path / "sched.json"
+        assert run("schedule", "--schedule", "eis", "--i-max", 12,
+                   "--lambda", 0.5, "--pi", 0.3, "--out", report) == 0
+        bounds = [p["crb"] for p in json.loads(report.read_text())["prefixes"]]
+        assert bounds[0] is None and bounds[-1] > 0
+        assert bounds[-1] == bounds[-2] == bounds[-3]
+        capsys.readouterr()
+        assert run("schedule", "--schedule", "eis", "--i-max", 3,
+                   "--lambda", 800, "--pi", 0.3) == 0
+        out = capsys.readouterr().out
+        assert out.count("crb=n/a") == 4 and "error" not in out
+
     def test_nris_matches_library(self, tmp_path, capsys):
         code = run(
             "schedule", "--schedule", "nris", "--i-max", 8, "--shots", 100,
@@ -540,6 +589,46 @@ class TestSchedule:
 
     def test_nris_without_prior_rejected(self):
         assert run("schedule", "--schedule", "nris", "--lambda", 0.05) == 2
+
+
+# command -> its argv writing to ``out``, given a scratch directory
+UNWRITABLE = {
+    "estimate": lambda tmp, out: (
+        "estimate", TestEstimate().generated(tmp) / "Z.json", "--bootstrap", 5,
+        *SMALL_GRID_ARGS, "--out", out),
+    "sweep": lambda tmp, out: (*TestSweep.ARGS, "--out", out),
+    "energy": lambda tmp, out: (*TestEnergy.ARGS, "--out", tmp / "e.csv",
+                                "--json", out),
+    "fit-lambda": lambda tmp, out: (
+        "fit-lambda", "--simulate", "--hamiltonian", "one_qubit", "--layers", 1,
+        "--shots", 100, "--out", out),
+    "schedule": lambda tmp, out: ("schedule", "--out", out),
+}
+
+
+class TestUnwritableOutput:
+    """An output path that cannot be written is a bad argument: exit 2 and
+    one line naming the path, never an unreadable input or an internal
+    error."""
+
+    def assert_rejected(self, argv, out, capsys):
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", sorted(UNWRITABLE))
+    def test_missing_directory(self, tmp_path, capsys, command):
+        out = tmp_path / "missing" / "out"
+        self.assert_rejected(UNWRITABLE[command](tmp_path, out), out, capsys)
+
+    @pytest.mark.parametrize("under", ["file", "file/sub"])
+    def test_generate_into_a_file(self, tmp_path, capsys, under):
+        (tmp_path / "file").write_text("")
+        out = tmp_path / under
+        self.assert_rejected(("generate", "--hamiltonian", "one_qubit",
+                              "--i-max", 1, "--shots", 16, "--out", out),
+                             out, capsys)
 
 
 class TestUnreadFlags:
@@ -622,6 +711,8 @@ MALFORMED = [
     ("hamiltonian", "ansatz-without-theta", _ansatz_without_theta),
     ("curve", "version=true", lambda doc, key: {**doc, "version": True}),
     ("dataset", "version=1.0", lambda doc, key: {**doc, "version": 1.0}),
+    ("dataset", "metadata-not-an-object",
+     lambda doc, key: {**doc, "metadata": [["a", 1]]}),
 ]
 
 

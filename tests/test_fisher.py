@@ -82,6 +82,17 @@ class TestFisherMatrix:
         b = fisher_matrix(0.3, 0.1, LayerSchedule((0, 1, 4), 700))
         assert b.matrix() == pytest.approx(7.0 * a.matrix(), rel=1e-12)
 
+    def test_overflowing_layer_adds_zero_information(self):
+        """e^{lam (2L+1)} beyond the float range counts as infinite: the
+        deep layer leaves the shallower matrix exactly as it was."""
+        shallow = fisher_matrix(0.3, 0.5, LayerSchedule((0, 1, 2), 8192))
+        deep = fisher_matrix(0.3, 0.5, LayerSchedule((0, 1, 2, 2048), 8192))
+        assert deep == shallow
+        none = fisher_matrix(0.3, 800.0, LayerSchedule((0, 1), 8192))
+        assert (none.i11, none.i12, none.i22) == (0.0, 0.0, 0.0)
+        with pytest.raises(IdentifiabilityError):
+            crb_rmse(0.3, 800.0, LayerSchedule((0, 1), 8192))
+
     def test_domain_errors(self):
         sched = lis(2, 100)
         with pytest.raises(ValueError):

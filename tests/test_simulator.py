@@ -269,9 +269,12 @@ class TestChildSeedWords:
 
     @pytest.mark.parametrize("pool_size", [4, 8])
     @pytest.mark.parametrize("spawn_key", [(), (3,), (1, 2, 0), (2**33,)])
-    @pytest.mark.parametrize("entropy", [0, 31, 2**40 + 7, 2**130 + 5,
-                                         [1, 2, 3, 4, 5, 6]],
-                             ids=["0", "31", "2^40+7", "2^130+5", "list"])
+    @pytest.mark.parametrize("entropy", [
+        0, 31, 2**40 + 7, 2**130 + 5, [1, 2, 3, 4, 5, 6], None,
+        np.array([7, 2**32 - 1, 0, 5, 9], np.uint32),
+        np.array([3, 2**40, 2**64 - 1], np.uint64), 2**32 - 1, 2**32,
+    ], ids=["0", "31", "2^40+7", "2^130+5", "list", "None", "uint32-array",
+            "uint64-array", "2^32-1", "2^32"])
     def test_equal_spawned_children(self, entropy, spawn_key, pool_size):
         for n in (1, 2, 300):
             base = np.random.SeedSequence(entropy, spawn_key=spawn_key,
