@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import datetime
+import errno
 import hashlib
 import json
 import os
@@ -35,7 +36,7 @@ from .energy import (
     sweep_cell,
     term_row,
 )
-from .fisher import advantage_verdict, crb_rmse
+from .fisher import NoContrastError, advantage_verdict, crb_rmse
 from .inference import (
     BOOTSTRAP_REPLICATES,
     IdentifiabilityError,
@@ -44,7 +45,7 @@ from .inference import (
     save_dataset,
 )
 from .jsonio import DatasetFormatError
-from .noisefit import lambda_profile, load_curve, simulate_curve
+from .noisefit import check_threshold, lambda_profile, load_curve, simulate_curve
 from .pauli import (
     AnsatzSpec,
     PauliString,
@@ -134,6 +135,25 @@ def _config_digest(payload: dict) -> str:
 def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
+
+
+def _check_writable(*paths) -> None:
+    """Reject, before any work, an output path whose directory is missing
+    or is not a directory, or that names a directory; ``None`` is no
+    output.  A failure left for write time goes through :func:`_writing`."""
+    for path in paths:
+        if path is None:
+            continue
+        directory = os.path.dirname(path) or os.curdir
+        if not os.path.exists(directory):
+            code = errno.ENOENT
+        elif not os.path.isdir(directory):
+            code = errno.ENOTDIR
+        elif os.path.isdir(path):
+            code = errno.EISDIR
+        else:
+            continue
+        raise ValueError(f"cannot write {path}: {os.strerror(code)}")
 
 
 @contextlib.contextmanager
@@ -242,6 +262,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     if not (np.isfinite(args.band) and args.band > 0.0):
         raise ValueError(f"--band must be a finite positive number, got {args.band}")
     _check_bootstrap(args.bootstrap)
+    _check_writable(args.out)
     datasets = [(path, load_dataset(path)) for path in args.files]
     # compared by equality: metadata is free-form and may not be hashable
     provenance = [
@@ -297,6 +318,7 @@ def _sweep_setup(args: argparse.Namespace):
     config."""
     seed = _resolve_seed(args.seed)
     _check_bootstrap(args.bootstrap)
+    _check_writable(args.out, args.json)
     h, ansatz = _load_problem(args.hamiltonian, args.theta)
     if ansatz is None:
         raise ValueError(
@@ -368,9 +390,8 @@ def cmd_energy(args: argparse.Namespace) -> int:
 
 def cmd_fit_lambda(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
-    if not (np.isfinite(args.threshold) and args.threshold >= 0.0):
-        raise ValueError(
-            f"--threshold must be a finite non-negative number, got {args.threshold}")
+    check_threshold(args.threshold, "--threshold")
+    _check_writable(args.out)
     if args.files and args.simulate:
         raise ValueError("give saved curve files or --simulate, not both")
     if args.files:
@@ -422,6 +443,7 @@ def cmd_fit_lambda(args: argparse.Namespace) -> int:
 
 
 def cmd_schedule(args: argparse.Namespace) -> int:
+    _check_writable(args.out)
     schedule = _build_schedule(args, args.i_max, args.pi)
     print(f"layers: {' '.join(str(layer) for layer in schedule.layers)}")
     print(f"shots per layer: {schedule.shots_per_layer}")
@@ -430,23 +452,23 @@ def cmd_schedule(args: argparse.Namespace) -> int:
         print(f"origin: {schedule.origin}")
     prefixes = []
     if args.pi is not None and args.lam is not None:
+        print("best-case rmse by schedule prefix:")
         for k in range(1, len(schedule.layers) + 1):
             sub = LayerSchedule(schedule.layers[:k], schedule.shots_per_layer)
+            bound = None
             try:
                 bound = crb_rmse(args.pi, args.lam, sub)
+                text = f"{bound:.6e}"
+            except NoContrastError:
+                text = "n/a (no contrast left at any depth)"
             except IdentifiabilityError:
-                bound = None
-            prefixes.append({
+                text = "n/a (depth set not identifiable)"
+            row = {
                 "layers": list(sub.layers),
                 "n_queries": int(query_cost(sub)),
                 "crb": None if bound is None else float(bound),
-            })
-        print("best-case rmse by schedule prefix:")
-        for row in prefixes:
-            if row["crb"] is None:
-                text = "n/a (depth set not identifiable)"
-            else:
-                text = f"{row['crb']:.6e}"
+            }
+            prefixes.append(row)
             print(
                 f"  L<={row['layers'][-1]:>4d}  queries={row['n_queries']:>9d}  "
                 f"crb={text}"

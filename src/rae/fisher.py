@@ -28,6 +28,11 @@ from .schedules import LayerSchedule
 SINGULARITY_TOL = 1e-14
 
 
+class NoContrastError(IdentifiabilityError):
+    """Every layer's signal has decayed below what a float can hold, so the
+    information matrix is exactly zero, whatever the depth set."""
+
+
 @dataclass(frozen=True)
 class FisherMatrix:
     i11: float
@@ -80,6 +85,12 @@ def crb_rmse(pi: float, lam: float, schedule: LayerSchedule) -> float:
     """Cramer-Rao lower bound on RMSE(Pi): sqrt of the (Pi, Pi) element of
     the inverse information matrix, via the closed-form 2x2 adjugate."""
     info = fisher_matrix(pi, lam, schedule)
+    if info.i11 == info.i12 == info.i22 == 0.0:
+        raise NoContrastError(
+            f"no contrast left at any depth of schedule {list(schedule.layers)}: "
+            f"every e^{{lam (2L+1)}} overflows at lam = {lam!r}, so the data "
+            "carry no information on (Pi, lam)"
+        )
     if info.normalized_determinant < SINGULARITY_TOL:
         raise IdentifiabilityError(
             f"Fisher matrix of schedule {list(schedule.layers)} is singular; "

@@ -273,9 +273,14 @@ class LikelihoodGrid:
     One fixed-order kernel, :meth:`_exact`, computes the model at the cells
     it is given and makes every decision (argmax, ties, degeneracy), so a
     cell's value never depends on what else is evaluated with it; the
-    bounds only narrow down which cells the kernel must see.  The arrays
-    are read-only, since :func:`likelihood_tables` shares one grid among
-    its callers.
+    bounds only narrow down which cells the kernel must see.
+
+    The super-block level is built with the grid.  The block level is
+    filled by :meth:`_members`, the first time a search asks for the
+    blocks of a super-block, with the same elementwise operations, so a
+    filled value does not depend on when or with what it was filled.  The
+    arrays are read-only outside that fill, since
+    :func:`likelihood_tables` shares one grid among its callers.
     """
 
     def __init__(self, grid: MLEGrid, layer_values) -> None:
@@ -294,28 +299,42 @@ class LikelihoodGrid:
             return (np.minimum.reduceat(values, starts, axis=1),
                     np.maximum.reduceat(values, starts, axis=1))
 
-        e_lo, e_hi = block_range(self._decay, BLOCK)
+        # (layers, Pi blocks) and (layers, lam blocks)
+        self._c_lo, self._c_hi = block_range(self._cheb, BLOCK)
+        self._e_lo, self._e_hi = block_range(self._decay, BLOCK)
         n_l = len(self.layer_values)
-
-        def p0_extreme(c, pick):
-            # E >= 0, so the block's extreme products pair C's extreme with
-            # either extreme of E; (blocks, layers), so that a row's blocks
-            # gather contiguous rows
-            ce = pick(c[:, :, None] * e_lo[:, None, :], c[:, :, None] * e_hi[:, None, :])
-            return np.clip(0.5 * (1.0 + ce), P_EPS, 1.0 - P_EPS).reshape(n_l, -1).T.copy()
-
-        def level(width):
-            # p0 ranges and log bounds of blocks `width` Pi rows tall
-            c_lo, c_hi = block_range(self._cheb, width)
-            p_lo, p_hi = p0_extreme(c_lo, np.minimum), p0_extreme(c_hi, np.maximum)
-            return p_lo, p_hi, (1.0 - _rounding_slack(n_l)) * np.concatenate(
-                [np.log(p_hi.T), np.log1p(-p_lo.T)])
-
-        self._p_lo, self._p_hi, self._bounds = level(BLOCK)
-        self._super_p_lo, self._super_p_hi, self._super_bounds = level(BLOCK * SUPER)
+        c_lo, c_hi = block_range(self._cheb, BLOCK * SUPER)
+        p_lo, p_hi, log_hi, log_lo = self._p0_bounds(
+            c_lo[:, :, None], c_hi[:, :, None],
+            self._e_lo[:, None, :], self._e_hi[:, None, :])
+        # (units, layers), so that a row's units gather contiguous rows
+        self._super_p_lo = p_lo.reshape(n_l, -1).T.copy()
+        self._super_p_hi = p_hi.reshape(n_l, -1).T.copy()
+        # bounds in Fortran order, so that a unit's column is contiguous too
+        self._super_bounds = np.asfortranarray(np.concatenate(
+            [log_hi.reshape(n_l, -1), log_lo.reshape(n_l, -1)]))
+        # the block level, filled one super-block at a time by _members
+        n_blocks = self._c_lo.shape[1] * self._e_lo.shape[1]
+        self._p_lo = np.empty((n_blocks, n_l))
+        self._p_hi = np.empty((n_blocks, n_l))
+        self._bounds = np.empty((2 * n_l, n_blocks), order="F")
+        self._filled = np.zeros(len(self._super_p_lo), dtype=bool)
         for values in vars(self).values():
             if isinstance(values, np.ndarray):
                 values.setflags(write=False)
+
+    def _p0_bounds(self, c_lo, c_hi, e_lo, e_hi):
+        """``p0`` ranges and log bounds of units whose ``C`` and ``E`` span
+        these ranges, which broadcast elementwise: ``p_lo``, ``p_hi``, the
+        bound of ``log p0`` and that of ``log p1``."""
+        # E >= 0, so a unit's extreme products pair C's extreme with either
+        # extreme of E
+        p_lo = np.clip(0.5 * (1.0 + np.minimum(c_lo * e_lo, c_lo * e_hi)),
+                       P_EPS, 1.0 - P_EPS)
+        p_hi = np.clip(0.5 * (1.0 + np.maximum(c_hi * e_lo, c_hi * e_hi)),
+                       P_EPS, 1.0 - P_EPS)
+        scale = 1.0 - _rounding_slack(len(self.layer_values))
+        return p_lo, p_hi, scale * np.log(p_hi), scale * np.log1p(-p_lo)
 
     def _exact(self, even: np.ndarray, shots: np.ndarray,
                cells: np.ndarray) -> np.ndarray:
@@ -365,13 +384,32 @@ class LikelihoodGrid:
 
     def _members(self, supers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The blocks of the given super-blocks, grouped by super-block, and
-        the position in ``supers`` of each block's super-block."""
-        n_bi = -(-self.grid.pi_points // BLOCK)
-        n_bj = -(-self.grid.lambda_points // BLOCK)
+        the position in ``supers`` of each block's super-block.  Their
+        block bounds are computed here, the first time a super-block is
+        asked for."""
+        n_bi, n_bj = self._c_lo.shape[1], self._e_lo.shape[1]
         si, bj = np.divmod(supers, n_bj)
         bi = si[:, None] * SUPER + np.arange(SUPER)
         inside = bi < n_bi
-        return (bi * n_bj + bj[:, None])[inside], np.nonzero(inside)[0]
+        blocks, owner = (bi * n_bj + bj[:, None])[inside], np.nonzero(inside)[0]
+        fresh = ~self._filled[supers]
+        if fresh.any():
+            new = blocks[fresh[owner]]
+            bi, bj = np.divmod(new, n_bj)
+            p_lo, p_hi, log_hi, log_lo = self._p0_bounds(
+                self._c_lo[:, bi], self._c_hi[:, bi], self._e_lo[:, bj], self._e_hi[:, bj])
+            n_l = len(self.layer_values)
+            level = (self._p_lo, self._p_hi, self._bounds, self._filled)
+            for values in level:
+                values.setflags(write=True)
+            try:
+                self._p_lo[new], self._p_hi[new] = p_lo.T, p_hi.T
+                self._bounds[:n_l, new], self._bounds[n_l:, new] = log_hi, log_lo
+                self._filled[supers] = True
+            finally:
+                for values in level:
+                    values.setflags(write=False)
+        return blocks, owner
 
     def _block_cells(self, blocks) -> np.ndarray:
         """Flat indices of the cells of the given blocks, ascending."""
@@ -509,7 +547,9 @@ def likelihood_tables(grid: MLEGrid, layer_values: tuple[int, ...]) -> Likelihoo
 
     One entry is enough: callers run one layer set back to back (a term's
     point estimate and bootstrap, files sharing a schedule, a sweep row's
-    terms).  It holds about 4.0 MB for nine layers on the default grid.
+    terms).  It allocates 4.1 MB for nine layers on the default grid, of
+    which the 2.9 MB of block bounds stay untouched until searches reach
+    their super-blocks.
     """
     return LikelihoodGrid(grid, layer_values)
 

@@ -162,9 +162,18 @@ class LambdaProfile:
     unstable: bool
 
 
+def check_threshold(threshold: float, name: str = "instability_threshold") -> None:
+    """Reject a relative-variation threshold that is not a finite
+    non-negative number: ``nan`` would call every profile stable, and a
+    negative value every profile unstable."""
+    if not (math.isfinite(threshold) and threshold >= 0.0):
+        raise ValueError(f"{name} must be a finite non-negative number, got {threshold}")
+
+
 def lambda_profile(curves, instability_threshold: float = 0.20,
                    lambda_max: float = 5.0) -> LambdaProfile:
     """Fit every curve and report (max - min)/min relative variation."""
+    check_threshold(instability_threshold)
     curves = list(curves)
     if not curves:
         raise ValueError("need at least one curve")

@@ -7,6 +7,7 @@ word order, with qubit 0 as the least significant basis bit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -25,6 +26,16 @@ _PAULI_1Q = {
 }
 
 _ANSATZ_QUBITS = {"one_qubit_ry": 1, "two_qubit_ucc": 2}
+
+
+# Unbounded, but MAX_DENSE_QUBITS caps it at 340 words of at most 4 KB.
+@functools.cache
+def _dense(word: str) -> np.ndarray:
+    out = np.array([[1.0 + 0.0j]])
+    for letter in word:
+        out = np.kron(out, _PAULI_1Q[letter])
+    out.setflags(write=False)
+    return out
 
 
 @dataclass(frozen=True)
@@ -49,15 +60,13 @@ class PauliString:
         return set(self.word) == {"I"}
 
     def dense(self) -> np.ndarray:
-        """2^n x 2^n matrix of the string, qubit 0 least significant."""
+        """2^n x 2^n matrix of the string, qubit 0 least significant;
+        read-only, built once per word."""
         if self.n_qubits > MAX_DENSE_QUBITS:
             raise ValueError(
                 f"dense matrix limited to {MAX_DENSE_QUBITS} qubits, got {self.n_qubits}"
             )
-        out = np.array([[1.0 + 0.0j]])
-        for letter in self.word:
-            out = np.kron(out, _PAULI_1Q[letter])
-        return out
+        return _dense(self.word)
 
     def __str__(self) -> str:
         return self.word

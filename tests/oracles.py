@@ -22,10 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from rae.inference import (
+    BLOCK,
     P_EPS,
     EstimationResult,
     ParityDataset,
     ParityRecord,
+    _rounding_slack,
     chebyshev_parity_probability,
 )
 from rae.noisefit import CurvePoint, LikelihoodCurve
@@ -191,6 +193,31 @@ def block_maxima(table: np.ndarray, pi_block: int, lam_block: int) -> np.ndarray
     padded[:n_pi, :n_lam] = table
     blocks = padded.reshape(padded.shape[0] // pi_block, pi_block, -1, lam_block)
     return blocks.max(axis=(1, 3)).ravel()
+
+
+def eager_block_level(grid, layer_values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every block's bounds in one eager pass, the reference for the
+    grid's lazily filled block level: the (blocks, layers) ``p_lo`` and
+    ``p_hi`` of ``p0`` over each ``BLOCK`` x ``BLOCK`` block, and the
+    (2 layers, blocks) bounds of ``log p0`` then ``log p1``, scaled by
+    ``1 - _rounding_slack``."""
+    layers = np.array(layer_values, dtype=float)[:, None]
+    cheb = np.cos((2 * layers + 1) * np.arccos(grid.pi_values()))
+    decay = np.exp(-grid.lambda_values() * (layers + 0.5))
+
+    def block_range(values):
+        starts = np.arange(0, values.shape[1], BLOCK)
+        return (np.minimum.reduceat(values, starts, axis=1)[:, :, None],
+                np.maximum.reduceat(values, starts, axis=1)[:, :, None])
+
+    (c_lo, c_hi), (e_lo, e_hi) = block_range(cheb), block_range(decay)
+    e_lo, e_hi = e_lo.transpose(0, 2, 1), e_hi.transpose(0, 2, 1)
+    p_lo = np.clip(0.5 * (1.0 + np.minimum(c_lo * e_lo, c_lo * e_hi)),
+                   P_EPS, 1.0 - P_EPS).reshape(len(layer_values), -1)
+    p_hi = np.clip(0.5 * (1.0 + np.maximum(c_hi * e_lo, c_hi * e_hi)),
+                   P_EPS, 1.0 - P_EPS).reshape(len(layer_values), -1)
+    bounds = np.concatenate([np.log(p_hi), np.log1p(-p_lo)])
+    return p_lo.T, p_hi.T, (1.0 - _rounding_slack(len(layer_values))) * bounds
 
 
 def numerical_fisher(pi: float, lam: float, layers, n_shots: int,

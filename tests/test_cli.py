@@ -576,6 +576,23 @@ class TestSchedule:
         out = capsys.readouterr().out
         assert out.count("crb=n/a") == 4 and "error" not in out
 
+    def test_no_contrast_is_named(self, tmp_path, capsys):
+        """With every e^{lam (2L+1)} overflowing, the rows say that no
+        contrast is left, not that the depth set is unidentifiable; the
+        report keeps crb null."""
+        report = tmp_path / "sched.json"
+        assert run("schedule", "--schedule", "eis", "--i-max", 3,
+                   "--lambda", 800, "--pi", 0.3, "--out", report) == 0
+        out = capsys.readouterr().out
+        assert out.count("crb=n/a (no contrast left at any depth)") == 4
+        assert "not identifiable" not in out
+        prefixes = json.loads(report.read_text())["prefixes"]
+        assert [p["crb"] for p in prefixes] == [None] * 4
+        assert run("schedule", "--schedule", "eis", "--i-max", 3,
+                   "--lambda", 0.5, "--pi", 0.3) == 0
+        out = capsys.readouterr().out
+        assert out.count("crb=n/a (depth set not identifiable)") == 1
+
     def test_nris_matches_library(self, tmp_path, capsys):
         code = run(
             "schedule", "--schedule", "nris", "--i-max", 8, "--shots", 100,
@@ -621,6 +638,33 @@ class TestUnwritableOutput:
     def test_missing_directory(self, tmp_path, capsys, command):
         out = tmp_path / "missing" / "out"
         self.assert_rejected(UNWRITABLE[command](tmp_path, out), out, capsys)
+
+    @pytest.mark.parametrize("command", sorted(UNWRITABLE))
+    @pytest.mark.parametrize("kind", ["missing", "under-a-file", "a-directory"])
+    def test_rejected_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                      command, kind):
+        """Nothing is built, estimated, printed or written before the exit."""
+        (tmp_path / "file").write_text("")
+        out = {"missing": tmp_path / "missing" / "out",
+               "under-a-file": tmp_path / "file" / "out",
+               "a-directory": tmp_path}[kind]
+        argv = UNWRITABLE[command](tmp_path, out)
+        for work in ("_build_schedule", "estimate_term", "rmse_sweep",
+                     "simulate_curve", "sweep_cell"):
+            monkeypatch.setattr(cli, work, _no_work)
+        capsys.readouterr()
+        before = sorted(tmp_path.rglob("*"))
+        assert run(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write {out}: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_energy_writes_no_csv_before_a_bad_json_path(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "e.json"
+        self.assert_rejected(UNWRITABLE["energy"](tmp_path, out), out, capsys)
+        assert not (tmp_path / "e.csv").exists()
 
     @pytest.mark.parametrize("under", ["file", "file/sub"])
     def test_generate_into_a_file(self, tmp_path, capsys, under):

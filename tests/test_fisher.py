@@ -9,6 +9,7 @@ from oracles import RAECircuitSpec, circuit_p_even, numerical_fisher
 from rae.fisher import (
     SINGULARITY_TOL,
     FisherMatrix,
+    NoContrastError,
     Verdict,
     advantage_verdict,
     crb_rmse,
@@ -107,6 +108,15 @@ class TestCrbRmse:
     def test_singular_schedule_raises(self):
         with pytest.raises(IdentifiabilityError):
             crb_rmse(0.5, 0.05, LayerSchedule((0,), 8192))
+
+    def test_no_contrast_is_told_apart_from_a_singular_depth_set(self):
+        """An all-zero matrix (every depth overflows) has its own message;
+        a depth set that cannot separate the parameters keeps the old one."""
+        with pytest.raises(NoContrastError, match="no contrast left at any depth"):
+            crb_rmse(0.3, 800.0, LayerSchedule((0, 1, 2, 4), 8192))
+        with pytest.raises(IdentifiabilityError, match="is singular") as exc:
+            crb_rmse(0.5, 0.05, LayerSchedule((0,), 8192))
+        assert not isinstance(exc.value, NoContrastError)
 
     def test_one_boost_layer_beats_standard_sampling(self):
         pi, n = 0.9745, 8192

@@ -12,6 +12,7 @@ from oracles import (
     block_maxima,
     closed_form_parity,
     dense_tables,
+    eager_block_level,
     exhaustive_bootstrap,
     exhaustive_estimate,
     log_likelihood,
@@ -416,6 +417,15 @@ BOUND_GRIDS = pytest.mark.parametrize(
     "grid", [MLEGrid(), RAGGED_GRID, MLEGrid(1001, 101, 50.0)],
     ids=["default", "ragged", "lambda-max-50"])
 
+
+def filled_grid(grid, layer_values) -> LikelihoodGrid:
+    """A grid whose every block bound has been filled, through the search's
+    own path: :meth:`LikelihoodGrid._members` of every super-block."""
+    tables = LikelihoodGrid(grid, layer_values)
+    tables._members(np.arange(len(tables._super_p_lo)))
+    return tables
+
+
 # Each level of the search: the cells its units span along (Pi, lam), and
 # the names of its linear bounds and of its [p_lo, p_hi] ranges.
 LEVELS = [((BLOCK, BLOCK), "_bounds", "_p_lo", "_p_hi"),
@@ -428,7 +438,7 @@ class TestBlockBounds:
 
     @BOUND_GRIDS
     def test_never_below_dense_block_maxima(self, grid):
-        tables = LikelihoodGrid(grid, DEEP_LAYERS)
+        tables = filled_grid(grid, DEEP_LAYERS)
         n = len(DEEP_LAYERS)
         for span, bounds, _, _ in LEVELS:
             bounds = getattr(tables, bounds)
@@ -464,7 +474,7 @@ class TestConcaveBound:
             for surface, e in zip(surfaces, even[:, l]):
                 surface += e * log_p0[0]
                 surface += (n_shots - e) * log_p1[0]
-        tables = LikelihoodGrid(grid, DEEP_LAYERS)
+        tables = filled_grid(grid, DEEP_LAYERS)
         for span, _, p_lo, p_hi in LEVELS:
             p_lo, p_hi = getattr(tables, p_lo), getattr(tables, p_hi)
             for e, surface in zip(even, surfaces):
@@ -494,6 +504,47 @@ class TestCandidates:
         for even, tol in ((point, DEGENERACY_TOL), (group, 0.0)):
             cells = tables._candidates(even, shots.astype(float), tol)
             assert len(cells) <= 16 * BLOCK**2
+
+    def test_point_estimate_fills_few_super_blocks(self, tmp_path):
+        """Block bounds are filled only for the super-blocks the search
+        reaches: 2 of the 1,000 for this point estimate, which equals that
+        of a grid with every block filled."""
+        assert main(["generate", "--seed", "11", "--lambda", "0.045",
+                     "--out", str(tmp_path)]) == 0
+        ds = load_dataset(str(tmp_path / "XX.json"))
+        tables = LikelihoodGrid(MLEGrid(), ds.layer_values())
+        assert not tables._filled.any()
+        result = tables.estimate(ds)
+        assert 0 < tables._filled.sum() <= 8
+        assert result == filled_grid(MLEGrid(), ds.layer_values()).estimate(ds)
+        for values in vars(tables).values():
+            if isinstance(values, np.ndarray):
+                assert not values.flags.writeable
+
+
+class TestLazyBlockLevel:
+    """Block bounds filled super-block by super-block equal the eager build
+    of every block at once, bit for bit."""
+
+    @BOUND_GRIDS
+    def test_filled_equals_eager_build(self, grid):
+        tables = filled_grid(grid, DEEP_LAYERS)
+        for name, reference in zip(("_p_lo", "_p_hi", "_bounds"),
+                                   eager_block_level(grid, DEEP_LAYERS)):
+            values = getattr(tables, name)
+            assert values.shape == reference.shape, name
+            assert values.tobytes() == reference.tobytes(), name
+
+    def test_fill_is_independent_of_the_order_of_requests(self):
+        grid, layers = MLEGrid(1001, 101, 50.0), DEEP_LAYERS
+        tables = LikelihoodGrid(grid, layers)
+        n_supers = len(tables._super_p_lo)
+        for supers in np.array_split(np.random.default_rng(5).permutation(n_supers), 7):
+            tables._members(supers)
+        assert tables._filled.all()
+        for name, reference in zip(("_p_lo", "_p_hi", "_bounds"),
+                                   eager_block_level(grid, layers)):
+            assert getattr(tables, name).tobytes() == reference.tobytes(), name
 
 
 class TestLikelihoodTables:

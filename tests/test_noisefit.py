@@ -173,6 +173,18 @@ class TestLambdaProfile:
         with pytest.raises(ValueError):
             lambda_profile(curves)
 
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -0.5])
+    def test_threshold_must_be_finite_and_non_negative(self, threshold):
+        """nan would call every profile stable and a negative threshold
+        every profile unstable."""
+        with pytest.raises(ValueError, match="instability_threshold must be "
+                                             "a finite non-negative number"):
+            lambda_profile(self._curves([0.045] * 2), instability_threshold=threshold)
+
+    def test_zero_threshold_accepted(self):
+        profile = lambda_profile(self._curves([0.045] * 2), instability_threshold=0.0)
+        assert profile.unstable == (profile.variation > 0.0)
+
 
 class TestCurveIO:
     def test_round_trip(self, tmp_path):

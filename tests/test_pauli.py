@@ -72,6 +72,13 @@ class TestPauliString:
             assert np.allclose(m, m.conj().T)
             assert np.allclose(m @ m, np.eye(m.shape[0]))
 
+    def test_dense_is_built_once_per_word_and_read_only(self):
+        m = PauliString("XY").dense()
+        assert PauliString("XY").dense() is m
+        with pytest.raises(ValueError):
+            m[0, 0] = 1.0
+        assert np.array_equal(m, np.kron([[0, 1], [1, 0]], [[0, -1j], [1j, 0]]))
+
     def test_dense_qubit_limit(self):
         with pytest.raises(ValueError):
             PauliString("IIIII").dense()
