@@ -110,18 +110,20 @@ def _load_problem(spec: str, theta: float | None):
     return h, ansatz
 
 
-# Arguments every grid-fitting command records, and those of the sweeps.
-_GRID_KEYS = ("grid_pi", "grid_lambda", "grid_lambda_max")
-_SWEEP_KEYS = ("hamiltonian", "lambda", "schedule", "i_max", "degree", "shots",
-               "bootstrap", *_GRID_KEYS)
+# Parsed arguments a report's config leaves out: the seed is recorded as
+# resolved and theta as the ansatz used; the rest name outputs or the parser.
+_NOT_CONFIG = frozenset({"command", "func", "seed", "stamp", "theta", "out",
+                         "json"})
 
 
-def _config(args: argparse.Namespace, seed: int, keys, ansatz=None) -> dict:
-    """What a run's outputs depend on: the command, its seed, the arguments
-    named in ``keys`` (``lambda`` is ``--lambda``), and the ansatz used."""
+def _config(args: argparse.Namespace, seed: int, ansatz=None) -> dict:
+    """What a run's outputs depend on: the command, its seed, every other
+    argument but the output paths and ``--stamp`` (``lam`` is written
+    ``lambda``), and the ansatz used."""
     config = {"command": args.command, "seed": seed}
-    for key in keys:
-        config[key] = getattr(args, "lam" if key == "lambda" else key)
+    for key, value in vars(args).items():
+        if key not in _NOT_CONFIG:
+            config["lambda" if key == "lam" else key] = value
     if ansatz is not None:
         config.update(ansatz=ansatz.kind, theta=ansatz.theta)
     return config
@@ -226,12 +228,11 @@ def cmd_generate(args: argparse.Namespace) -> int:
     terms = h.non_identity_terms()
     if not terms:
         raise ValueError("the Hamiltonian has no non-identity terms to measure")
-    config = _config(args, seed, ("hamiltonian", "lambda", "schedule", "i_max",
-                                  "degree", "c", "shots"), ansatz)
+    config = _config(args, seed, ansatz)
     digest = _config_digest(config)
     stamp = _utc_stamp(args.stamp)
-    with _writing(args.out):
-        os.makedirs(args.out, exist_ok=True)
+    # every term is simulated before --out is created or written
+    outputs = []
     for j, (_, string) in enumerate(terms):
         prior = None
         if args.schedule == "nris":
@@ -247,13 +248,14 @@ def cmd_generate(args: argparse.Namespace) -> int:
             dataset.metadata["schedule_origin"] = schedule.origin
         if stamp is not None:
             dataset.metadata["generated_at"] = stamp
-        path = os.path.join(args.out, f"{string.word}.json")
+        outputs.append((os.path.join(args.out, f"{string.word}.json"), dataset,
+                        query_cost(schedule)))
+    with _writing(args.out):
+        os.makedirs(args.out, exist_ok=True)
+    for path, dataset, cost in outputs:
         with _writing(path):
             save_dataset(path, dataset)
-        print(
-            f"wrote {path}: {len(dataset.records)} depths, "
-            f"{query_cost(schedule)} queries"
-        )
+        print(f"wrote {path}: {len(dataset.records)} depths, {cost} queries")
     return EXIT_OK
 
 
@@ -275,8 +277,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
             "pass --force to combine them anyway"
         )
     grid = _grid_from_args(args)
-    config = _config(args, seed, ("files", "bootstrap", "band", "force",
-                                  *_GRID_KEYS))
+    config = _config(args, seed)
     rows = []
     for j, (path, dataset) in enumerate(datasets):
         m = args.bootstrap
@@ -331,7 +332,7 @@ def _sweep_setup(args: argparse.Namespace):
     if args.i_max < 0:
         raise ValueError("i_max must be non-negative")
     schedules = [_build_schedule(args, i) for i in range(args.i_max + 1)]
-    config = _config(args, seed, _SWEEP_KEYS, ansatz)
+    config = _config(args, seed, ansatz)
     return seed, h, ansatz, schedules, _grid_from_args(args), config
 
 
@@ -445,14 +446,9 @@ def cmd_fit_lambda(args: argparse.Namespace) -> int:
 def cmd_schedule(args: argparse.Namespace) -> int:
     _check_writable(args.out)
     schedule = _build_schedule(args, args.i_max, args.pi)
-    print(f"layers: {' '.join(str(layer) for layer in schedule.layers)}")
-    print(f"shots per layer: {schedule.shots_per_layer}")
-    print(f"query cost: {query_cost(schedule)}")
-    if schedule.origin:
-        print(f"origin: {schedule.origin}")
-    prefixes = []
+    # every bound is computed before anything is printed
+    prefixes, lines = [], []
     if args.pi is not None and args.lam is not None:
-        print("best-case rmse by schedule prefix:")
         for k in range(1, len(schedule.layers) + 1):
             sub = LayerSchedule(schedule.layers[:k], schedule.shots_per_layer)
             bound = None
@@ -469,10 +465,18 @@ def cmd_schedule(args: argparse.Namespace) -> int:
                 "crb": None if bound is None else float(bound),
             }
             prefixes.append(row)
-            print(
+            lines.append(
                 f"  L<={row['layers'][-1]:>4d}  queries={row['n_queries']:>9d}  "
                 f"crb={text}"
             )
+    print(f"layers: {' '.join(str(layer) for layer in schedule.layers)}")
+    print(f"shots per layer: {schedule.shots_per_layer}")
+    print(f"query cost: {query_cost(schedule)}")
+    if schedule.origin:
+        print(f"origin: {schedule.origin}")
+    if lines:
+        print("best-case rmse by schedule prefix:")
+        print("\n".join(lines))
     if args.out:
         _write_report(args.out, args.stamp, {
             "layers": list(schedule.layers),
@@ -498,67 +502,122 @@ def _parse_layer_list(text: str) -> tuple[int, ...]:
     return layers
 
 
-def build_parser() -> argparse.ArgumentParser:
-    problem = argparse.ArgumentParser(add_help=False)
-    problem.add_argument(
-        "--hamiltonian", default="two_qubit",
-        help="builtin problem (one_qubit, two_qubit) or path to a saved "
-             "Hamiltonian JSON (default: two_qubit)",
-    )
-    problem.add_argument(
-        "--theta", type=float, default=None,
-        help="ansatz angle override (default: the problem's ground-state angle)",
-    )
+def _arg(*flags, **kwargs):
+    """One ``add_argument`` call, for a subcommand's parser to make."""
+    return flags, kwargs
 
-    seeding = argparse.ArgumentParser(add_help=False)
-    seeding.add_argument(
-        "--seed", type=int, default=None,
-        help="base seed (default: RAE_SEED environment variable, then 0)",
-    )
-    stamping = argparse.ArgumentParser(add_help=False)
-    stamping.add_argument(
-        "--stamp", action="store_true",
-        help="embed a UTC timestamp in outputs (off by default so reruns "
-             "are byte-identical)",
-    )
 
-    grid = argparse.ArgumentParser(add_help=False)
-    grid.add_argument("--grid-pi", type=int, default=10000,
-                      help="amplitude grid points (default: 10000)")
-    grid.add_argument("--grid-lambda", type=int, default=100,
-                      help="decay-rate grid points (default: 100)")
-    grid.add_argument("--grid-lambda-max", type=float, default=0.5,
-                      help="decay-rate grid upper edge (default: 0.5)")
+_PROBLEM = [
+    _arg("--hamiltonian", default="two_qubit",
+         help="builtin problem (one_qubit, two_qubit) or path to a saved "
+              "Hamiltonian JSON (default: two_qubit)"),
+    _arg("--theta", type=float, default=None,
+         help="ansatz angle override (default: the problem's ground-state angle)"),
+]
+_SEED = [_arg("--seed", type=int, default=None,
+              help="base seed (default: RAE_SEED environment variable, then 0)")]
+_STAMP = [_arg("--stamp", action="store_true",
+               help="embed a UTC timestamp in outputs (off by default so reruns "
+                    "are byte-identical)")]
+_GRID = [
+    _arg("--grid-pi", type=int, default=10000,
+         help="amplitude grid points (default: 10000)"),
+    _arg("--grid-lambda", type=int, default=100,
+         help="decay-rate grid points (default: 100)"),
+    _arg("--grid-lambda-max", type=float, default=0.5,
+         help="decay-rate grid upper edge (default: 0.5)"),
+]
+_FAMILY = [
+    _arg("--schedule", choices=("lis", "eis", "poly", "nris"), default="lis",
+         help="layer schedule family (default: lis)"),
+    _arg("--i-max", type=int, default=8,
+         help="schedule size parameter (default: 8)"),
+    _arg("--degree", type=int, default=2,
+         help="growth exponent for poly schedules (default: 2)"),
+    _arg("--shots", type=int, default=8192,
+         help="shots per layer (default: 8192)"),
+]
+_NOISE = [_arg("--lambda", dest="lam", type=float, default=0.0,
+               help="depolarizing rate per layer (default: 0)")]
+_TABLE = [
+    _arg("--bootstrap", type=int, default=300,
+         help="bootstrap replicates per term at each schedule size "
+              "(default: 300)"),
+    _arg("--out", required=True, help="output CSV path"),
+    _arg("--json", default=None, help="also write a JSON report here"),
+]
+# only the commands that can build an nris schedule read --c
+_NRIS = [_arg("--c", type=float, default=1.0,
+              help="edge-guard width multiplier for nris (default: 1)")]
+_REPORT = _arg("--out", default=None, help="write a JSON report here")
 
-    family = argparse.ArgumentParser(add_help=False)
-    family.add_argument(
-        "--schedule", choices=("lis", "eis", "poly", "nris"), default="lis",
-        help="layer schedule family (default: lis)",
-    )
-    family.add_argument("--i-max", type=int, default=8,
-                        help="schedule size parameter (default: 8)")
-    family.add_argument("--degree", type=int, default=2,
-                        help="growth exponent for poly schedules (default: 2)")
-    family.add_argument("--shots", type=int, default=8192,
-                        help="shots per layer (default: 8192)")
 
-    noise = argparse.ArgumentParser(add_help=False)
-    noise.add_argument("--lambda", dest="lam", type=float, default=0.0,
-                       help="depolarizing rate per layer (default: 0)")
+def _commands() -> dict:
+    """Each subcommand's function, help line and arguments in ``--help``
+    order.  Built per call, so a ``cmd_*`` replaced after import is used."""
+    return {
+        "generate": (
+            cmd_generate, "simulate parity datasets, one JSON file per Pauli term",
+            [*_PROBLEM, *_FAMILY, *_NRIS, *_SEED, *_STAMP, *_NOISE,
+             _arg("--out", required=True, help="output directory")]),
+        "estimate": (
+            cmd_estimate,
+            "joint amplitude and decay-rate estimates for saved datasets",
+            [*_GRID, *_SEED, *_STAMP,
+             _arg("files", nargs="+", help="dataset JSON files"),
+             _arg("--bootstrap", type=int, default=None,
+                  help="bootstrap replicates (default: 15000 for 1-qubit "
+                       "terms, 10000 for 2-qubit terms)"),
+             _arg("--band", type=float, default=2.0,
+                  help="uncertainty band width for the advantage verdict "
+                       "(default: 2)"),
+             _arg("--force", action="store_true",
+                  help="estimate even if the files disagree on provenance"),
+             _REPORT]),
+        "sweep": (
+            cmd_sweep, "per-term estimation error versus schedule size, as CSV",
+            [*_PROBLEM, *_FAMILY, *_GRID, *_SEED, *_STAMP, *_NOISE, *_TABLE]),
+        "energy": (
+            cmd_energy, "ground-state energy error versus schedule size, as CSV",
+            [*_PROBLEM, *_FAMILY, *_GRID, *_SEED, *_STAMP, *_NOISE, *_TABLE]),
+        "fit-lambda": (
+            cmd_fit_lambda,
+            "fit the decay rate from likelihood curves and report stability",
+            [*_PROBLEM, *_SEED, *_STAMP,
+             _arg("files", nargs="*", help="saved curve JSON files"),
+             _arg("--simulate", action="store_true",
+                  help="simulate the curves instead of reading files"),
+             _arg("--term", default="Z",
+                  help="Pauli word to sweep when simulating (default: Z)"),
+             _arg("--layers", type=_parse_layer_list, default=(1, 2, 3, 4, 5),
+                  help="comma-separated layer counts for --simulate "
+                       "(default: 1,2,3,4,5)"),
+             _arg("--lambda", dest="lam", type=float, default=0.045,
+                  help="depolarizing rate for --simulate (default: 0.045)"),
+             _arg("--shots", type=int, default=100000,
+                  help="shots per curve point for --simulate (default: 100000)"),
+             _arg("--points", type=int, default=10,
+                  help="amplitudes per curve for --simulate (default: 10)"),
+             _arg("--threshold", type=float, default=0.20,
+                  help="relative-variation threshold flagging an unstable "
+                       "fit (default: 0.20)"),
+             _arg("--lambda-max", type=float, default=5.0,
+                  help="upper edge of the decay-rate search (default: 5)"),
+             _REPORT]),
+        "schedule": (
+            cmd_schedule,
+            "print a schedule's layers, query cost, and best-case rmse",
+            [*_FAMILY, *_NRIS, *_STAMP,
+             _arg("--lambda", dest="lam", type=float, default=None,
+                  help="depolarizing rate (needed for nris and rmse bounds)"),
+             _arg("--pi", type=float, default=None,
+                  help="amplitude prior (needed for nris and rmse bounds)"),
+             _REPORT]),
+    }
 
-    table = argparse.ArgumentParser(add_help=False)
-    table.add_argument("--bootstrap", type=int, default=300,
-                       help="bootstrap replicates per term at each schedule size "
-                            "(default: 300)")
-    table.add_argument("--out", required=True, help="output CSV path")
-    table.add_argument("--json", default=None,
-                       help="also write a JSON report here")
 
-    # only the commands that can build an nris schedule read --c
-    nris = argparse.ArgumentParser(add_help=False)
-    nris.add_argument("--c", type=float, default=1.0,
-                      help="edge-guard width multiplier for nris (default: 1)")
-
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = argparse.ArgumentParser(
         prog="rae",
         description="Amplitude estimation with noisy Grover circuits: "
@@ -566,86 +625,15 @@ def build_parser() -> argparse.ArgumentParser:
                     "assemble ground-state energies.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser(
-        "generate", parents=[problem, family, nris, seeding, stamping, noise],
-        help="simulate parity datasets, one JSON file per Pauli term",
-    )
-    p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_generate)
-
-    p = sub.add_parser(
-        "estimate", parents=[grid, seeding, stamping],
-        help="joint amplitude and decay-rate estimates for saved datasets",
-    )
-    p.add_argument("files", nargs="+", help="dataset JSON files")
-    p.add_argument("--bootstrap", type=int, default=None,
-                   help="bootstrap replicates (default: 15000 for 1-qubit "
-                        "terms, 10000 for 2-qubit terms)")
-    p.add_argument("--band", type=float, default=2.0,
-                   help="uncertainty band width for the advantage verdict "
-                        "(default: 2)")
-    p.add_argument("--force", action="store_true",
-                   help="estimate even if the files disagree on provenance")
-    p.add_argument("--out", default=None, help="write a JSON report here")
-    p.set_defaults(func=cmd_estimate)
-
-    p = sub.add_parser(
-        "sweep",
-        parents=[problem, family, grid, seeding, stamping, noise, table],
-        help="per-term estimation error versus schedule size, as CSV",
-    )
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser(
-        "energy",
-        parents=[problem, family, grid, seeding, stamping, noise, table],
-        help="ground-state energy error versus schedule size, as CSV",
-    )
-    p.set_defaults(func=cmd_energy)
-
-    p = sub.add_parser(
-        "fit-lambda", parents=[problem, seeding, stamping],
-        help="fit the decay rate from likelihood curves and report stability",
-    )
-    p.add_argument("files", nargs="*", help="saved curve JSON files")
-    p.add_argument("--simulate", action="store_true",
-                   help="simulate the curves instead of reading files")
-    p.add_argument("--term", default="Z",
-                   help="Pauli word to sweep when simulating (default: Z)")
-    p.add_argument("--layers", type=_parse_layer_list, default=(1, 2, 3, 4, 5),
-                   help="comma-separated layer counts for --simulate "
-                        "(default: 1,2,3,4,5)")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.045,
-                   help="depolarizing rate for --simulate (default: 0.045)")
-    p.add_argument("--shots", type=int, default=100000,
-                   help="shots per curve point for --simulate (default: 100000)")
-    p.add_argument("--points", type=int, default=10,
-                   help="amplitudes per curve for --simulate (default: 10)")
-    p.add_argument("--threshold", type=float, default=0.20,
-                   help="relative-variation threshold flagging an unstable "
-                        "fit (default: 0.20)")
-    p.add_argument("--lambda-max", type=float, default=5.0,
-                   help="upper edge of the decay-rate search (default: 5)")
-    p.add_argument("--out", default=None, help="write a JSON report here")
-    p.set_defaults(func=cmd_fit_lambda)
-
-    p = sub.add_parser(
-        "schedule", parents=[family, nris, stamping],
-        help="print a schedule's layers, query cost, and best-case rmse",
-    )
-    p.add_argument("--lambda", dest="lam", type=float, default=None,
-                   help="depolarizing rate (needed for nris and rmse bounds)")
-    p.add_argument("--pi", type=float, default=None,
-                   help="amplitude prior (needed for nris and rmse bounds)")
-    p.add_argument("--out", default=None, help="write a JSON report here")
-    p.set_defaults(func=cmd_schedule)
-
-    return parser
-
-
-def main(argv=None) -> int:
-    parser = build_parser()
+    # every name is listed, but only the command being run (the first word
+    # that is not a flag) gets its arguments
+    chosen = next((a for a in argv if not a.startswith("-")), None)
+    for name, (func, help_line, arguments) in _commands().items():
+        p = sub.add_parser(name, help=help_line)
+        if name == chosen:
+            for flags, kwargs in arguments:
+                p.add_argument(*flags, **kwargs)
+            p.set_defaults(func=func)
     args = parser.parse_args(argv)
     try:
         return args.func(args)

@@ -5,6 +5,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+# Deepest Fisher-envelope maximum the noise-robust scan visits: each layer
+# below it is tested, so a tiny lam would scan without end.
+NRIS_MAX_LAYERS = 10**6
+
 
 @dataclass(frozen=True)
 class LayerSchedule:
@@ -38,29 +42,21 @@ def lis(i_max: int, n_shots: int) -> LayerSchedule:
 
 
 def eis(i_max: int, n_shots: int) -> LayerSchedule:
-    """Exponential incremental sequence floor(2^(i-1)), duplicates removed."""
+    """Exponential incremental sequence 0, then 2^(i-1) for i = 1..i_max."""
     if i_max < 0:
         raise ValueError("i_max must be non-negative")
-    layers: list[int] = []
-    for i in range(i_max + 1):
-        layer = int(2 ** (i - 1)) if i else 0
-        if layer not in layers:
-            layers.append(layer)
-    return LayerSchedule(tuple(layers), n_shots, origin="eis")
+    layers = (0, *(2 ** (i - 1) for i in range(1, i_max + 1)))
+    return LayerSchedule(layers, n_shots, origin="eis")
 
 
 def polynomial(degree: int, i_max: int, n_shots: int) -> LayerSchedule:
-    """Polynomial sequence i^degree, duplicates removed."""
+    """Polynomial sequence i^degree for i = 0..i_max."""
     if degree < 1:
         raise ValueError("degree must be at least 1")
     if i_max < 0:
         raise ValueError("i_max must be non-negative")
-    layers: list[int] = []
-    for i in range(i_max + 1):
-        layer = i ** degree
-        if layer not in layers:
-            layers.append(layer)
-    return LayerSchedule(tuple(layers), n_shots, origin=f"poly{degree}")
+    layers = tuple(i ** degree for i in range(i_max + 1))
+    return LayerSchedule(layers, n_shots, origin=f"poly{degree}")
 
 
 def l_max_fisher(lam: float) -> float:
@@ -88,13 +84,19 @@ def noise_robust_schedule(pi_prior: float, lam: float, n_shots: int,
     extremum, sin^2((2L+1) acos Pi) > 1 - c*lam, seeded with the L=0 anchor
     the two-parameter MLE needs.  When the prior expectation is within
     c*lam of 0 or +-1 the condition is uninformative and the exponential
-    sequence (capped at the envelope maximum) is used instead.
+    sequence (capped at the envelope maximum) is used instead.  A ``lam``
+    whose envelope maximum lies beyond ``NRIS_MAX_LAYERS`` is rejected.
     """
     if not -1.0 <= pi_prior <= 1.0:
         raise ValueError("pi_prior must lie in [-1, 1]")
-    if c <= 0.0:
-        raise ValueError("c must be positive")
+    if not (math.isfinite(c) and c > 0.0):
+        raise ValueError(f"c must be a finite positive number, got {c}")
     cap = l_max_fisher(lam)
+    if cap > NRIS_MAX_LAYERS:
+        raise ValueError(
+            f"lambda {lam!r} puts the Fisher-envelope maximum at L = {cap:.10g}, "
+            f"beyond the noise-robust bound of {NRIS_MAX_LAYERS} layers"
+        )
 
     if abs(pi_prior) < c * lam or 1.0 - abs(pi_prior) < c * lam:
         capped = [l for l in eis(64, n_shots).layers if l <= math.floor(cap)]

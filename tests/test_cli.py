@@ -10,8 +10,11 @@ determinism.
 import contextlib
 import io
 import json
+import os
 import pathlib
 import random
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -118,6 +121,24 @@ class TestGenerate:
         assert capsys.readouterr().err == \
             f"error: {source} must be a non-negative integer, got -1\n"
         assert not (tmp_path / "neg").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("--lambda", "nan"),
+        ("--lambda", "inf"),
+        ("--shots", 0),
+        ("--schedule", "nris", "--lambda", 0.05, "--c", "nan"),
+    ], ids=["lambda-nan", "lambda-inf", "shots-0", "nris-c-nan"])
+    def test_rejected_before_any_output(self, tmp_path, capsys, argv):
+        """Every term is simulated before ``--out`` is made: a bad argument
+        leaves no directory and prints no ``wrote`` line."""
+        out = tmp_path / "data"
+        assert run("generate", "--hamiltonian", "one_qubit", "--i-max", 2,
+                   "--shots", 16, *argv, "--out", out) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
 
     def test_nris_rejects_zero_lambda(self, tmp_path):
         code = run(
@@ -606,6 +627,43 @@ class TestSchedule:
 
     def test_nris_without_prior_rejected(self):
         assert run("schedule", "--schedule", "nris", "--lambda", 0.05) == 2
+
+    @pytest.mark.parametrize("c", ["nan", "inf"])
+    def test_non_finite_c_rejected(self, capsys, c):
+        assert run("schedule", "--schedule", "nris", "--pi", 0.3,
+                   "--lambda", 0.1, "--c", c) == 2
+        captured = capsys.readouterr()
+        assert captured.err == \
+            f"error: c must be a finite positive number, got {float(c)}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", [
+        ("schedule", "--pi", "0.3"),
+        ("generate", "--hamiltonian", "one_qubit", "--out", "unused"),
+    ], ids=["schedule", "generate"])
+    def test_tiny_lambda_fails_fast(self, tmp_path, command):
+        """The nris scan tests every layer below its envelope maximum
+        1/lambda + 1/2, so a lambda that puts it past the depth bound exits 2
+        at once.  A subprocess with a timeout turns a hang into a failure."""
+        src = str(pathlib.Path(cli.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "rae.cli", *command, "--schedule", "nris",
+             "--lambda", "1e-300"],
+            capture_output=True, text=True, timeout=30, cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: lambda 1e-300 ")
+        assert not (tmp_path / "unused").exists()
+
+    def test_bounds_computed_before_printing(self, capsys):
+        """A prior the bound rejects exits 2 before the schedule is
+        printed."""
+        assert run("schedule", "--pi", 2, "--lambda", 0.1) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: pi must lie strictly inside (-1, 1)\n"
 
 
 # command -> its argv writing to ``out``, given a scratch directory

@@ -6,6 +6,7 @@ import pytest
 
 from rae.fisher import fisher_matrix
 from rae.schedules import (
+    NRIS_MAX_LAYERS,
     LayerSchedule,
     eis,
     l_max_fisher,
@@ -47,7 +48,7 @@ class TestConstructors:
         assert lis(0, 100).layers == (0,)
 
     def test_eis_deduplicates_floors(self):
-        # floor(2^{i-1}) for i = 0..5 is 0,1,1,2,4,8,16 before dedup
+        # 0, then 2^{i-1} for i = 1..5: each depth is new
         assert eis(5, 100).layers == (0, 1, 2, 4, 8, 16)
         assert eis(1, 100).layers == (0, 1)
 
@@ -156,4 +157,13 @@ class TestNoiseRobustSchedule:
             noise_robust_schedule(0.5, 0.045, 100, c=0.0)
         with pytest.raises(ValueError):
             noise_robust_schedule(0.5, 0.0, 100)
-
+        for c in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="c must be a finite positive"):
+                noise_robust_schedule(0.5, 0.045, 100, c=c)
+        # the scan tests every layer below l_max_fisher(lam), so a lam that
+        # puts it past NRIS_MAX_LAYERS is refused; a far smaller lam, which
+        # would never return without the bound, runs in a subprocess in
+        # tests/test_cli.py
+        assert l_max_fisher(1e-6) > NRIS_MAX_LAYERS
+        with pytest.raises(ValueError, match="lambda 1e-06 "):
+            noise_robust_schedule(0.5, 1e-6, 100)
