@@ -329,9 +329,9 @@ def _sweep_setup(args: argparse.Namespace):
         raise ValueError(
             "sweeps need a schedule family with a single size axis, not 'nris'"
         )
-    if args.i_max < 0:
-        raise ValueError("i_max must be non-negative")
-    schedules = [_build_schedule(args, i) for i in range(args.i_max + 1)]
+    # the deepest row first: an --i-max its family refuses fails at once
+    deepest = _build_schedule(args, args.i_max)
+    schedules = [_build_schedule(args, i) for i in range(args.i_max)] + [deepest]
     config = _config(args, seed, ansatz)
     return seed, h, ansatz, schedules, _grid_from_args(args), config
 

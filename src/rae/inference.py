@@ -208,11 +208,11 @@ def _rounding_slack(n_layers: int) -> float:
     tests hold its float64 log and log1p to 1 ulp).  Let u = eps/2,
     n = n_layers and gamma_m = m u / (1 - m u).  A kernel log value T at a
     cell and the block's V = log(p_hi) or log1p(-p_lo) are <= 0, so
-    T <= V (1 - k u) / (1 + k u); the bounds are stored as V (1 - s),
+    T <= V (1 - k u) / (1 + k u); the bounds are computed as V (1 - s),
     rounded.  A row's kernel value K = sum_l e_l T0_l + f_l T1_l (counts
     e, f >= 0, 2n products summed in record order) is at most
     (1 - gamma_2n) times its exact sum, and the row's bound M, a matrix
-    product of the same counts with the stored bounds in any order, is at
+    product of the same counts with these bounds in any order, is at
     least (1 + gamma_2n) times its exact sum.  Hence K <= M whenever
     (1 - s) (1 + u) (1 + k u) (1 + gamma_2n) <= (1 - k u) (1 - gamma_2n),
     that is s >= (4n + 2k + 1) u (1 + O(n u)), and a block whose bound
@@ -275,12 +275,12 @@ class LikelihoodGrid:
     cell's value never depends on what else is evaluated with it; the
     bounds only narrow down which cells the kernel must see.
 
-    The super-block level is built with the grid.  The block level is
-    filled by :meth:`_members`, the first time a search asks for the
-    blocks of a super-block, with the same elementwise operations, so a
-    filled value does not depend on when or with what it was filled.  The
-    arrays are read-only outside that fill, since
-    :func:`likelihood_tables` shares one grid among its callers.
+    The grid stores the factors, their ranges per block and the super-block
+    level.  A search computes the bounds of the blocks it reaches with
+    :meth:`_block_bounds`, elementwise, so a block's bounds do not depend
+    on which blocks are computed with it.  Nothing changes after the build,
+    and the arrays are read-only, since :func:`likelihood_tables` shares
+    one grid among its callers.
     """
 
     def __init__(self, grid: MLEGrid, layer_values) -> None:
@@ -295,46 +295,37 @@ class LikelihoodGrid:
             np.array(self.layer_values, dtype=float)[:, None])
 
         def block_range(values, width):
-            starts = np.arange(0, values.shape[1], width)
-            return (np.minimum.reduceat(values, starts, axis=1),
-                    np.maximum.reduceat(values, starts, axis=1))
+            starts = np.arange(0, len(values), width)
+            return np.minimum.reduceat(values, starts), np.maximum.reduceat(values, starts)
 
-        # (layers, Pi blocks) and (layers, lam blocks)
-        self._c_lo, self._c_hi = block_range(self._cheb, BLOCK)
-        self._e_lo, self._e_hi = block_range(self._decay, BLOCK)
-        n_l = len(self.layer_values)
-        c_lo, c_hi = block_range(self._cheb, BLOCK * SUPER)
-        p_lo, p_hi, log_hi, log_lo = self._p0_bounds(
-            c_lo[:, :, None], c_hi[:, :, None],
-            self._e_lo[:, None, :], self._e_hi[:, None, :])
-        # (units, layers), so that a row's units gather contiguous rows
-        self._super_p_lo = p_lo.reshape(n_l, -1).T.copy()
-        self._super_p_hi = p_hi.reshape(n_l, -1).T.copy()
-        # bounds in Fortran order, so that a unit's column is contiguous too
-        self._super_bounds = np.asfortranarray(np.concatenate(
-            [log_hi.reshape(n_l, -1), log_lo.reshape(n_l, -1)]))
-        # the block level, filled one super-block at a time by _members
-        n_blocks = self._c_lo.shape[1] * self._e_lo.shape[1]
-        self._p_lo = np.empty((n_blocks, n_l))
-        self._p_hi = np.empty((n_blocks, n_l))
-        self._bounds = np.empty((2 * n_l, n_blocks), order="F")
-        self._filled = np.zeros(len(self._super_p_lo), dtype=bool)
+        # (Pi blocks, layers) and (lam blocks, layers)
+        self._c_lo, self._c_hi = block_range(self._cheb.T, BLOCK)
+        self._e_lo, self._e_hi = block_range(self._decay.T, BLOCK)
+        c_lo, c_hi = block_range(self._cheb.T, BLOCK * SUPER)
+        si, bj = np.divmod(np.arange(len(c_lo) * len(self._e_lo)), len(self._e_lo))
+        self._super_p_lo, self._super_p_hi, self._super_bounds = self._p0_bounds(
+            c_lo[si], c_hi[si], self._e_lo[bj], self._e_hi[bj])
         for values in vars(self).values():
             if isinstance(values, np.ndarray):
                 values.setflags(write=False)
 
     def _p0_bounds(self, c_lo, c_hi, e_lo, e_hi):
         """``p0`` ranges and log bounds of units whose ``C`` and ``E`` span
-        these ranges, which broadcast elementwise: ``p_lo``, ``p_hi``, the
-        bound of ``log p0`` and that of ``log p1``."""
+        these (units, layers) ranges: the (units, layers) ``p_lo`` and
+        ``p_hi``, and the (2 layers, units) bounds of ``log p0`` then
+        ``log p1``, so that a row of counts times them is its linear bound
+        on every unit."""
         # E >= 0, so a unit's extreme products pair C's extreme with either
         # extreme of E
-        p_lo = np.clip(0.5 * (1.0 + np.minimum(c_lo * e_lo, c_lo * e_hi)),
-                       P_EPS, 1.0 - P_EPS)
-        p_hi = np.clip(0.5 * (1.0 + np.maximum(c_hi * e_lo, c_hi * e_hi)),
-                       P_EPS, 1.0 - P_EPS)
-        scale = 1.0 - _rounding_slack(len(self.layer_values))
-        return p_lo, p_hi, scale * np.log(p_hi), scale * np.log1p(-p_lo)
+        p = np.concatenate([np.minimum(c_lo * e_lo, c_lo * e_hi),
+                            np.maximum(c_hi * e_lo, c_hi * e_hi)])
+        p += 1.0
+        p *= 0.5
+        np.clip(p, P_EPS, 1.0 - P_EPS, out=p)
+        p_lo, p_hi = p[:len(c_lo)], p[len(c_lo):]
+        bounds = np.concatenate([np.log(p_hi), np.log1p(-p_lo)], axis=1)
+        bounds *= 1.0 - _rounding_slack(len(self.layer_values))
+        return p_lo, p_hi, bounds.T
 
     def _exact(self, even: np.ndarray, shots: np.ndarray,
                cells: np.ndarray) -> np.ndarray:
@@ -384,32 +375,17 @@ class LikelihoodGrid:
 
     def _members(self, supers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The blocks of the given super-blocks, grouped by super-block, and
-        the position in ``supers`` of each block's super-block.  Their
-        block bounds are computed here, the first time a super-block is
-        asked for."""
-        n_bi, n_bj = self._c_lo.shape[1], self._e_lo.shape[1]
-        si, bj = np.divmod(supers, n_bj)
+        the position in ``supers`` of each block's super-block."""
+        si, bj = np.divmod(supers, len(self._e_lo))
         bi = si[:, None] * SUPER + np.arange(SUPER)
-        inside = bi < n_bi
-        blocks, owner = (bi * n_bj + bj[:, None])[inside], np.nonzero(inside)[0]
-        fresh = ~self._filled[supers]
-        if fresh.any():
-            new = blocks[fresh[owner]]
-            bi, bj = np.divmod(new, n_bj)
-            p_lo, p_hi, log_hi, log_lo = self._p0_bounds(
-                self._c_lo[:, bi], self._c_hi[:, bi], self._e_lo[:, bj], self._e_hi[:, bj])
-            n_l = len(self.layer_values)
-            level = (self._p_lo, self._p_hi, self._bounds, self._filled)
-            for values in level:
-                values.setflags(write=True)
-            try:
-                self._p_lo[new], self._p_hi[new] = p_lo.T, p_hi.T
-                self._bounds[:n_l, new], self._bounds[n_l:, new] = log_hi, log_lo
-                self._filled[supers] = True
-            finally:
-                for values in level:
-                    values.setflags(write=False)
-        return blocks, owner
+        inside = bi < len(self._c_lo)
+        return (bi * len(self._e_lo) + bj[:, None])[inside], np.nonzero(inside)[0]
+
+    def _block_bounds(self, blocks: np.ndarray):
+        """:meth:`_p0_bounds` of the given blocks."""
+        bi, bj = np.divmod(blocks, len(self._e_lo))
+        return self._p0_bounds(self._c_lo.take(bi, axis=0), self._c_hi.take(bi, axis=0),
+                               self._e_lo.take(bj, axis=0), self._e_hi.take(bj, axis=0))
 
     def _block_cells(self, blocks) -> np.ndarray:
         """Flat indices of the cells of the given blocks, ascending."""
@@ -435,7 +411,7 @@ class LikelihoodGrid:
         counts = np.hstack([even, shots - even])
         reach = counts @ self._super_bounds
         blocks, _ = self._members(np.unique(np.argmax(reach, axis=1)))
-        top = np.unique(blocks[np.argmax(counts @ self._bounds[:, blocks], axis=1)])
+        top = np.unique(blocks[np.argmax(counts @ self._block_bounds(blocks)[2], axis=1)])
         threshold = self._maxima(even, shots, self._block_cells(top))[0] - tol
         rows, supers = self._survivors(even, shots, threshold, reach,
                                        self._super_p_lo, self._super_p_hi)
@@ -443,7 +419,8 @@ class LikelihoodGrid:
         alive = np.zeros((len(even), len(supers)), dtype=bool)
         alive[rows, owner] = True
         blocks, owner = self._members(supers)
-        reach = counts @ self._bounds[:, blocks]
+        p_lo, p_hi, bounds = self._block_bounds(blocks)
+        reach = counts @ bounds
         reach[~alive[:, owner]] = -np.inf
         # where the super-blocks' linear bounds ranked poorly (deep layers
         # span most of [0, 1] in a super-block), the incumbent rises to the
@@ -452,8 +429,7 @@ class LikelihoodGrid:
         if best:
             cells = self._block_cells(np.fromiter(best, dtype=np.intp))
             threshold = np.maximum(threshold, self._maxima(even, shots, cells)[0] - tol)
-        _, kept = self._survivors(even, shots, threshold, reach,
-                                  self._p_lo[blocks], self._p_hi[blocks])
+        _, kept = self._survivors(even, shots, threshold, reach, p_lo, p_hi)
         return self._block_cells(np.unique(blocks[kept]))
 
     def _survivors(self, even: np.ndarray, shots: np.ndarray,
@@ -503,11 +479,8 @@ class LikelihoodGrid:
         even = np.array([[r.e_even for r in dataset.records]], dtype=float)
         shots = np.array([r.n_shots for r in dataset.records], dtype=float)
         cells = self._candidates(even, shots, DEGENERACY_TOL)
-        values = np.empty(len(cells))
-        start = 0
-        for tile in self._tiles(cells, 1):
-            values[start:start + len(tile)] = self._exact(even, shots, tile)[0]
-            start += len(tile)
+        values = np.concatenate([self._exact(even, shots, tile)[0]
+                                 for tile in self._tiles(cells, 1)])
         k = int(np.argmax(values))  # first maximum: smallest Pi index, then lam
         best = values[k]
         n_lam = self.grid.lambda_points
@@ -547,9 +520,8 @@ def likelihood_tables(grid: MLEGrid, layer_values: tuple[int, ...]) -> Likelihoo
 
     One entry is enough: callers run one layer set back to back (a term's
     point estimate and bootstrap, files sharing a schedule, a sweep row's
-    terms).  It allocates 4.1 MB for nine layers on the default grid, of
-    which the 2.9 MB of block bounds stay untouched until searches reach
-    their super-blocks.
+    terms).  It allocates 1.2 MB for nine layers on the default grid, and
+    no search writes on it.
     """
     return LikelihoodGrid(grid, layer_values)
 

@@ -5,9 +5,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-# Deepest Fisher-envelope maximum the noise-robust scan visits: each layer
-# below it is tested, so a tiny lam would scan without end.
-NRIS_MAX_LAYERS = 10**6
+# Deepest layer any schedule may hold.  Every family checks its i_max
+# against it before building its layers, and the noise-robust scan, which
+# tests each layer below its Fisher-envelope maximum, checks that maximum.
+MAX_LAYERS = 10**6
 
 
 @dataclass(frozen=True)
@@ -34,17 +35,27 @@ class LayerSchedule:
             raise ValueError("shots_per_layer must be positive")
 
 
-def lis(i_max: int, n_shots: int) -> LayerSchedule:
-    """Linear incremental sequence 0, 1, ..., i_max."""
+def _check_i_max(i_max: int, family: str, deepest) -> None:
+    """Reject a negative ``i_max``, and one whose deepest layer,
+    ``deepest(i_max)``, lies beyond ``MAX_LAYERS``."""
     if i_max < 0:
         raise ValueError("i_max must be non-negative")
+    # each family's deepest layer is at least i_max, so deepest() only
+    # sees an i_max within the bound
+    if i_max > MAX_LAYERS or deepest(i_max) > MAX_LAYERS:
+        raise ValueError(f"i_max {i_max} puts the deepest {family} layer beyond "
+                         f"the bound of {MAX_LAYERS} layers")
+
+
+def lis(i_max: int, n_shots: int) -> LayerSchedule:
+    """Linear incremental sequence 0, 1, ..., i_max."""
+    _check_i_max(i_max, "lis", lambda i: i)
     return LayerSchedule(tuple(range(i_max + 1)), n_shots, origin="lis")
 
 
 def eis(i_max: int, n_shots: int) -> LayerSchedule:
     """Exponential incremental sequence 0, then 2^(i-1) for i = 1..i_max."""
-    if i_max < 0:
-        raise ValueError("i_max must be non-negative")
+    _check_i_max(i_max, "eis", lambda i: 2 ** (i - 1) if i else 0)
     layers = (0, *(2 ** (i - 1) for i in range(1, i_max + 1)))
     return LayerSchedule(layers, n_shots, origin="eis")
 
@@ -53,8 +64,9 @@ def polynomial(degree: int, i_max: int, n_shots: int) -> LayerSchedule:
     """Polynomial sequence i^degree for i = 0..i_max."""
     if degree < 1:
         raise ValueError("degree must be at least 1")
-    if i_max < 0:
-        raise ValueError("i_max must be non-negative")
+    # i >= 2 to the power of the bound's bit length is already beyond it
+    _check_i_max(i_max, f"poly{degree}",
+                 lambda i: i ** min(degree, MAX_LAYERS.bit_length()))
     layers = tuple(i ** degree for i in range(i_max + 1))
     return LayerSchedule(layers, n_shots, origin=f"poly{degree}")
 
@@ -85,21 +97,23 @@ def noise_robust_schedule(pi_prior: float, lam: float, n_shots: int,
     the two-parameter MLE needs.  When the prior expectation is within
     c*lam of 0 or +-1 the condition is uninformative and the exponential
     sequence (capped at the envelope maximum) is used instead.  A ``lam``
-    whose envelope maximum lies beyond ``NRIS_MAX_LAYERS`` is rejected.
+    whose envelope maximum lies beyond ``MAX_LAYERS`` is rejected.
     """
     if not -1.0 <= pi_prior <= 1.0:
         raise ValueError("pi_prior must lie in [-1, 1]")
     if not (math.isfinite(c) and c > 0.0):
         raise ValueError(f"c must be a finite positive number, got {c}")
     cap = l_max_fisher(lam)
-    if cap > NRIS_MAX_LAYERS:
+    if cap > MAX_LAYERS:
         raise ValueError(
             f"lambda {lam!r} puts the Fisher-envelope maximum at L = {cap:.10g}, "
-            f"beyond the noise-robust bound of {NRIS_MAX_LAYERS} layers"
+            f"beyond the noise-robust bound of {MAX_LAYERS} layers"
         )
 
     if abs(pi_prior) < c * lam or 1.0 - abs(pi_prior) < c * lam:
-        capped = [l for l in eis(64, n_shots).layers if l <= math.floor(cap)]
+        # the deepest eis within MAX_LAYERS holds every power of two up to cap
+        deepest_eis = eis(MAX_LAYERS.bit_length(), n_shots)
+        capped = [l for l in deepest_eis.layers if l <= math.floor(cap)]
         return LayerSchedule(tuple(capped), n_shots, origin="nris-eis-edge")
 
     phi = math.acos(pi_prior)

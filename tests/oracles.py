@@ -197,7 +197,8 @@ def block_maxima(table: np.ndarray, pi_block: int, lam_block: int) -> np.ndarray
 
 def eager_block_level(grid, layer_values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every block's bounds in one eager pass, the reference for the
-    grid's lazily filled block level: the (blocks, layers) ``p_lo`` and
+    block bounds a search computes for the blocks it reaches
+    (``LikelihoodGrid._block_bounds``): the (blocks, layers) ``p_lo`` and
     ``p_hi`` of ``p0`` over each ``BLOCK`` x ``BLOCK`` block, and the
     (2 layers, blocks) bounds of ``log p0`` then ``log p1``, scaled by
     ``1 - _rounding_slack``."""

@@ -40,7 +40,7 @@ from rae.pauli import (
     oracle_expectation,
     save_hamiltonian,
 )
-from rae.schedules import lis, noise_robust_schedule, query_cost
+from rae.schedules import MAX_LAYERS, lis, noise_robust_schedule, query_cost
 
 
 def run(*argv):
@@ -656,6 +656,43 @@ class TestSchedule:
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: lambda 1e-300 ")
         assert not (tmp_path / "unused").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("schedule", "--i-max", 70),
+        ("schedule", "--i-max", 1100, "--lambda", 0.01, "--pi", 0.3),
+        ("schedule", "--i-max", 20000),
+        ("generate", "--hamiltonian", "one_qubit", "--i-max", 70, "--out", "unused"),
+    ], ids=["schedule-70", "schedule-1100", "schedule-20000", "generate-70"])
+    def test_eis_beyond_the_depth_bound(self, tmp_path, monkeypatch, capsys, argv):
+        """An eis depth past MAX_LAYERS exits 2 with one line naming
+        i_max, before anything is printed or written: not L = 2^69, an
+        overflow or Python's integer-digits limit."""
+        monkeypatch.chdir(tmp_path)
+        assert run(*argv, "--schedule", "eis") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        i_max = argv[argv.index("--i-max") + 1]
+        assert captured.err == (f"error: i_max {i_max} puts the deepest eis layer "
+                                f"beyond the bound of {MAX_LAYERS} layers\n")
+        assert not (tmp_path / "unused").exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "energy"])
+    @pytest.mark.parametrize("family, i_max", [("eis", 30), ("lis", 1000001)])
+    def test_sweep_rejects_its_i_max(self, tmp_path, command, family, i_max):
+        """A sweep checks its deepest row first, so the message names the
+        --i-max given, and an lis bound is not reached row by row.  A
+        subprocess with a timeout turns a hang into a failure."""
+        src = str(pathlib.Path(cli.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "rae.cli", command, "--hamiltonian", "one_qubit",
+             "--schedule", family, "--i-max", str(i_max), "--out", "rows.csv"],
+            capture_output=True, text=True, timeout=30, cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == (f"error: i_max {i_max} puts the deepest {family} layer "
+                               f"beyond the bound of {MAX_LAYERS} layers\n")
+        assert not (tmp_path / "rows.csv").exists()
 
     def test_bounds_computed_before_printing(self, capsys):
         """A prior the bound rejects exits 2 before the schedule is

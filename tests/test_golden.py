@@ -39,6 +39,9 @@ COMMANDS = (
      "--i-max", 2, "--shots", 64, "--seed", 7, "--out", "lis2"),
     ("estimate", "lis2/Z.json", "lis2/X.json", "--bootstrap", 17,
      "--seed", 1, "--out", "estimate-default.json"),
+    # 130 replicates span three row groups (64, 64, 2).
+    ("estimate", "lis2/Z.json", "lis2/X.json", "--bootstrap", 130,
+     "--seed", 1, "--out", "estimate-default-130.json"),
     ("sweep", *SWEEP, "--out", "sweep.csv", "--json", "sweep.json"),
     ("energy", *SWEEP, "--out", "energy.csv", "--json", "energy.json"),
     ("fit-lambda", "--simulate", "--hamiltonian", "one_qubit", "--term", "Z",
@@ -80,6 +83,8 @@ GOLDEN = {
         "116349ec9fc4cec12190d8f787dc3299192e6c53374b7d1e86dc35e2aa7443c7",
     "estimate-default.json":
         "eac53d42f25426553d47c1a7d645355d752440f60c19c74069fd0e95c0a7b1f5",
+    "estimate-default-130.json":
+        "5ae6fa7148dccadf9c9e1e285c84b2d005607ca7d4e049d292df3dd8bf2c2065",
     "estimate2.json":
         "3af10f5a570411a1faa88d7d7c16dc21c1b78b1f543c743984fdb808fb30a795",
     "estimate-direct.json":

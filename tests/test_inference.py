@@ -392,6 +392,9 @@ EXHAUSTIVE_CASES = {
     # leave the linear bound loose
     "lis1-two-records": (_sampled(-0.2244, 0.02, (0, 1), 8192, 15, "X"),
                          MLEGrid(10000, 101, 0.1), 6),
+    # 150 replicates are three row groups (64, 64, 22) on non-flat data
+    "xx-lis8-three-groups": (_sampled(-0.2238, 0.045, range(9), 8192, 16, "XX"),
+                             MLEGrid(1001, 101, 0.5), 150),
 }
 
 
@@ -418,18 +421,15 @@ BOUND_GRIDS = pytest.mark.parametrize(
     ids=["default", "ragged", "lambda-max-50"])
 
 
-def filled_grid(grid, layer_values) -> LikelihoodGrid:
-    """A grid whose every block bound has been filled, through the search's
-    own path: :meth:`LikelihoodGrid._members` of every super-block."""
-    tables = LikelihoodGrid(grid, layer_values)
-    tables._members(np.arange(len(tables._super_p_lo)))
-    return tables
-
-
-# Each level of the search: the cells its units span along (Pi, lam), and
-# the names of its linear bounds and of its [p_lo, p_hi] ranges.
-LEVELS = [((BLOCK, BLOCK), "_bounds", "_p_lo", "_p_hi"),
-          ((BLOCK * SUPER, BLOCK), "_super_bounds", "_super_p_lo", "_super_p_hi")]
+def levels(tables):
+    """Each level of the search: the cells its units span along (Pi, lam),
+    and its units' ``p_lo``, ``p_hi`` and linear bounds, for every block
+    through :meth:`LikelihoodGrid._block_bounds` and for every
+    super-block as built."""
+    n_blocks = len(tables._c_lo) * len(tables._e_lo)
+    return [((BLOCK, BLOCK), tables._block_bounds(np.arange(n_blocks))),
+            ((BLOCK * SUPER, BLOCK),
+             (tables._super_p_lo, tables._super_p_hi, tables._super_bounds))]
 
 
 class TestBlockBounds:
@@ -438,10 +438,9 @@ class TestBlockBounds:
 
     @BOUND_GRIDS
     def test_never_below_dense_block_maxima(self, grid):
-        tables = filled_grid(grid, DEEP_LAYERS)
+        tables = LikelihoodGrid(grid, DEEP_LAYERS)
         n = len(DEEP_LAYERS)
-        for span, bounds, _, _ in LEVELS:
-            bounds = getattr(tables, bounds)
+        for span, (_, _, bounds) in levels(tables):
             for i, layers in enumerate(DEEP_LAYERS):
                 log_p0, log_p1 = dense_tables(grid, (layers,))
                 for bound, table in ((bounds[i], log_p0[0]), (bounds[n + i], log_p1[0])):
@@ -474,9 +473,8 @@ class TestConcaveBound:
             for surface, e in zip(surfaces, even[:, l]):
                 surface += e * log_p0[0]
                 surface += (n_shots - e) * log_p1[0]
-        tables = filled_grid(grid, DEEP_LAYERS)
-        for span, _, p_lo, p_hi in LEVELS:
-            p_lo, p_hi = getattr(tables, p_lo), getattr(tables, p_hi)
+        tables = LikelihoodGrid(grid, DEEP_LAYERS)
+        for span, (p_lo, p_hi, _) in levels(tables):
             for e, surface in zip(even, surfaces):
                 bound = tables._concave_bound(np.tile(e, (len(p_lo), 1)), shots, p_lo, p_hi)
                 assert np.all(bound >= block_maxima(surface, *span))
@@ -505,46 +503,56 @@ class TestCandidates:
             cells = tables._candidates(even, shots.astype(float), tol)
             assert len(cells) <= 16 * BLOCK**2
 
-    def test_point_estimate_fills_few_super_blocks(self, tmp_path):
-        """Block bounds are filled only for the super-blocks the search
-        reaches: 2 of the 1,000 for this point estimate, which equals that
-        of a grid with every block filled."""
+    def test_searches_leave_the_grid_unchanged(self, tmp_path):
+        """A point estimate and a 130-row search, three row groups, write
+        nothing on the shared grid, and the point estimate equals that of
+        a fresh grid."""
         assert main(["generate", "--seed", "11", "--lambda", "0.045",
                      "--out", str(tmp_path)]) == 0
         ds = load_dataset(str(tmp_path / "XX.json"))
-        tables = LikelihoodGrid(MLEGrid(), ds.layer_values())
-        assert not tables._filled.any()
+        likelihood_tables.cache_clear()
+        tables = likelihood_tables(MLEGrid(), ds.layer_values())
+
+        def arrays():
+            return {name: values.tobytes() for name, values in vars(tables).items()
+                    if isinstance(values, np.ndarray)}
+
+        built = arrays()
         result = tables.estimate(ds)
-        assert 0 < tables._filled.sum() <= 8
-        assert result == filled_grid(MLEGrid(), ds.layer_values()).estimate(ds)
+        shots = np.array([r.n_shots for r in ds.records])
+        rates = np.array([r.e_even / r.n_shots for r in ds.records])
+        even = np.random.default_rng(0).binomial(shots, rates, size=(130, len(shots)))
+        tables.estimate_counts(even.astype(float), shots.astype(float))
+        assert arrays() == built
         for values in vars(tables).values():
             if isinstance(values, np.ndarray):
                 assert not values.flags.writeable
+        assert result == LikelihoodGrid(MLEGrid(), ds.layer_values()).estimate(ds)
 
 
-class TestLazyBlockLevel:
-    """Block bounds filled super-block by super-block equal the eager build
-    of every block at once, bit for bit."""
+class TestBlockLevel:
+    """Block bounds computed for any set of blocks equal the eager build of
+    every block at once, bit for bit."""
 
     @BOUND_GRIDS
-    def test_filled_equals_eager_build(self, grid):
-        tables = filled_grid(grid, DEEP_LAYERS)
-        for name, reference in zip(("_p_lo", "_p_hi", "_bounds"),
-                                   eager_block_level(grid, DEEP_LAYERS)):
-            values = getattr(tables, name)
+    def test_block_bounds_equal_eager_build(self, grid):
+        (_, computed), _ = levels(LikelihoodGrid(grid, DEEP_LAYERS))
+        for name, values, reference in zip(("p_lo", "p_hi", "bounds"), computed,
+                                           eager_block_level(grid, DEEP_LAYERS)):
             assert values.shape == reference.shape, name
             assert values.tobytes() == reference.tobytes(), name
 
-    def test_fill_is_independent_of_the_order_of_requests(self):
-        grid, layers = MLEGrid(1001, 101, 50.0), DEEP_LAYERS
-        tables = LikelihoodGrid(grid, layers)
+    def test_bounds_are_independent_of_the_order_of_requests(self):
+        tables = LikelihoodGrid(MLEGrid(1001, 101, 50.0), DEEP_LAYERS)
+        (_, whole), _ = levels(tables)
+        parts = [np.full_like(values, np.nan) for values in whole]
         n_supers = len(tables._super_p_lo)
         for supers in np.array_split(np.random.default_rng(5).permutation(n_supers), 7):
-            tables._members(supers)
-        assert tables._filled.all()
-        for name, reference in zip(("_p_lo", "_p_hi", "_bounds"),
-                                   eager_block_level(grid, layers)):
-            assert getattr(tables, name).tobytes() == reference.tobytes(), name
+            blocks, _ = tables._members(supers)
+            p_lo, p_hi, bounds = tables._block_bounds(blocks)
+            parts[0][blocks], parts[1][blocks], parts[2][:, blocks] = p_lo, p_hi, bounds
+        for name, part, values in zip(("p_lo", "p_hi", "bounds"), parts, whole):
+            assert part.tobytes() == values.tobytes(), name
 
 
 class TestLikelihoodTables:

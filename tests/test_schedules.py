@@ -6,7 +6,7 @@ import pytest
 
 from rae.fisher import fisher_matrix
 from rae.schedules import (
-    NRIS_MAX_LAYERS,
+    MAX_LAYERS,
     LayerSchedule,
     eis,
     l_max_fisher,
@@ -60,9 +60,21 @@ class TestConstructors:
         with pytest.raises(ValueError):
             polynomial(0, 4, 100)
 
+    def test_deepest_layer_bounded(self):
+        """Every family builds up to MAX_LAYERS and refuses, naming i_max,
+        an i_max whose deepest layer lies beyond it."""
+        assert lis(MAX_LAYERS, 1).layers[-1] == MAX_LAYERS
+        assert eis(20, 1).layers[-1] == 2**19 < MAX_LAYERS < 2**20
+        assert polynomial(2, 1000, 1).layers[-1] == MAX_LAYERS
+        for build, i_max in ((lis, MAX_LAYERS + 1), (eis, 21), (eis, 20000),
+                             (lambda i, n: polynomial(2, i, n), 1001),
+                             (lambda i, n: polynomial(10**12, i, n), 2)):
+            with pytest.raises(ValueError, match=f"^i_max {i_max} puts the deepest "):
+                build(i_max, 1)
+
     def test_lis_never_subset_of_eis(self):
         # the two families genuinely differ once i_max >= 3
-        eis_members = set(eis(64, 1).layers)
+        eis_members = set(eis(MAX_LAYERS.bit_length(), 1).layers)
         for i_max in range(3, 9):
             assert not set(lis(i_max, 1).layers) <= eis_members
 
@@ -117,7 +129,7 @@ class TestNoiseRobustSchedule:
         sched = noise_robust_schedule(0.999, 0.045, 100)
         assert sched.origin == "nris-eis-edge"
         cap = math.floor(l_max_fisher(0.045))
-        eis_members = set(eis(64, 100).layers)
+        eis_members = set(eis(MAX_LAYERS.bit_length(), 100).layers)
         assert all(l in eis_members and l <= cap for l in sched.layers)
 
     def test_near_zero_prior_takes_exponential_branch(self):
@@ -161,9 +173,9 @@ class TestNoiseRobustSchedule:
             with pytest.raises(ValueError, match="c must be a finite positive"):
                 noise_robust_schedule(0.5, 0.045, 100, c=c)
         # the scan tests every layer below l_max_fisher(lam), so a lam that
-        # puts it past NRIS_MAX_LAYERS is refused; a far smaller lam, which
+        # puts it past MAX_LAYERS is refused; a far smaller lam, which
         # would never return without the bound, runs in a subprocess in
         # tests/test_cli.py
-        assert l_max_fisher(1e-6) > NRIS_MAX_LAYERS
+        assert l_max_fisher(1e-6) > MAX_LAYERS
         with pytest.raises(ValueError, match="lambda 1e-06 "):
             noise_robust_schedule(0.5, 1e-6, 100)
