@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import datetime
 import errno
-import hashlib
-import json
 import os
 import sys
 
@@ -36,7 +35,12 @@ from .energy import (
     sweep_cell,
     term_row,
 )
-from .fisher import NoContrastError, advantage_verdict, crb_rmse
+from .fisher import (
+    NoContrastError,
+    advantage_verdict,
+    matrix_crb,
+    prefix_fisher_matrices,
+)
 from .inference import (
     BOOTSTRAP_REPLICATES,
     IdentifiabilityError,
@@ -129,16 +133,6 @@ def _config(args: argparse.Namespace, seed: int, ansatz=None) -> dict:
     return config
 
 
-def _config_digest(payload: dict) -> str:
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-
-
 def _check_writable(*paths) -> None:
     """Reject, before any work, an output path whose directory is missing
     or is not a directory, or that names a directory; ``None`` is no
@@ -175,9 +169,9 @@ def _write_report(path: str, stamp: bool, body: dict,
     doc = {"version": jsonio.FORMAT_VERSION, "timestamp": _utc_stamp(stamp), **body}
     if config is not None:
         doc["config"] = config
-        doc["config_sha256"] = _config_digest(config)
+        doc["config_sha256"] = jsonio.digest(config)
     with _writing(path):
-        _write_text(path, jsonio.dumps(doc))
+        jsonio.save(path, doc)
     print(f"wrote {path}")
 
 
@@ -188,11 +182,7 @@ def _utc_stamp(enabled: bool) -> str | None:
 
 
 def _grid_from_args(args: argparse.Namespace) -> MLEGrid:
-    return MLEGrid(
-        pi_points=args.grid_pi,
-        lambda_points=args.grid_lambda,
-        lambda_max=args.grid_lambda_max,
-    )
+    return MLEGrid(args.grid_pi, args.grid_lambda, args.grid_lambda_max)
 
 
 def _build_schedule(args: argparse.Namespace, i_max: int,
@@ -229,7 +219,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     if not terms:
         raise ValueError("the Hamiltonian has no non-identity terms to measure")
     config = _config(args, seed, ansatz)
-    digest = _config_digest(config)
+    digest = jsonio.digest(config)
     stamp = _utc_stamp(args.stamp)
     # every term is simulated before --out is created or written
     outputs = []
@@ -346,7 +336,7 @@ def _write_table(args: argparse.Namespace, header: str, columns,
         for row in rows
     ]
     with _writing(args.out):
-        _write_text(args.out, "\n".join(lines) + "\n")
+        jsonio.write_text(args.out, "\n".join(lines) + "\n")
     print(f"wrote {args.out} ({len(rows)} rows)")
     if args.json:
         _write_report(args.json, args.stamp, {"rows": rows}, config)
@@ -371,18 +361,11 @@ def cmd_energy(args: argparse.Namespace) -> int:
     seed, h, ansatz, schedules, grid, config = _sweep_setup(args)
     estimates = rmse_sweep(h, ansatz, args.lam, schedules, args.bootstrap,
                            seed=seed, grid=grid)
-    rows = []
-    for row in estimates:
-        baseline = direct_baseline(h, ansatz, args.lam, row.n_queries_per_term)
-        rows.append({
-            "l_max": int(row.l_max),
-            "n_queries_per_term": int(row.n_queries_per_term),
-            "energy": float(row.energy),
-            "bias": float(row.bias),
-            "variance": float(row.variance),
-            "rmse": float(row.rmse),
-            "baseline_rmse": float(baseline.rmse),
-        })
+    rows = [
+        {**dataclasses.asdict(row), "baseline_rmse":
+         direct_baseline(h, ansatz, args.lam, row.n_queries_per_term).rmse}
+        for row in estimates
+    ]
     _write_table(args, "l_max,n_queries,rmse,bias,variance",
                  ("l_max", "n_queries_per_term", "rmse", "bias", "variance"),
                  rows, config)
@@ -428,14 +411,7 @@ def cmd_fit_lambda(args: argparse.Namespace) -> int:
     print(f"verdict: {verdict} (threshold {100.0 * args.threshold:.1f}%)")
     if args.out:
         _write_report(args.out, args.stamp, {
-            "rows": [
-                {
-                    "layers": int(r.layers),
-                    "lambda_hat": float(r.lambda_hat),
-                    "delta_lambda": float(r.delta_lambda),
-                }
-                for r in profile.rows
-            ],
+            "rows": [dataclasses.asdict(r) for r in profile.rows],
             "variation": float(profile.variation) if bounded else None,
             "unstable": bool(profile.unstable),
             "threshold": float(args.threshold),
@@ -446,29 +422,25 @@ def cmd_fit_lambda(args: argparse.Namespace) -> int:
 def cmd_schedule(args: argparse.Namespace) -> int:
     _check_writable(args.out)
     schedule = _build_schedule(args, args.i_max, args.pi)
-    # every bound is computed before anything is printed
+    # every bound is computed, in one pass, before anything is printed
     prefixes, lines = [], []
     if args.pi is not None and args.lam is not None:
-        for k in range(1, len(schedule.layers) + 1):
-            sub = LayerSchedule(schedule.layers[:k], schedule.shots_per_layer)
+        n_queries = 0
+        infos = prefix_fisher_matrices(args.pi, args.lam, schedule)
+        for k, (layer, info) in enumerate(zip(schedule.layers, infos), 1):
+            n_queries += schedule.shots_per_layer * (2 * layer + 1)
             bound = None
             try:
-                bound = crb_rmse(args.pi, args.lam, sub)
+                bound = matrix_crb(info)
                 text = f"{bound:.6e}"
             except NoContrastError:
                 text = "n/a (no contrast left at any depth)"
             except IdentifiabilityError:
                 text = "n/a (depth set not identifiable)"
-            row = {
-                "layers": list(sub.layers),
-                "n_queries": int(query_cost(sub)),
-                "crb": None if bound is None else float(bound),
-            }
-            prefixes.append(row)
-            lines.append(
-                f"  L<={row['layers'][-1]:>4d}  queries={row['n_queries']:>9d}  "
-                f"crb={text}"
-            )
+            if args.out:
+                prefixes.append({"layers": list(schedule.layers[:k]),
+                                 "n_queries": n_queries, "crb": bound})
+            lines.append(f"  L<={layer:>4d}  queries={n_queries:>9d}  crb={text}")
     print(f"layers: {' '.join(str(layer) for layer in schedule.layers)}")
     print(f"shots per layer: {schedule.shots_per_layer}")
     print(f"query cost: {query_cost(schedule)}")
@@ -480,9 +452,9 @@ def cmd_schedule(args: argparse.Namespace) -> int:
     if args.out:
         _write_report(args.out, args.stamp, {
             "layers": list(schedule.layers),
-            "shots_per_layer": int(schedule.shots_per_layer),
+            "shots_per_layer": schedule.shots_per_layer,
             "origin": schedule.origin,
-            "n_queries": int(query_cost(schedule)),
+            "n_queries": query_cost(schedule),
             "pi": args.pi,
             "lambda": args.lam,
             "prefixes": prefixes,
@@ -520,12 +492,12 @@ _STAMP = [_arg("--stamp", action="store_true",
                help="embed a UTC timestamp in outputs (off by default so reruns "
                     "are byte-identical)")]
 _GRID = [
-    _arg("--grid-pi", type=int, default=10000,
-         help="amplitude grid points (default: 10000)"),
-    _arg("--grid-lambda", type=int, default=100,
-         help="decay-rate grid points (default: 100)"),
-    _arg("--grid-lambda-max", type=float, default=0.5,
-         help="decay-rate grid upper edge (default: 0.5)"),
+    _arg("--grid-pi", type=int, default=MLEGrid.pi_points,
+         help=f"amplitude grid points (default: {MLEGrid.pi_points})"),
+    _arg("--grid-lambda", type=int, default=MLEGrid.lambda_points,
+         help=f"decay-rate grid points (default: {MLEGrid.lambda_points})"),
+    _arg("--grid-lambda-max", type=float, default=MLEGrid.lambda_max,
+         help=f"decay-rate grid upper edge (default: {MLEGrid.lambda_max})"),
 ]
 _FAMILY = [
     _arg("--schedule", choices=("lis", "eis", "poly", "nris"), default="lis",

@@ -128,7 +128,7 @@ def simulate_dataset(ansatz: AnsatzSpec, target: PauliString, lam: float,
 
 
 def estimate_term(dataset: ParityDataset, m_bootstrap: int,
-                  grid: MLEGrid | None = None, seed=0):
+                  grid: MLEGrid = MLEGrid(), seed=0):
     """Point estimate plus bootstrap replicates, routed by layer content."""
     if dataset.layer_values() == (0,):
         result = direct_estimate(dataset)
@@ -139,7 +139,7 @@ def estimate_term(dataset: ParityDataset, m_bootstrap: int,
 
 
 def sweep_cell(ansatz: AnsatzSpec, string: PauliString, lam: float,
-               schedule: LayerSchedule, m_bootstrap: int, grid: MLEGrid | None,
+               schedule: LayerSchedule, m_bootstrap: int, grid: MLEGrid,
                seed: int, position: tuple[int, int]):
     """Simulate and estimate the (budget row, term) cell at ``position``;
     returns the dataset with its point estimate and replicates.
@@ -221,7 +221,7 @@ def term_row(dataset: ParityDataset, result, replicates) -> dict:
 
 def rmse_sweep(hamiltonian: PauliSum, ansatz: AnsatzSpec, lam: float,
                schedules, m_bootstrap: int, seed: int = 0,
-               grid: MLEGrid | None = None) -> tuple[EnergyEstimate, ...]:
+               grid: MLEGrid = MLEGrid()) -> tuple[EnergyEstimate, ...]:
     """Energy error versus layer budget, one row per entry of ``schedules``.
 
     Every term of a row is one :func:`sweep_cell`, and the row's ``l_max``

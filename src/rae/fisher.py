@@ -14,6 +14,7 @@ apart from a single unboosted measurement.
 
 from __future__ import annotations
 
+import collections
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -56,8 +57,9 @@ class FisherMatrix:
         return self.determinant / scale
 
 
-def fisher_matrix(pi: float, lam: float, schedule: LayerSchedule) -> FisherMatrix:
-    """Information matrix of the full schedule at true parameters (pi, lam)."""
+def prefix_fisher_matrices(pi: float, lam: float, schedule: LayerSchedule):
+    """Information matrix of every prefix of the schedule, shortest first:
+    the running sums, so each is :func:`fisher_matrix` of its prefix."""
     if not -1.0 < pi < 1.0:
         raise ValueError("pi must lie strictly inside (-1, 1)")
     if not (math.isfinite(lam) and lam >= 0.0):
@@ -78,25 +80,40 @@ def fisher_matrix(pi: float, lam: float, schedule: LayerSchedule) -> FisherMatri
         i11 += n * k * k * s * s / (one_minus_pi2 * gap)
         i12 += n * (layers + 0.5) ** 2 * (2.0 * s * c) / (math.sqrt(one_minus_pi2) * -gap)
         i22 += n * (layers + 0.5) ** 2 * c * c / gap
-    return FisherMatrix(i11=i11, i12=i12, i22=i22)
+        yield FisherMatrix(i11=i11, i12=i12, i22=i22)
+
+
+def fisher_matrix(pi: float, lam: float, schedule: LayerSchedule) -> FisherMatrix:
+    """Information matrix of the full schedule at true parameters (pi, lam)."""
+    return collections.deque(prefix_fisher_matrices(pi, lam, schedule), maxlen=1)[0]
+
+
+def matrix_crb(info: FisherMatrix) -> float:
+    """Cramer-Rao lower bound on RMSE(Pi): sqrt of the (Pi, Pi) element of
+    the inverse of ``info``, via the closed-form 2x2 adjugate.  Its errors
+    carry no message; :func:`crb_rmse` names the schedule."""
+    if info.i11 == info.i12 == info.i22 == 0.0:
+        raise NoContrastError
+    if info.normalized_determinant < SINGULARITY_TOL:
+        raise IdentifiabilityError
+    return math.sqrt(info.i22 / info.determinant)
 
 
 def crb_rmse(pi: float, lam: float, schedule: LayerSchedule) -> float:
-    """Cramer-Rao lower bound on RMSE(Pi): sqrt of the (Pi, Pi) element of
-    the inverse information matrix, via the closed-form 2x2 adjugate."""
-    info = fisher_matrix(pi, lam, schedule)
-    if info.i11 == info.i12 == info.i22 == 0.0:
+    """:func:`matrix_crb` of the schedule at true parameters (pi, lam)."""
+    try:
+        return matrix_crb(fisher_matrix(pi, lam, schedule))
+    except NoContrastError:
         raise NoContrastError(
             f"no contrast left at any depth of schedule {list(schedule.layers)}: "
             f"every e^{{lam (2L+1)}} overflows at lam = {lam!r}, so the data "
             "carry no information on (Pi, lam)"
-        )
-    if info.normalized_determinant < SINGULARITY_TOL:
+        ) from None
+    except IdentifiabilityError:
         raise IdentifiabilityError(
             f"Fisher matrix of schedule {list(schedule.layers)} is singular; "
             "(Pi, lam) are not jointly identifiable"
-        )
-    return math.sqrt(info.i22 / info.determinant)
+        ) from None
 
 
 def direct_error_model(pi: float, lam: float, n_queries: int) -> tuple[float, float]:

@@ -526,15 +526,13 @@ def likelihood_tables(grid: MLEGrid, layer_values: tuple[int, ...]) -> Likelihoo
     return LikelihoodGrid(grid, layer_values)
 
 
-def mle_estimate(dataset: ParityDataset, grid: MLEGrid | None = None) -> EstimationResult:
+def mle_estimate(dataset: ParityDataset, grid: MLEGrid = MLEGrid()) -> EstimationResult:
     """Exhaustive-grid joint MLE of (Pi, lam).
 
     Requires at least one record with L >= 1: with only the L=0 circuit the
     decay and the amplitude are confounded (use :func:`direct_estimate`,
     which pins lam = 0).
     """
-    if grid is None:
-        grid = MLEGrid()
     if set(dataset.layer_values()) == {0}:
         raise IdentifiabilityError(
             "dataset contains only the L=0 circuit; (Pi, lam) are not jointly "
@@ -578,7 +576,7 @@ class BootstrapReplicates:
 
 
 def bootstrap(dataset: ParityDataset, n_replicates: int,
-              grid: MLEGrid | None = None, seed=0) -> BootstrapReplicates:
+              grid: MLEGrid = MLEGrid(), seed=0) -> BootstrapReplicates:
     """Re-draw every record binomially and re-estimate, ``n_replicates`` times.
 
     Replicate ``k`` is entry ``k`` of one ``simulator.sample_parities``
@@ -600,8 +598,6 @@ def bootstrap(dataset: ParityDataset, n_replicates: int,
         return BootstrapReplicates(pi_hats=pi_hats,
                                    lambda_hats=np.zeros(n_replicates))
 
-    if grid is None:
-        grid = MLEGrid()
     pi_hats, lambda_hats = likelihood_tables(
         grid, dataset.layer_values()).estimate_counts(even, shots)
     return BootstrapReplicates(pi_hats=pi_hats, lambda_hats=lambda_hats)

@@ -1,5 +1,6 @@
 """The one on-disk JSON convention: dataset, curve and Hamiltonian files,
-and the command reports.
+and the command reports; every file the package writes goes through
+:func:`write_text`.
 
 Every document is a JSON object carrying ``"version": FORMAT_VERSION``,
 written with two-space indentation, sorted keys and a trailing newline, so
@@ -11,6 +12,7 @@ or mistyped field) into a :class:`DatasetFormatError` naming the file.
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 FORMAT_VERSION = 1
@@ -24,9 +26,19 @@ def dumps(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def save(path: str, doc: dict) -> None:
+def digest(doc: dict) -> str:
+    """sha256 of the compact, key-sorted JSON form of ``doc``."""
+    canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(doc))
+        fh.write(text)
+
+
+def save(path: str, doc: dict) -> None:
+    write_text(path, dumps(doc))
 
 
 def load(path: str, from_dict):

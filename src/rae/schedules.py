@@ -119,7 +119,7 @@ def noise_robust_schedule(pi_prior: float, lam: float, n_shots: int,
     phi = math.acos(pi_prior)
     selected = [
         l for l in range(int(math.ceil(cap)))
-        if l < cap and math.sin((2 * l + 1) * phi) ** 2 > 1.0 - c * lam
+        if math.sin((2 * l + 1) * phi) ** 2 > 1.0 - c * lam
     ]
     if not selected:
         fallback = lis(int(math.floor(cap)), n_shots)

@@ -22,10 +22,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import synthetic_curve
-from rae import cli, energy
+from rae import cli, energy, fisher
 from rae.cli import main, _fmt
 from rae.energy import sweep_cell
+from rae.fisher import NoContrastError, crb_rmse
 from rae.inference import (
+    IdentifiabilityError,
     MLEGrid,
     ParityDataset,
     ParityRecord,
@@ -40,7 +42,13 @@ from rae.pauli import (
     oracle_expectation,
     save_hamiltonian,
 )
-from rae.schedules import MAX_LAYERS, lis, noise_robust_schedule, query_cost
+from rae.schedules import (
+    MAX_LAYERS,
+    LayerSchedule,
+    lis,
+    noise_robust_schedule,
+    query_cost,
+)
 
 
 def run(*argv):
@@ -613,6 +621,55 @@ class TestSchedule:
                    "--lambda", 0.5, "--pi", 0.3) == 0
         out = capsys.readouterr().out
         assert out.count("crb=n/a (depth set not identifiable)") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("lis", "--i-max", 12, "--lambda", 0.05, "--pi", 0.9),
+        ("eis", "--i-max", 12, "--lambda", 0.5, "--pi", 0.3),
+        ("eis", "--i-max", 3, "--lambda", 800, "--pi", 0.3),
+        ("nris", "--lambda", 0.01, "--pi", 0.3),
+    ])
+    def test_each_prefix_is_crb_rmse_of_that_prefix(self, tmp_path, capsys,
+                                                      argv):
+        """The one-pass prefix table gives, for every prefix, the query cost
+        and the bound (or the reason there is none) that ``crb_rmse`` gives
+        for that prefix alone, the no-contrast and singular ones included."""
+        report = tmp_path / "sched.json"
+        assert run("schedule", "--schedule", *argv, "--shots", 64,
+                   "--out", report) == 0
+        lines = capsys.readouterr().out.splitlines()
+        doc = json.loads(report.read_text())
+        rows = [line for line in lines if line.startswith("  L<=")]
+        assert len(rows) == len(doc["prefixes"]) == len(doc["layers"])
+        for k, (row, line) in enumerate(zip(doc["prefixes"], rows), 1):
+            prefix = LayerSchedule(tuple(doc["layers"][:k]), 64)
+            assert row["layers"] == list(prefix.layers)
+            assert row["n_queries"] == query_cost(prefix)
+            try:
+                want = crb_rmse(doc["pi"], doc["lambda"], prefix)
+                text = f"{want:.6e}"
+            except NoContrastError:
+                want, text = None, "n/a (no contrast left at any depth)"
+            except IdentifiabilityError:
+                want, text = None, "n/a (depth set not identifiable)"
+            assert row["crb"] == want
+            assert line.endswith(f"crb={text}")
+
+    def test_per_layer_terms_computed_once_per_layer(self, monkeypatch,
+                                                     capsys):
+        """The prefix table takes one pass over the layers: each layer's
+        decay factor is computed once, not once per prefix holding it."""
+        calls = []
+        exp = fisher.math.exp
+
+        def counting(x):
+            calls.append(x)
+            return exp(x)
+
+        monkeypatch.setattr(fisher.math, "exp", counting)
+        assert run("schedule", "--schedule", "lis", "--i-max", 39,
+                   "--lambda", 0.01, "--pi", 0.3) == 0
+        assert len(calls) == 40
+        assert capsys.readouterr().out.count("crb=") == 40
 
     def test_nris_matches_library(self, tmp_path, capsys):
         code = run(

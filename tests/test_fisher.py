@@ -15,6 +15,8 @@ from rae.fisher import (
     crb_rmse,
     direct_mse_model,
     fisher_matrix,
+    matrix_crb,
+    prefix_fisher_matrices,
 )
 from rae.inference import IdentifiabilityError
 from rae.pauli import PauliString, builtin_problem, oracle_expectation
@@ -102,6 +104,29 @@ class TestFisherMatrix:
             fisher_matrix(-1.0, 0.0, sched)
         with pytest.raises(ValueError):
             fisher_matrix(0.5, -0.01, sched)
+
+
+class TestPrefixFisherMatrices:
+    def test_each_prefix_is_its_own_fisher_matrix_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        for _ in range(10):
+            pi, lam, schedule = random_draw(rng)
+            want = [
+                fisher_matrix(pi, lam, LayerSchedule(schedule.layers[:k],
+                                                     schedule.shots_per_layer))
+                for k in range(1, len(schedule.layers) + 1)
+            ]
+            assert list(prefix_fisher_matrices(pi, lam, schedule)) == want
+
+    def test_matrix_crb_is_crb_rmse(self):
+        schedule = lis(6, 500)
+        assert matrix_crb(fisher_matrix(0.4, 0.05, schedule)) == \
+            crb_rmse(0.4, 0.05, schedule)
+        with pytest.raises(NoContrastError):
+            matrix_crb(FisherMatrix(0.0, 0.0, 0.0))
+        with pytest.raises(IdentifiabilityError) as exc:
+            matrix_crb(fisher_matrix(0.4, 0.05, lis(0, 500)))
+        assert not isinstance(exc.value, NoContrastError)
 
 
 class TestCrbRmse:

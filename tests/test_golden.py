@@ -3,7 +3,9 @@
 One small run of each report-writing command (plus the Hamiltonian and
 curve savers) is hashed and compared with digests frozen from a known-good
 build, so a refactor of the per-term pipeline or of the JSON layout cannot
-change a single output byte unnoticed.  Commands run from a scratch working
+change a single output byte unnoticed, and every file they create must have
+been written through ``jsonio.write_text``.  ``rae schedule``'s console
+output is hashed the same way.  Commands run from a scratch working
 directory with relative paths, because the ``estimate`` report records its
 input paths.
 
@@ -13,10 +15,12 @@ change, and say why in CHANGES.md.
 """
 
 import hashlib
+import os
 
 import pytest
 
 from oracles import synthetic_curve
+from rae import jsonio
 from rae.cli import main
 from rae.noisefit import save_curve
 from rae.pauli import builtin_problem, save_hamiltonian
@@ -66,6 +70,12 @@ COMMANDS = (
      "--i-max", 0, "--shots", 64, "--seed", 7, "--out", "lis0"),
     ("estimate", "lis0/Z.json", "lis0/X.json", "--bootstrap", 40, *GRID,
      "--seed", 1, "--out", "estimate-direct.json"),
+    # The user-default run: five two-qubit lis(8) files and the default
+    # 10,000 replicates per term on the default grid, 785 row groups.
+    ("generate", "--hamiltonian", "two_qubit", "--lambda", 0.045,
+     "--i-max", 8, "--shots", 8192, "--seed", 11, "--out", "ud"),
+    ("estimate", "ud/IZ.json", "ud/XX.json", "ud/YY.json", "ud/ZI.json",
+     "ud/ZZ.json", "--out", "ud-report.json"),
 )
 
 GOLDEN = {
@@ -113,25 +123,77 @@ GOLDEN = {
         "8b9acc7042e0f71ccecb401937dec269c6349d3a5d4bdf6207f318d05d37a638",
     "fit-xx.json":
         "ee8dccfdbc0255d300d95d2fd548b0e2d899747d322559625c68de75a59b6881",
+    "ud-report.json":
+        "b8ba59deec9d9549b2be311769e12df08fb736e354bec5011fb9716ad1fa2579",
+}
+
+# ``rae schedule`` runs whose exit code, stdout, stderr and report (if one
+# was written) are hashed together: every bound, the no-contrast and the
+# singular prefix lines, and an amplitude the bound rejects.
+SCHEDULE_RUNS = {
+    ("--schedule", "lis", "--i-max", 12, "--shots", 64, "--lambda", 0.05,
+     "--pi", 0.9):
+        "cafe5ebb1125b6a98ffb144ddef1298bde5cda5abd92b4e4c4895fe72e5ade53",
+    # no contrast left at any prefix
+    ("--schedule", "eis", "--i-max", 6, "--lambda", 800, "--pi", 0.3):
+        "bec1949a3eb089459cea565378b1ade2ba624b9d5f249fe591bf717eb0964afc",
+    ("--schedule", "nris", "--pi", 0.3, "--lambda", 0.01):
+        "74185ffe55aec80373af7cd5517c8bcd83bb7569898bc1b79e333e91fb62c346",
+    # the one-layer prefix is singular
+    ("--schedule", "lis", "--i-max", 0, "--pi", 0.3, "--lambda", 0.1):
+        "59b4319e3398a6f069e7a13483eb2595f9ef0206f588d41d98c4be7f65604832",
+    # exit 2 before anything is printed or written
+    ("--schedule", "lis", "--i-max", 5, "--pi", 2, "--lambda", 0.1):
+        "1920457fab86dd0afd0e92d96954fbf86608376938bb6287dd1646314ac7d44c",
 }
 
 
+def _files(root) -> set[str]:
+    return {p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()}
+
+
 @pytest.fixture(scope="module")
-def _digests(tmp_path_factory):
+def _golden_run(tmp_path_factory):
+    """The scratch directory ``COMMANDS`` ran in, the files they created,
+    and the paths they wrote through ``jsonio.write_text``."""
     root = tmp_path_factory.mktemp("golden")
+    written = set()
+    write_text = jsonio.write_text
+
+    def recording(path, text):
+        written.add(os.path.normpath(path))
+        write_text(path, text)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.chdir(root)
         h, ansatz = builtin_problem("one_qubit")
         save_hamiltonian("problem.json", h, ansatz)
         save_curve("curve.json", synthetic_curve(2, 0.05))
+        inputs = _files(root)
+        mp.setattr(jsonio, "write_text", recording)
         for argv in COMMANDS:
             assert main([str(a) for a in argv]) == 0, argv[0]
-    return {
-        name: hashlib.sha256((root / name).read_bytes()).hexdigest()
-        for name in GOLDEN
-    }
+    return root, _files(root) - inputs, written
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_output_bytes_unchanged(_digests, name):
-    assert _digests[name] == GOLDEN[name]
+def test_output_bytes_unchanged(_golden_run, name):
+    root = _golden_run[0]
+    assert hashlib.sha256((root / name).read_bytes()).hexdigest() == GOLDEN[name]
+
+
+def test_every_file_goes_through_one_writer(_golden_run):
+    _, created, written = _golden_run
+    assert written == created
+
+
+@pytest.mark.parametrize("argv", list(SCHEDULE_RUNS),
+                         ids=lambda argv: " ".join(map(str, argv)))
+def test_schedule_console_unchanged(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code = main(["schedule", *map(str, argv), "--out", "schedule.json"])
+    captured = capsys.readouterr()
+    report = tmp_path / "schedule.json"
+    text = f"{code}\n[stdout]\n{captured.out}[stderr]\n{captured.err}[report]\n"
+    data = text.encode("utf-8") + (report.read_bytes() if report.exists() else b"")
+    assert hashlib.sha256(data).hexdigest() == SCHEDULE_RUNS[argv]
