@@ -21,6 +21,7 @@ import contextlib
 import dataclasses
 import datetime
 import errno
+import inspect
 import os
 import sys
 
@@ -49,10 +50,18 @@ from .inference import (
     save_dataset,
 )
 from .jsonio import DatasetFormatError
-from .noisefit import check_threshold, lambda_profile, load_curve, simulate_curve
+from .noisefit import (
+    INSTABILITY_THRESHOLD,
+    LAMBDA_MAX,
+    check_threshold,
+    lambda_profile,
+    load_curve,
+    simulate_curve,
+)
 from .pauli import (
     AnsatzSpec,
     PauliString,
+    PauliSum,
     builtin_problem,
     load_hamiltonian,
     oracle_expectation,
@@ -100,17 +109,17 @@ def _check_bootstrap(count: int | None) -> None:
         raise ValueError(f"--bootstrap must be a positive integer, got {count}")
 
 
-def _load_problem(spec: str, theta: float | None):
-    """Builtin problem name or path to a saved Hamiltonian file."""
-    if spec in _BUILTIN_PROBLEMS:
-        return builtin_problem(spec, theta)
-    h, ansatz = load_hamiltonian(spec)
-    if theta is not None:
-        if ansatz is None:
-            raise ValueError(
-                f"--theta given but {spec} carries no ansatz to apply it to"
-            )
-        ansatz = AnsatzSpec(ansatz.kind, float(theta))
+def _load_problem(args: argparse.Namespace) -> tuple[PauliSum, AnsatzSpec]:
+    """The ``--hamiltonian`` problem, a builtin name or a saved file, with
+    ``--theta`` applied to its ansatz.  Every command that loads a problem
+    runs its ansatz, so a file without one is rejected."""
+    if args.hamiltonian in _BUILTIN_PROBLEMS:
+        return builtin_problem(args.hamiltonian, args.theta)
+    h, ansatz = load_hamiltonian(args.hamiltonian)
+    if ansatz is None:
+        raise ValueError(f"{args.command} needs an ansatz; the Hamiltonian file has none")
+    if args.theta is not None:
+        ansatz = AnsatzSpec(ansatz.kind, args.theta)
     return h, ansatz
 
 
@@ -210,14 +219,12 @@ def _fmt(x: float) -> str:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
-    h, ansatz = _load_problem(args.hamiltonian, args.theta)
-    if ansatz is None:
-        raise ValueError(
-            "dataset generation needs an ansatz; the Hamiltonian file has none"
-        )
+    h, ansatz = _load_problem(args)
     terms = h.non_identity_terms()
     if not terms:
-        raise ValueError("the Hamiltonian has no non-identity terms to measure")
+        raise ValueError(
+            f"{args.command} needs a non-identity term; the Hamiltonian has none"
+        )
     config = _config(args, seed, ansatz)
     digest = jsonio.digest(config)
     stamp = _utc_stamp(args.stamp)
@@ -310,11 +317,7 @@ def _sweep_setup(args: argparse.Namespace):
     seed = _resolve_seed(args.seed)
     _check_bootstrap(args.bootstrap)
     _check_writable(args.out, args.json)
-    h, ansatz = _load_problem(args.hamiltonian, args.theta)
-    if ansatz is None:
-        raise ValueError(
-            f"{args.command} needs an ansatz; the Hamiltonian file has none"
-        )
+    h, ansatz = _load_problem(args)
     if args.schedule == "nris":
         raise ValueError(
             "sweeps need a schedule family with a single size axis, not 'nris'"
@@ -381,9 +384,7 @@ def cmd_fit_lambda(args: argparse.Namespace) -> int:
     if args.files:
         curves = [load_curve(path) for path in args.files]
     elif args.simulate:
-        _, ansatz = _load_problem(args.hamiltonian, args.theta)
-        if ansatz is None:
-            raise ValueError("--simulate needs an ansatz kind from the problem")
+        _, ansatz = _load_problem(args)
         string = PauliString(args.term)
         pi_values = np.linspace(0.0, 1.0, args.points)
         curves = [
@@ -479,6 +480,12 @@ def _arg(*flags, **kwargs):
     return flags, kwargs
 
 
+def _default(func, name: str):
+    """``func``'s default for its parameter ``name``, for the flag that
+    sets that parameter."""
+    return inspect.signature(func).parameters[name].default
+
+
 _PROBLEM = [
     _arg("--hamiltonian", default="two_qubit",
          help="builtin problem (one_qubit, two_qubit) or path to a saved "
@@ -519,8 +526,12 @@ _TABLE = [
     _arg("--json", default=None, help="also write a JSON report here"),
 ]
 # only the commands that can build an nris schedule read --c
-_NRIS = [_arg("--c", type=float, default=1.0,
-              help="edge-guard width multiplier for nris (default: 1)")]
+_C = _default(noise_robust_schedule, "c")
+_NRIS = [_arg("--c", type=float, default=_C,
+              help=f"edge-guard width multiplier for nris (default: {_C:g})")]
+_BAND = _default(advantage_verdict, "k")
+_REPLICATES = ", ".join(f"{m} for {n}-qubit terms"
+                        for n, m in BOOTSTRAP_REPLICATES.items())
 _REPORT = _arg("--out", default=None, help="write a JSON report here")
 
 
@@ -538,11 +549,10 @@ def _commands() -> dict:
             [*_GRID, *_SEED, *_STAMP,
              _arg("files", nargs="+", help="dataset JSON files"),
              _arg("--bootstrap", type=int, default=None,
-                  help="bootstrap replicates (default: 15000 for 1-qubit "
-                       "terms, 10000 for 2-qubit terms)"),
-             _arg("--band", type=float, default=2.0,
+                  help=f"bootstrap replicates (default: {_REPLICATES})"),
+             _arg("--band", type=float, default=_BAND,
                   help="uncertainty band width for the advantage verdict "
-                       "(default: 2)"),
+                       f"(default: {_BAND:g})"),
              _arg("--force", action="store_true",
                   help="estimate even if the files disagree on provenance"),
              _REPORT]),
@@ -570,11 +580,12 @@ def _commands() -> dict:
                   help="shots per curve point for --simulate (default: 100000)"),
              _arg("--points", type=int, default=10,
                   help="amplitudes per curve for --simulate (default: 10)"),
-             _arg("--threshold", type=float, default=0.20,
+             _arg("--threshold", type=float, default=INSTABILITY_THRESHOLD,
                   help="relative-variation threshold flagging an unstable "
-                       "fit (default: 0.20)"),
-             _arg("--lambda-max", type=float, default=5.0,
-                  help="upper edge of the decay-rate search (default: 5)"),
+                       f"fit (default: {INSTABILITY_THRESHOLD:.2f})"),
+             _arg("--lambda-max", type=float, default=LAMBDA_MAX,
+                  help="upper edge of the decay-rate search "
+                       f"(default: {LAMBDA_MAX:g})"),
              _REPORT]),
         "schedule": (
             cmd_schedule,

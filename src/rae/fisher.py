@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .inference import IdentifiabilityError
 from .schedules import LayerSchedule
 
@@ -39,9 +37,6 @@ class FisherMatrix:
     i11: float
     i12: float
     i22: float
-
-    def matrix(self) -> np.ndarray:
-        return np.array([[self.i11, self.i12], [self.i12, self.i22]])
 
     @property
     def determinant(self) -> float:

@@ -27,6 +27,10 @@ from .simulator import check_circuit, sample_parities
 
 # curves whose Chebyshev values are all this small carry no decay signal
 FLAT_TOL = 1e-12
+# upper edge of the decay-rate search, and the relative variation across
+# depths above which a profile is called unstable
+LAMBDA_MAX = 5.0
+INSTABILITY_THRESHOLD = 0.20
 
 
 @dataclass(frozen=True)
@@ -91,19 +95,14 @@ def load_curve(path: str) -> LikelihoodCurve:
 
 @dataclass(frozen=True)
 class LambdaFit:
+    """One depth's decay fit, as the stability profile reports it."""
+
+    layers: int
     lambda_hat: float
     delta_lambda: float
-    chi_square: float
 
 
-def _curve_arrays(curve: LikelihoodCurve) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    pis = np.array([p.pi for p in curve.points])
-    rates = np.array([p.p_even for p in curve.points])
-    weights = np.array([p.std_err for p in curve.points]) ** -2.0
-    return pis, rates, weights
-
-
-def fit_lambda(curve: LikelihoodCurve, lambda_max: float = 5.0) -> LambdaFit:
+def fit_lambda(curve: LikelihoodCurve, lambda_max: float = LAMBDA_MAX) -> LambdaFit:
     """Weighted least-squares decay fit with a linearized error bar.
 
     The model P_L(0 | pi, lam) = (1 + q T_{2L+1}(pi)) / 2 is linear in the
@@ -115,7 +114,9 @@ def fit_lambda(curve: LikelihoodCurve, lambda_max: float = 5.0) -> LambdaFit:
     """
     if not (math.isfinite(lambda_max) and lambda_max > 0.0):
         raise ValueError("lambda_max must be positive")
-    pis, rates, weights = _curve_arrays(curve)
+    pis = np.array([p.pi for p in curve.points])
+    rates = np.array([p.p_even for p in curve.points])
+    weights = np.array([p.std_err for p in curve.points]) ** -2.0
     half_order = curve.layers + 0.5
     cheb, _ = _model_factors(pis, 0.0, curve.layers)
     if np.max(np.abs(cheb)) < FLAT_TOL:
@@ -139,25 +140,14 @@ def fit_lambda(curve: LikelihoodCurve, lambda_max: float = 5.0) -> LambdaFit:
     curvature = float(np.sum(weights * jac ** 2))
     if not curvature > 0.0:
         raise IdentifiabilityError("zero curvature at the optimum; lambda unidentifiable")
-    return LambdaFit(
-        lambda_hat=lambda_hat,
-        delta_lambda=1.0 / math.sqrt(curvature),
-        chi_square=float(np.sum(weights * (rates - 0.5 - q * slope) ** 2)),
-    )
-
-
-@dataclass(frozen=True)
-class ProfileRow:
-    layers: int
-    lambda_hat: float
-    delta_lambda: float
+    return LambdaFit(curve.layers, lambda_hat, 1.0 / math.sqrt(curvature))
 
 
 @dataclass(frozen=True)
 class LambdaProfile:
     """Per-depth decay fits plus the cross-depth stability metric."""
 
-    rows: tuple[ProfileRow, ...]
+    rows: tuple[LambdaFit, ...]
     variation: float
     unstable: bool
 
@@ -170,8 +160,8 @@ def check_threshold(threshold: float, name: str = "instability_threshold") -> No
         raise ValueError(f"{name} must be a finite non-negative number, got {threshold}")
 
 
-def lambda_profile(curves, instability_threshold: float = 0.20,
-                   lambda_max: float = 5.0) -> LambdaProfile:
+def lambda_profile(curves, instability_threshold: float = INSTABILITY_THRESHOLD,
+                   lambda_max: float = LAMBDA_MAX) -> LambdaProfile:
     """Fit every curve and report (max - min)/min relative variation."""
     check_threshold(instability_threshold)
     curves = list(curves)
@@ -180,11 +170,7 @@ def lambda_profile(curves, instability_threshold: float = 0.20,
     depths = [c.layers for c in curves]
     if len(set(depths)) != len(depths):
         raise ValueError("curves must have distinct layer counts")
-    rows = []
-    for c in curves:
-        fit = fit_lambda(c, lambda_max=lambda_max)
-        rows.append(ProfileRow(c.layers, fit.lambda_hat, fit.delta_lambda))
-    rows = tuple(rows)
+    rows = tuple(fit_lambda(c, lambda_max=lambda_max) for c in curves)
     lo = min(r.lambda_hat for r in rows)
     hi = max(r.lambda_hat for r in rows)
     if hi == lo:

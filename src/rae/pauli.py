@@ -68,9 +68,6 @@ class PauliString:
             )
         return _dense(self.word)
 
-    def __str__(self) -> str:
-        return self.word
-
 
 @dataclass(frozen=True)
 class PauliSum:

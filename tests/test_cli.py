@@ -37,6 +37,7 @@ from rae.inference import (
 )
 from rae.noisefit import save_curve
 from rae.pauli import (
+    PauliSum,
     builtin_problem,
     hamiltonian_to_dict,
     oracle_expectation,
@@ -175,6 +176,45 @@ class TestGenerate:
             "generate", "--hamiltonian", path, "--shots", 16,
             "--out", tmp_path / "x",
         ) == 2
+
+
+# each command that loads a problem, with its outputs in a given directory
+PROBLEM_COMMANDS = {
+    "sweep": lambda tmp: ("sweep", "--i-max", 1, "--shots", 16, "--bootstrap",
+                          2, "--out", tmp / "t.csv"),
+    "energy": lambda tmp: ("energy", "--i-max", 1, "--shots", 16, "--bootstrap",
+                           2, "--out", tmp / "t.csv"),
+    "fit-lambda": lambda tmp: ("fit-lambda", "--simulate", "--layers", 1,
+                               "--shots", 16, "--out", tmp / "f.json"),
+    "generate": lambda tmp: ("generate", "--theta", 0.3, "--shots", 16,
+                             "--out", tmp / "x"),
+}
+
+
+class TestProblemLoading:
+    """A problem the command cannot run exits 2 before any output, with one
+    error line that names the command."""
+
+    def rejected(self, tmp_path, capsys, command, h, ansatz=None):
+        path = tmp_path / "problem.json"
+        save_hamiltonian(str(path), h, ansatz)
+        assert run(*PROBLEM_COMMANDS[command](tmp_path), "--hamiltonian", path) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {command} needs ")
+        assert [p.name for p in tmp_path.iterdir()] == ["problem.json"]
+        return err[0]
+
+    @pytest.mark.parametrize("command", sorted(PROBLEM_COMMANDS))
+    def test_file_without_ansatz(self, tmp_path, capsys, command):
+        h, _ = builtin_problem("one_qubit")
+        assert self.rejected(tmp_path, capsys, command, h).endswith(
+            "needs an ansatz; the Hamiltonian file has none")
+
+    def test_identity_only_hamiltonian(self, tmp_path, capsys):
+        _, ansatz = builtin_problem("one_qubit")
+        h = PauliSum.from_pairs([(-0.5, "I")])
+        assert self.rejected(tmp_path, capsys, "generate", h, ansatz).endswith(
+            "needs a non-identity term; the Hamiltonian has none")
 
 
 class TestEstimate:

@@ -110,9 +110,15 @@ class TestFitLambda:
     def test_chi_square_scale_for_matched_noise(self):
         rng = np.random.default_rng(21)
         pis = np.linspace(0.05, 1.0, 10)
-        fit = fit_lambda(curve_at(2, 0.06, pis, noise_rng=rng))
+        curve = curve_at(2, 0.06, pis, noise_rng=rng)
+        fit = fit_lambda(curve)
+        chi_square = sum(
+            (p.p_even - chebyshev_parity_probability(
+                p.pi, fit.lambda_hat, curve.layers, 0)) ** 2 / p.std_err ** 2
+            for p in curve.points
+        )
         dof = 10 - 1
-        assert 0.5 < fit.chi_square / dof < 2.0
+        assert 0.5 < chi_square / dof < 2.0
 
     def test_point_order_irrelevant(self):
         curve = curve_at(2, 0.08, np.linspace(0.1, 1.0, 8),
