@@ -56,7 +56,7 @@ from .noisefit import (
     check_threshold,
     lambda_profile,
     load_curve,
-    simulate_curve,
+    simulate_curves,
 )
 from .pauli import (
     AnsatzSpec,
@@ -121,6 +121,17 @@ def _load_problem(args: argparse.Namespace) -> tuple[PauliSum, AnsatzSpec]:
     if args.theta is not None:
         ansatz = AnsatzSpec(ansatz.kind, args.theta)
     return h, ansatz
+
+
+def _measured_terms(args: argparse.Namespace, h: PauliSum):
+    """The terms of ``h`` that a command runs circuits for: every one but
+    the identity.  A Hamiltonian with none leaves nothing to measure."""
+    terms = h.non_identity_terms()
+    if not terms:
+        raise ValueError(
+            f"{args.command} needs a non-identity term; the Hamiltonian has none"
+        )
+    return terms
 
 
 # Parsed arguments a report's config leaves out: the seed is recorded as
@@ -220,11 +231,7 @@ def _fmt(x: float) -> str:
 def cmd_generate(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
     h, ansatz = _load_problem(args)
-    terms = h.non_identity_terms()
-    if not terms:
-        raise ValueError(
-            f"{args.command} needs a non-identity term; the Hamiltonian has none"
-        )
+    terms = _measured_terms(args, h)
     config = _config(args, seed, ansatz)
     digest = jsonio.digest(config)
     stamp = _utc_stamp(args.stamp)
@@ -318,6 +325,7 @@ def _sweep_setup(args: argparse.Namespace):
     _check_bootstrap(args.bootstrap)
     _check_writable(args.out, args.json)
     h, ansatz = _load_problem(args)
+    _measured_terms(args, h)
     if args.schedule == "nris":
         raise ValueError(
             "sweeps need a schedule family with a single size axis, not 'nris'"
@@ -385,16 +393,11 @@ def cmd_fit_lambda(args: argparse.Namespace) -> int:
         curves = [load_curve(path) for path in args.files]
     elif args.simulate:
         _, ansatz = _load_problem(args)
-        string = PauliString(args.term)
-        pi_values = np.linspace(0.0, 1.0, args.points)
-        curves = [
-            simulate_curve(
-                ansatz.kind, string, layers, args.lam, args.shots,
-                seed=np.random.SeedSequence(seed, spawn_key=(layers,)),
-                pi_values=pi_values,
-            )
-            for layers in args.layers
-        ]
+        curves = simulate_curves(
+            ansatz.kind, PauliString(args.term), args.layers, args.lam, args.shots,
+            [np.random.SeedSequence(seed, spawn_key=(layers,)) for layers in args.layers],
+            pi_values=np.linspace(0.0, 1.0, args.points),
+        )
     else:
         raise ValueError("need saved curve files or --simulate")
     profile = lambda_profile(

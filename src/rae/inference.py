@@ -321,7 +321,10 @@ class LikelihoodGrid:
                             np.maximum(c_hi * e_lo, c_hi * e_hi)])
         p += 1.0
         p *= 0.5
-        np.clip(p, P_EPS, 1.0 - P_EPS, out=p)
+        # clipped as np.clip does, maximum then minimum, without its
+        # Python wrapper's cost on every search
+        np.maximum(p, P_EPS, out=p)
+        np.minimum(p, 1.0 - P_EPS, out=p)
         p_lo, p_hi = p[:len(c_lo)], p[len(c_lo):]
         bounds = np.concatenate([np.log(p_hi), np.log1p(-p_lo)], axis=1)
         bounds *= 1.0 - _rounding_slack(len(self.layer_values))
@@ -339,7 +342,8 @@ class LikelihoodGrid:
         log_p1 *= log_p0
         log_p1 += 1.0
         log_p1 *= 0.5
-        p0 = np.clip(log_p1, P_EPS, 1.0 - P_EPS, out=log_p1)
+        p0 = np.maximum(log_p1, P_EPS, out=log_p1)
+        np.minimum(p0, 1.0 - P_EPS, out=p0)
         np.log(p0, out=log_p0)
         np.log1p(np.negative(p0, out=p0), out=log_p1)
         odd = shots - even
@@ -458,7 +462,8 @@ class LikelihoodGrid:
         ``p = clamp(e / N)``, summed and widened by
         :func:`_rounding_slack` and :func:`_concave_slack`."""
         p = np.divide(even, shots)
-        np.clip(p, p_lo, p_hi, out=p)
+        np.maximum(p, p_lo, out=p)
+        np.minimum(p, p_hi, out=p)
         value = np.negative(p)
         np.log1p(value, out=value)
         value *= shots - even

@@ -183,32 +183,40 @@ def lambda_profile(curves, instability_threshold: float = INSTABILITY_THRESHOLD,
                          unstable=variation > instability_threshold)
 
 
-def simulate_curve(ansatz_kind: str, target: PauliString, layers: int,
-                   lam: float, n_shots: int, seed: int = 0,
-                   pi_values=None) -> LikelihoodCurve:
-    """Measured curve: sweep the ansatz angle through the prescribed
-    amplitudes and sample parity counts with ``simulator.sample_parities``.
+def simulate_curves(ansatz_kind: str, target: PauliString, depths, lam: float,
+                    n_shots: int, seeds, pi_values=None) -> tuple[LikelihoodCurve, ...]:
+    """Measured curves, one per entry of ``depths``: sweep the ansatz angle
+    through the prescribed amplitudes and sample each depth's parity counts
+    with ``simulator.sample_parities`` and that depth's entry of ``seeds``.
 
-    The target's matrix is built once and every point's probability comes
-    from one ``chebyshev_parity_probability`` call.  Error bars are binomial
-    with a half-count floor so degenerate rates (0 or 1) still carry a
-    positive uncertainty.
+    The sweep's angles, states and expectation values depend on no depth,
+    so they are computed once and shared; every depth's circuit is checked
+    before any is sampled.  Each depth's probabilities come from one
+    ``chebyshev_parity_probability`` call.  Error bars are binomial with a
+    half-count floor so degenerate rates (0 or 1) still carry a positive
+    uncertainty.
     """
+    depths, seeds = tuple(depths), tuple(seeds)
+    if len(seeds) != len(depths):
+        raise ValueError(f"need one seed per depth, got {len(seeds)} for {len(depths)}")
     if pi_values is None:
         pi_values = np.linspace(0.0, 1.0, 10)
     pi_values = [float(pi) for pi in pi_values]
     ansatzes = [AnsatzSpec(ansatz_kind, angle_for_expectation(ansatz_kind, target, pi))
                 for pi in pi_values]
-    if not ansatzes:  # nothing to sample; the curve's own checks reject it
-        return LikelihoodCurve(layers=layers, points=())
-    check_circuit(ansatzes[0], target, layers, lam)
-    states = np.array([ansatz_state(ansatz) for ansatz in ansatzes])
-    p_even = chebyshev_parity_probability(
-        expectation_values(states, target), lam, layers, 0)
-    points = []
-    for pi, e_even in zip(pi_values, sample_parities(p_even, n_shots, seed)):
-        rate = e_even / n_shots
-        std_err = max(math.sqrt(rate * (1.0 - rate) / n_shots),
-                      0.5 / n_shots)
-        points.append(CurvePoint(pi, rate, std_err))
-    return LikelihoodCurve(layers=layers, points=tuple(points))
+    if not ansatzes:  # nothing to sample; the curves' own checks reject them
+        return tuple(LikelihoodCurve(layers=layers, points=()) for layers in depths)
+    for layers in depths:
+        check_circuit(ansatzes[0], target, layers, lam)
+    expectations = expectation_values(
+        np.array([ansatz_state(ansatz) for ansatz in ansatzes]), target)
+    curves = []
+    for layers, seed in zip(depths, seeds):
+        p_even = chebyshev_parity_probability(expectations, lam, layers, 0)
+        rates = np.array(sample_parities(p_even, n_shots, seed)) / n_shots
+        # sqrt and division are correctly rounded, so these equal the
+        # scalar math-module values bit for bit
+        std_errs = np.maximum(np.sqrt(rates * (1.0 - rates) / n_shots), 0.5 / n_shots)
+        curves.append(LikelihoodCurve(layers=layers, points=tuple(
+            map(CurvePoint, pi_values, rates.tolist(), std_errs.tolist()))))
+    return tuple(curves)

@@ -290,8 +290,8 @@ def curve_specs(ansatz_kind: str, target: PauliString, layers: int,
 def per_point_curve(ansatz_kind: str, target: PauliString, layers: int,
                     lam: float, n_shots: int, seed: int,
                     pi_values) -> LikelihoodCurve:
-    """``noisefit.simulate_curve`` with one spec, expectation, probability
-    and generator per point."""
+    """One depth of ``noisefit.simulate_curves`` with one spec,
+    expectation, probability and generator per point."""
     pi_values = [float(pi) for pi in pi_values]
     children = np.random.SeedSequence(seed).spawn(len(pi_values))
     specs = curve_specs(ansatz_kind, target, layers, lam, pi_values)

@@ -37,7 +37,7 @@ from rae.inference import (
     direct_estimate,
     mle_estimate,
 )
-from rae.noisefit import fit_lambda, lambda_profile, simulate_curve
+from rae.noisefit import fit_lambda, lambda_profile, simulate_curves
 from rae.pauli import (
     AnsatzSpec,
     PauliString,
@@ -253,8 +253,8 @@ def test_08_lambda_round_trip(capsys):
         worst_noiseless = max(worst_noiseless, abs(fit.lambda_hat - lam))
     sampled_ok = True
     for lam in (0.003, 0.045, 0.1):
-        curve = simulate_curve("one_qubit_ry", PauliString("Z"), 2, lam,
-                               8192, seed=3)
+        curve, = simulate_curves("one_qubit_ry", PauliString("Z"), (2,), lam,
+                                 8192, (3,))
         fit = fit_lambda(curve)
         sampled_ok &= abs(fit.lambda_hat - lam) <= 2.0 * fit.delta_lambda
     montreal = lambda_profile(

@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import synthetic_curve
-from rae import cli, energy, fisher
+from rae import cli, energy, fisher, noisefit
 from rae.cli import main, _fmt
 from rae.energy import sweep_cell
 from rae.fisher import NoContrastError, crb_rmse
@@ -210,11 +210,15 @@ class TestProblemLoading:
         assert self.rejected(tmp_path, capsys, command, h).endswith(
             "needs an ansatz; the Hamiltonian file has none")
 
-    def test_identity_only_hamiltonian(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["energy", "generate", "sweep"])
+    def test_identity_only_hamiltonian(self, tmp_path, capsys, monkeypatch,
+                                       command):
+        """Nothing to measure: rejected before any schedule is built."""
+        monkeypatch.setattr(cli, "_build_schedule", _no_work)
         _, ansatz = builtin_problem("one_qubit")
         h = PauliSum.from_pairs([(-0.5, "I")])
-        assert self.rejected(tmp_path, capsys, "generate", h, ansatz).endswith(
-            "needs a non-identity term; the Hamiltonian has none")
+        assert self.rejected(tmp_path, capsys, command, h, ansatz) == (
+            f"error: {command} needs a non-identity term; the Hamiltonian has none")
 
 
 class TestEstimate:
@@ -582,12 +586,31 @@ class TestFitLambda:
     def test_threshold_must_be_finite_and_non_negative(self, capsys,
                                                        monkeypatch, threshold):
         """Rejected before any curve is simulated, naming the flag."""
-        monkeypatch.setattr(cli, "simulate_curve", _no_work)
+        monkeypatch.setattr(cli, "simulate_curves", _no_work)
         assert run("fit-lambda", "--simulate", "--hamiltonian", "one_qubit",
                    "--layers", 1, f"--threshold={threshold}") == 2
         assert capsys.readouterr().err == (
             "error: --threshold must be a finite non-negative number, "
             f"got {float(threshold)}\n")
+
+    def test_sweep_built_once_per_run(self, monkeypatch):
+        """A sweep point's angle and state depend on no depth, so each is
+        computed once per run, not once per depth."""
+        calls = {"angle_for_expectation": 0, "ansatz_state": 0}
+
+        def counting(name):
+            original = getattr(noisefit, name)
+
+            def count(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return count
+
+        for name in calls:
+            monkeypatch.setattr(noisefit, name, counting(name))
+        assert run("fit-lambda", "--simulate", "--hamiltonian", "one_qubit",
+                   "--layers", "1,2,3", "--points", 7, "--shots", 256) == 0
+        assert calls == {"angle_for_expectation": 7, "ansatz_state": 7}
 
     def test_simulate_needs_an_invertible_term(self, capsys):
         assert run("fit-lambda", "--simulate", "--hamiltonian", "two_qubit",
@@ -842,7 +865,7 @@ class TestUnwritableOutput:
                "a-directory": tmp_path}[kind]
         argv = UNWRITABLE[command](tmp_path, out)
         for work in ("_build_schedule", "estimate_term", "rmse_sweep",
-                     "simulate_curve", "sweep_cell"):
+                     "simulate_curves", "sweep_cell"):
             monkeypatch.setattr(cli, work, _no_work)
         capsys.readouterr()
         before = sorted(tmp_path.rglob("*"))

@@ -15,7 +15,7 @@ from rae.noisefit import (
     lambda_profile,
     load_curve,
     save_curve,
-    simulate_curve,
+    simulate_curves,
 )
 from rae.pauli import PauliString
 
@@ -96,8 +96,8 @@ class TestFitLambda:
             assert fit_lambda(curve, lambda_max=2.5).lambda_hat == expected
 
     def test_sampled_curve_within_error_bar(self):
-        curve = simulate_curve("one_qubit_ry", PauliString("Z"), 3, 0.047,
-                               8192, seed=5)
+        curve, = simulate_curves("one_qubit_ry", PauliString("Z"), (3,), 0.047,
+                                 8192, (5,))
         fit = fit_lambda(curve)
         assert abs(fit.lambda_hat - 0.047) < 2.0 * fit.delta_lambda
 
@@ -194,8 +194,8 @@ class TestLambdaProfile:
 
 class TestCurveIO:
     def test_round_trip(self, tmp_path):
-        curve = simulate_curve("one_qubit_ry", PauliString("Z"), 2, 0.05,
-                               256, seed=1)
+        curve, = simulate_curves("one_qubit_ry", PauliString("Z"), (2,), 0.05,
+                                 256, (1,))
         path = tmp_path / "curve.json"
         save_curve(str(path), curve)
         assert load_curve(str(path)) == curve
@@ -218,20 +218,24 @@ class TestCurveIO:
 
 class TestSimulateCurve:
     def test_deterministic(self):
-        a = simulate_curve("two_qubit_ucc", PauliString("XX"), 1, 0.045,
-                           128, seed=11)
-        b = simulate_curve("two_qubit_ucc", PauliString("XX"), 1, 0.045,
-                           128, seed=11)
+        a = simulate_curves("two_qubit_ucc", PauliString("XX"), (1, 2), 0.045,
+                            128, (11, 12))
+        b = simulate_curves("two_qubit_ucc", PauliString("XX"), (1, 2), 0.045,
+                            128, (11, 12))
         assert a == b
 
     def test_rates_near_model_at_high_shots(self):
-        curve = simulate_curve("one_qubit_ry", PauliString("Z"), 1, 0.02,
-                               100000, seed=2)
+        curve, = simulate_curves("one_qubit_ry", PauliString("Z"), (1,), 0.02,
+                                 100000, (2,))
         for point in curve.points:
             model = chebyshev_parity_probability(point.pi, 0.02, 1, 0)
             assert abs(point.p_even - model) < 5 * max(point.std_err, 1e-4)
 
+    def test_one_seed_per_depth(self):
+        with pytest.raises(ValueError, match="need one seed per depth, got 1 for 2"):
+            simulate_curves("one_qubit_ry", PauliString("Z"), (1, 2), 0.02, 64, (0,))
+
     def test_positive_error_bars_even_at_certainty(self):
-        curve = simulate_curve("one_qubit_ry", PauliString("Z"), 0, 0.0,
-                               64, seed=0, pi_values=(0.0, 0.5, 1.0))
+        curve, = simulate_curves("one_qubit_ry", PauliString("Z"), (0,), 0.0,
+                                 64, (0,), pi_values=(0.0, 0.5, 1.0))
         assert all(p.std_err > 0 for p in curve.points)

@@ -370,20 +370,29 @@ class TestBatchedEqualsPerPoint:
 
     @pytest.mark.parametrize("kind,word", CURVE_PAIRS)
     def test_curves(self, sampled_probabilities, kind, word):
+        """Every curve of one multi-depth call equals its depth sampled
+        alone with its own seed, in any depth order and with a depth
+        repeated."""
         target = PauliString(word)
         seed = 401
-        for layers in DEPTHS:
+        for depths in (DEPTHS, DEPTHS[::-1], (DEPTHS[2], DEPTHS[0], DEPTHS[2])):
             for lam in RATES:
-                curve = noisefit.simulate_curve(kind, target, layers, lam, 8192,
-                                                seed=seed, pi_values=SWEEP)
-                reference = per_point_curve(kind, target, layers, lam, 8192,
-                                            seed, SWEEP)
-                assert jsonio.dumps(curve.to_dict()) == jsonio.dumps(reference.to_dict())
-                expected = [circuit_p_even(spec) for spec in
-                            curve_specs(kind, target, layers, lam, SWEEP)]
-                assert sampled_probabilities.pop().tobytes() == \
-                    np.array(expected).tobytes()
-                seed += 1
+                seeds = range(seed, seed + len(depths))
+                curves = noisefit.simulate_curves(kind, target, depths, lam, 8192,
+                                                  seeds, pi_values=SWEEP)
+                assert [c.layers for c in curves] == list(depths)
+                assert len(sampled_probabilities) == len(depths)
+                for curve, layers, s, p_even in zip(curves, depths, seeds,
+                                                    sampled_probabilities):
+                    reference = per_point_curve(kind, target, layers, lam, 8192,
+                                                s, SWEEP)
+                    assert jsonio.dumps(curve.to_dict()) == \
+                        jsonio.dumps(reference.to_dict())
+                    expected = [circuit_p_even(spec) for spec in
+                                curve_specs(kind, target, layers, lam, SWEEP)]
+                    assert p_even.tobytes() == np.array(expected).tobytes()
+                sampled_probabilities.clear()
+                seed += len(depths)
 
     @pytest.mark.parametrize("name", ["one_qubit", "two_qubit"])
     def test_datasets(self, sampled_probabilities, name):
@@ -407,7 +416,8 @@ class TestBatchedEqualsPerPoint:
 
     def test_checks_run_once_per_curve_and_dataset(self):
         with pytest.raises(ValueError, match="n_shots must be positive"):
-            noisefit.simulate_curve("one_qubit_ry", PauliString("Z"), 1, 0.1, 0)
+            noisefit.simulate_curves("one_qubit_ry", PauliString("Z"), (1,), 0.1,
+                                     0, (0,))
         with pytest.raises(ValueError, match="ansatz prepares 1"):
             energy.simulate_dataset(ANSATZ_1Q, PauliString("XX"), 0.1,
                                     LayerSchedule((0, 1), 64))
@@ -415,7 +425,8 @@ class TestBatchedEqualsPerPoint:
             energy.simulate_dataset(ANSATZ_2Q, PauliString("II"), 0.1,
                                     LayerSchedule((0, 1), 64))
         with pytest.raises(ValueError, match="layer count"):
-            noisefit.simulate_curve("one_qubit_ry", PauliString("Z"), -1, 0.1, 64)
+            noisefit.simulate_curves("one_qubit_ry", PauliString("Z"), (-1,), 0.1,
+                                     64, (0,))
         for lam in (-0.1, math.inf, math.nan):
             with pytest.raises(ValueError, match="depolarizing rate"):
                 energy.simulate_dataset(ANSATZ_1Q, PauliString("Z"), lam,
