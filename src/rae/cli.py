@@ -9,8 +9,9 @@ emitted unless ``--stamp`` is given.  Running the same invocation twice
 therefore produces byte-identical output files, and computing the cells of a
 sweep in any order (or in parallel) gives the same table.
 
-Exit codes: 0 success, 2 invalid configuration or arguments, 3 unreadable or
-malformed input file, 4 computation failure (unidentifiable model, or an
+Exit codes: 0 success, 2 invalid configuration or arguments, 3 an input file
+that cannot be opened or breaks its schema (one ``DatasetFormatError``, from
+``rae.jsonio.load``), 4 computation failure (unidentifiable model, or an
 internal error reported in one line).
 """
 
@@ -174,8 +175,8 @@ def _check_writable(*paths) -> None:
 
 @contextlib.contextmanager
 def _writing(path):
-    """Report a failure to write ``path`` as a bad output argument (exit 2),
-    not as an unreadable input."""
+    """Report a failure to write ``path`` as a bad output argument (exit 2);
+    a failed read is ``rae.jsonio.load``'s (exit 3)."""
     try:
         yield
     except OSError as exc:
@@ -184,9 +185,9 @@ def _writing(path):
 
 def _write_report(path: str, stamp: bool, body: dict,
                   config: dict | None = None) -> None:
-    """JSON report: ``body`` plus the format version and the optional
-    timestamp, and the config with its digest for commands that have one."""
-    doc = {"version": jsonio.FORMAT_VERSION, "timestamp": _utc_stamp(stamp), **body}
+    """JSON report: ``body`` plus the optional timestamp, and the config
+    with its digest for commands that have one."""
+    doc = {"timestamp": _utc_stamp(stamp), **body}
     if config is not None:
         doc["config"] = config
         doc["config_sha256"] = jsonio.digest(config)
@@ -473,8 +474,9 @@ def _parse_layer_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {text!r}"
         ) from None
-    if not layers:
-        raise argparse.ArgumentTypeError("need at least one layer count")
+    if min(layers) < 0:
+        raise argparse.ArgumentTypeError(
+            f"layer counts must be non-negative, got {text!r}")
     return layers
 
 
@@ -629,10 +631,6 @@ def main(argv=None) -> int:
     except IdentifiabilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
-        name = getattr(exc, "filename", None) or exc
-        print(f"error: cannot read {name}", file=sys.stderr)
-        return EXIT_FORMAT
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

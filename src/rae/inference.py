@@ -83,7 +83,6 @@ class ParityDataset:
 
     def to_dict(self) -> dict:
         return {
-            "version": jsonio.FORMAT_VERSION,
             "pauli": self.pauli,
             "records": [
                 {"L": r.layers, "n_shots": r.n_shots, "e_even": r.e_even}
@@ -94,7 +93,6 @@ class ParityDataset:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ParityDataset":
-        jsonio.check_version(doc, "dataset")
         records = tuple(
             ParityRecord(jsonio.integer(r["L"]), jsonio.integer(r["n_shots"]),
                          jsonio.integer(r["e_even"]))
@@ -114,7 +112,7 @@ def save_dataset(path: str, dataset: ParityDataset) -> None:
 
 
 def load_dataset(path: str) -> ParityDataset:
-    return jsonio.load(path, ParityDataset.from_dict)
+    return jsonio.load(path, "dataset", ParityDataset.from_dict)
 
 
 @dataclass(frozen=True)

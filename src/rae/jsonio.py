@@ -4,10 +4,11 @@ and the command reports; every file the package writes goes through
 
 Every document is a JSON object carrying ``"version": FORMAT_VERSION``,
 written with two-space indentation, sorted keys and a trailing newline, so
-reruns are byte-identical.  Files are read back through :func:`load`, which
-turns anything that breaks the convention or the caller's schema (invalid
-JSON, a top-level value that is not an object, another version, a missing
-or mistyped field) into a :class:`DatasetFormatError` naming the file.
+reruns are byte-identical.  :func:`save` adds the version and :func:`load`
+checks it, so no schema states it.  :func:`load` turns every failed read
+into a :class:`DatasetFormatError` naming the file: a path that cannot be
+opened, invalid JSON, a top-level value that is not an object, another
+version, and a missing or mistyped field of the caller's schema.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ FORMAT_VERSION = 1
 
 
 class DatasetFormatError(ValueError):
-    """A file violates the on-disk schema."""
+    """An input file cannot be read, or breaks the envelope or its schema."""
 
 
 def dumps(doc: dict) -> str:
@@ -38,35 +39,34 @@ def write_text(path: str, text: str) -> None:
 
 
 def save(path: str, doc: dict) -> None:
-    write_text(path, dumps(doc))
+    """``doc`` at ``path``, as a document of the current version."""
+    write_text(path, dumps({"version": FORMAT_VERSION, **doc}))
 
 
-def load(path: str, from_dict):
-    """``from_dict`` applied to the document stored at ``path``."""
+def load(path: str, kind: str, from_dict):
+    """``from_dict`` applied to the ``kind`` document stored at ``path``,
+    once the file has been read as a JSON object of the current version."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
+    except OSError:
+        raise DatasetFormatError(f"cannot read {path}") from None
     except ValueError as exc:  # invalid JSON or undecodable bytes
         raise DatasetFormatError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise DatasetFormatError(
+            f"{path}: a {kind} file must hold a JSON object, not a "
+            f"{type(doc).__name__}")
+    version = doc.get("version")
+    if type(version) is not int or version != FORMAT_VERSION:  # not bool
+        raise DatasetFormatError(
+            f"{path}: unsupported {kind} format version {version!r}")
     try:
         return from_dict(doc)
     except KeyError as exc:
         raise DatasetFormatError(f"{path}: missing field {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise DatasetFormatError(f"{path}: {exc}") from exc
-
-
-def check_version(doc, kind: str) -> None:
-    """Reject anything but a JSON object of the current version."""
-    if not isinstance(doc, dict):
-        raise DatasetFormatError(
-            f"a {kind} file must hold a JSON object, not a {type(doc).__name__}"
-        )
-    version = doc.get("version")
-    if type(version) is not int or version != FORMAT_VERSION:  # not bool
-        raise DatasetFormatError(
-            f"unsupported {kind} format version {version!r}"
-        )
 
 
 def real(value) -> float:

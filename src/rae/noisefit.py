@@ -66,7 +66,6 @@ class LikelihoodCurve:
 
     def to_dict(self) -> dict:
         return {
-            "version": jsonio.FORMAT_VERSION,
             "L": self.layers,
             "points": [
                 {"pi": p.pi, "p_even": p.p_even, "std_err": p.std_err}
@@ -76,7 +75,6 @@ class LikelihoodCurve:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "LikelihoodCurve":
-        jsonio.check_version(doc, "curve")
         points = tuple(
             CurvePoint(jsonio.real(p["pi"]), jsonio.real(p["p_even"]),
                        jsonio.real(p["std_err"]))
@@ -90,7 +88,7 @@ def save_curve(path: str, curve: LikelihoodCurve) -> None:
 
 
 def load_curve(path: str) -> LikelihoodCurve:
-    return jsonio.load(path, LikelihoodCurve.from_dict)
+    return jsonio.load(path, "curve", LikelihoodCurve.from_dict)
 
 
 @dataclass(frozen=True)

@@ -241,7 +241,6 @@ def builtin_problem(name: str, theta: float | None = None) -> tuple[PauliSum, An
 
 def hamiltonian_to_dict(h: PauliSum, ansatz: AnsatzSpec | None = None) -> dict:
     doc: dict = {
-        "version": jsonio.FORMAT_VERSION,
         "n_qubits": h.n_qubits,
         "terms": [{"coeff": c, "word": s.word} for c, s in h.terms],
         "ansatz": None,
@@ -252,7 +251,6 @@ def hamiltonian_to_dict(h: PauliSum, ansatz: AnsatzSpec | None = None) -> dict:
 
 
 def hamiltonian_from_dict(doc: dict) -> tuple[PauliSum, AnsatzSpec | None]:
-    jsonio.check_version(doc, "hamiltonian")
     terms = tuple(
         (jsonio.real(t["coeff"]), PauliString(str(t["word"]))) for t in doc["terms"]
     )
@@ -269,4 +267,4 @@ def save_hamiltonian(path: str, h: PauliSum, ansatz: AnsatzSpec | None = None) -
 
 
 def load_hamiltonian(path: str) -> tuple[PauliSum, AnsatzSpec | None]:
-    return jsonio.load(path, hamiltonian_from_dict)
+    return jsonio.load(path, "hamiltonian", hamiltonian_from_dict)

@@ -109,17 +109,22 @@ def synthetic_curve(layers: int, lam: float, pi_values=None,
 
 def log_likelihood(dataset, pi, lam):
     """Joint log-likelihood of all records, each probability clamped to
-    [P_EPS, 1 - P_EPS]; broadcasts like the probability."""
-    total = 0.0
+    [P_EPS, 1 - P_EPS]; broadcasts like the probability.  A scalar value is
+    the exact sum of the per-record terms (``math.fsum``), so it does not
+    depend on the record order; arrays are summed in record order."""
+    terms = []
     for record in dataset.records:
         p_even = np.clip(
             chebyshev_parity_probability(pi, lam, record.layers, 0),
             P_EPS, 1.0 - P_EPS,
         )
-        total = total + record.e_even * np.log(p_even) \
-            + (record.n_shots - record.e_even) * np.log1p(-p_even)
+        terms.append((record.e_even * np.log(p_even),
+                      (record.n_shots - record.e_even) * np.log1p(-p_even)))
     if np.isscalar(pi) and np.isscalar(lam):
-        return float(total)
+        return math.fsum(float(t) for pair in terms for t in pair)
+    total = 0.0
+    for even, odd in terms:
+        total = total + even + odd
     return total
 
 

@@ -593,6 +593,18 @@ class TestFitLambda:
             "error: --threshold must be a finite non-negative number, "
             f"got {float(threshold)}\n")
 
+    @pytest.mark.parametrize("layers", ["-1", "1,-2"])
+    def test_negative_layers_name_the_flag(self, capsys, monkeypatch, layers):
+        """argparse rejects the value, before any curve is simulated."""
+        monkeypatch.setattr(cli, "simulate_curves", _no_work)
+        with pytest.raises(SystemExit) as exc:
+            run("fit-lambda", "--simulate", "--hamiltonian", "one_qubit",
+                f"--layers={layers}")
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "rae fit-lambda: error: argument --layers: layer counts must be "
+            f"non-negative, got {layers!r}")
+
     def test_sweep_built_once_per_run(self, monkeypatch):
         """A sweep point's angle and state depend on no depth, so each is
         computed once per run, not once per depth."""
@@ -933,22 +945,27 @@ def _ansatz_without_theta(doc, key):
     return doc
 
 
+def _versioned(doc):
+    """``doc`` as :func:`rae.jsonio.save` writes it."""
+    return {"version": 1, **doc}
+
+
 # input kind -> (valid document, its required list key, argv reading the file)
 INPUT_FILES = {
     "dataset": (
-        lambda: ParityDataset("Z", (ParityRecord(0, 16, 8),
-                                    ParityRecord(1, 16, 5))).to_dict(),
+        lambda: _versioned(ParityDataset("Z", (ParityRecord(0, 16, 8),
+                                               ParityRecord(1, 16, 5))).to_dict()),
         "records",
         lambda path, tmp: ("estimate", path, "--bootstrap", 10,
                            *SMALL_GRID_ARGS),
     ),
     "curve": (
-        lambda: synthetic_curve(1, 0.05).to_dict(),
+        lambda: _versioned(synthetic_curve(1, 0.05).to_dict()),
         "points",
         lambda path, tmp: ("fit-lambda", path),
     ),
     "hamiltonian": (
-        lambda: hamiltonian_to_dict(*builtin_problem("one_qubit")),
+        lambda: _versioned(hamiltonian_to_dict(*builtin_problem("one_qubit"))),
         "terms",
         lambda path, tmp: ("generate", "--hamiltonian", path, "--shots", 16,
                            "--out", tmp / "out"),
@@ -996,6 +1013,39 @@ class TestMalformedFiles:
         path = tmp_path / f"{kind}.json"
         path.write_text(json.dumps(make_doc()))
         assert run(*argv(path, tmp_path)) == 0
+
+
+def _symlink_loop(tmp):
+    (tmp / "loop").symlink_to("loop")
+    return tmp / "loop"
+
+
+UNREADABLE = {
+    "missing": lambda tmp: tmp / "nope.json",
+    "directory": lambda tmp: tmp,
+    "under-a-file": lambda tmp: tmp / "plain" / "x.json",
+    "symlink-loop": _symlink_loop,
+    "name-too-long": lambda tmp: tmp / ("x" * 300),
+}
+
+
+class TestUnreadableFiles:
+    """An input path that cannot be opened is one failed read for every
+    file kind: exit 3 with the path, and nothing written."""
+
+    @pytest.mark.parametrize("where", sorted(UNREADABLE))
+    @pytest.mark.parametrize("kind", sorted(INPUT_FILES))
+    def test_exit_3_naming_the_path(self, tmp_path, capsys, kind, where):
+        (tmp_path / "plain").write_text("not a directory")
+        path = UNREADABLE[where](tmp_path)
+        before = sorted(tmp_path.rglob("*"))
+        report = tmp_path / "report.json"
+        argv = INPUT_FILES[kind][2](path, tmp_path)
+        if kind != "hamiltonian":
+            argv += ("--out", report)
+        assert run(*argv) == 3
+        assert capsys.readouterr().err == f"error: cannot read {path}\n"
+        assert sorted(tmp_path.rglob("*")) == before
 
 
 def _paths(doc, prefix=()):

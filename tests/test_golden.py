@@ -10,8 +10,12 @@ directory with relative paths, because the ``estimate`` report records its
 input paths.
 
 The digests depend on floating-point results, so they hold for one numpy and
-BLAS build; regenerate them (print ``_digests``) only for a deliberate output
-change, and say why in CHANGES.md.
+BLAS build at one SIMD dispatch level: numpy picks its float64 ``cos``,
+``arccos``, ``exp``, ``log`` and ``log1p`` kernels by that level, and without
+its AVX-512 kernels the curve and decay-fit digests (``curve.json``,
+``fit.json``, ``fit-xx.json``) move while every grid-estimate digest holds.
+Regenerate them (print ``_digests``) only for a deliberate output change, and
+say why in CHANGES.md.
 """
 
 import hashlib

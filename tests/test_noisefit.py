@@ -209,11 +209,12 @@ class TestCurveIO:
         assert doc["L"] == 3
         assert set(doc["points"][0]) == {"pi", "p_even", "std_err"}
 
-    def test_wrong_version_rejected(self):
-        doc = synthetic_curve(1, 0.01).to_dict()
-        doc["version"] = 0
-        with pytest.raises(ValueError):
-            LikelihoodCurve.from_dict(doc)
+    def test_wrong_version_rejected(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({**synthetic_curve(1, 0.01).to_dict(),
+                                    "version": 0}))
+        with pytest.raises(ValueError, match="unsupported curve format version 0"):
+            load_curve(str(path))
 
 
 class TestSimulateCurve:

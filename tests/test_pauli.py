@@ -1,5 +1,6 @@
 """Pauli algebra, ansatz states, and the built-in Hamiltonians."""
 
+import json
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from rae.pauli import (
     h2_two_qubit,
     hamiltonian_from_dict,
     hamiltonian_to_dict,
+    load_hamiltonian,
     oracle_expectation,
 )
 
@@ -257,8 +259,10 @@ class TestSerialization:
         assert h2 == h
         assert ansatz2 is None
 
-    def test_version_is_checked(self):
-        doc = hamiltonian_to_dict(h2_one_qubit())
-        doc["version"] = 99
-        with pytest.raises(ValueError):
-            hamiltonian_from_dict(doc)
+    def test_version_is_checked(self, tmp_path):
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps({**hamiltonian_to_dict(h2_one_qubit()),
+                                    "version": 99}))
+        with pytest.raises(ValueError,
+                           match="unsupported hamiltonian format version 99"):
+            load_hamiltonian(str(path))
