@@ -54,12 +54,14 @@ from .jsonio import DatasetFormatError
 from .noisefit import (
     INSTABILITY_THRESHOLD,
     LAMBDA_MAX,
+    MIN_CURVE_POINTS,
     check_threshold,
     lambda_profile,
     load_curve,
     simulate_curves,
 )
 from .pauli import (
+    BUILTIN_PROBLEMS,
     AnsatzSpec,
     PauliString,
     PauliSum,
@@ -80,9 +82,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_FORMAT = 3
 EXIT_COMPUTE = 4
-
-_BUILTIN_PROBLEMS = ("one_qubit", "two_qubit")
-
 
 def _resolve_seed(value: int | None) -> int:
     """The --seed value, else RAE_SEED, else 0.  A negative seed is
@@ -114,7 +113,7 @@ def _load_problem(args: argparse.Namespace) -> tuple[PauliSum, AnsatzSpec]:
     """The ``--hamiltonian`` problem, a builtin name or a saved file, with
     ``--theta`` applied to its ansatz.  Every command that loads a problem
     runs its ansatz, so a file without one is rejected."""
-    if args.hamiltonian in _BUILTIN_PROBLEMS:
+    if args.hamiltonian in BUILTIN_PROBLEMS:
         return builtin_problem(args.hamiltonian, args.theta)
     h, ansatz = load_hamiltonian(args.hamiltonian)
     if ansatz is None:
@@ -480,6 +479,17 @@ def _parse_layer_list(text: str) -> tuple[int, ...]:
     return layers
 
 
+def _parse_points(text: str) -> int:
+    try:
+        points = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if points < MIN_CURVE_POINTS:
+        raise argparse.ArgumentTypeError(
+            f"a curve needs at least {MIN_CURVE_POINTS} points, got {text!r}")
+    return points
+
+
 def _arg(*flags, **kwargs):
     """One ``add_argument`` call, for a subcommand's parser to make."""
     return flags, kwargs
@@ -493,7 +503,7 @@ def _default(func, name: str):
 
 _PROBLEM = [
     _arg("--hamiltonian", default="two_qubit",
-         help="builtin problem (one_qubit, two_qubit) or path to a saved "
+         help=f"builtin problem ({', '.join(BUILTIN_PROBLEMS)}) or path to a saved "
               "Hamiltonian JSON (default: two_qubit)"),
     _arg("--theta", type=float, default=None,
          help="ansatz angle override (default: the problem's ground-state angle)"),
@@ -583,7 +593,7 @@ def _commands() -> dict:
                   help="depolarizing rate for --simulate (default: 0.045)"),
              _arg("--shots", type=int, default=100000,
                   help="shots per curve point for --simulate (default: 100000)"),
-             _arg("--points", type=int, default=10,
+             _arg("--points", type=_parse_points, default=10,
                   help="amplitudes per curve for --simulate (default: 10)"),
              _arg("--threshold", type=float, default=INSTABILITY_THRESHOLD,
                   help="relative-variation threshold flagging an unstable "

@@ -16,13 +16,13 @@ import numpy as np
 
 from .fisher import crb_rmse, direct_error_model, direct_mse_model
 from .inference import (
+    PI_INSET,
     IdentifiabilityError,
     MLEGrid,
     ParityDataset,
     ParityRecord,
     bootstrap,
     chebyshev_parity_probability,
-    direct_estimate,
     mle_estimate,
     rmse_stats,
 )
@@ -129,13 +129,9 @@ def simulate_dataset(ansatz: AnsatzSpec, target: PauliString, lam: float,
 
 def estimate_term(dataset: ParityDataset, m_bootstrap: int,
                   grid: MLEGrid = MLEGrid(), seed=0):
-    """Point estimate plus bootstrap replicates, routed by layer content."""
-    if dataset.layer_values() == (0,):
-        result = direct_estimate(dataset)
-    else:
-        result = mle_estimate(dataset, grid)
-    replicates = bootstrap(dataset, m_bootstrap, grid=grid, seed=seed)
-    return result, replicates
+    """Point estimate plus bootstrap replicates."""
+    return (mle_estimate(dataset, grid),
+            bootstrap(dataset, m_bootstrap, grid=grid, seed=seed))
 
 
 def sweep_cell(ansatz: AnsatzSpec, string: PauliString, lam: float,
@@ -177,18 +173,19 @@ def term_row(dataset: ParityDataset, result, replicates) -> dict:
     The bootstrap RMSE is taken about the oracle value of the ansatz the
     dataset's metadata names, else about ``pi_hat``.  The Cramer-Rao bound
     needs one shot count for every record and a jointly identifiable depth
-    set; where either is missing ``crb`` is None and ``note`` says why.
+    set; where either is missing ``crb`` is None and ``note`` says why.  A
+    grid fit at either end of the Pi axis is noted too, since any bound is
+    then taken at the grid's inset edge and not at the amplitude.
     ``mse_direct`` is the depth-0 sampling model at the fitted point with
     the same query budget.
     """
-    direct_route = dataset.layer_values() == (0,)
     pi_ref = _reference_expectation(dataset)
     stats = rmse_stats(replicates.pi_hats,
                        result.pi_hat if pi_ref is None else pi_ref)
     n_queries = sum((2 * r.layers + 1) * r.n_shots for r in dataset.records)
     crb = note = None
     shot_counts = {r.n_shots for r in dataset.records}
-    if direct_route:
+    if result.method == "direct":
         note = "single-depth data: decay rate pinned at 0, no joint error bound"
     elif len(shot_counts) != 1:
         note = "records carry unequal shot counts, no closed-form bound reported"
@@ -200,9 +197,13 @@ def term_row(dataset: ParityDataset, result, replicates) -> dict:
             crb = crb_rmse(result.pi_hat, result.lambda_hat, schedule)
         except IdentifiabilityError as exc:
             note = str(exc)
+    if result.method == "mle" and abs(result.pi_hat) >= 1.0 - PI_INSET:
+        edge = (f"pi_hat at an end of the Pi grid, {PI_INSET:g} inside |Pi| = 1: "
+                "any bound is taken at that inset")
+        note = edge if note is None else f"{note}; {edge}"
     return {
         "term": dataset.pauli,
-        "method": "direct" if direct_route else "mle",
+        "method": result.method,
         "pi_hat": float(result.pi_hat),
         "lambda_hat": float(result.lambda_hat),
         "degenerate_maximum": bool(result.degenerate_maximum),

@@ -142,11 +142,13 @@ class MLEGrid:
 
 @dataclass
 class EstimationResult:
-    """Joint MLE output, or the depth-0 closed form with lam pinned at 0."""
+    """Joint MLE output (``method`` "mle"), or the depth-0 closed form with
+    lam pinned at 0 (``method`` "direct")."""
 
     pi_hat: float
     lambda_hat: float
     degenerate_maximum: bool
+    method: str = "mle"
 
 
 def _model_factors(pi, lam, layers):
@@ -529,19 +531,11 @@ def likelihood_tables(grid: MLEGrid, layer_values: tuple[int, ...]) -> Likelihoo
     return LikelihoodGrid(grid, layer_values)
 
 
-def mle_estimate(dataset: ParityDataset, grid: MLEGrid = MLEGrid()) -> EstimationResult:
-    """Exhaustive-grid joint MLE of (Pi, lam).
-
-    Requires at least one record with L >= 1: with only the L=0 circuit the
-    decay and the amplitude are confounded (use :func:`direct_estimate`,
-    which pins lam = 0).
-    """
-    if set(dataset.layer_values()) == {0}:
-        raise IdentifiabilityError(
-            "dataset contains only the L=0 circuit; (Pi, lam) are not jointly "
-            "identifiable -- use direct_estimate, which pins lam = 0"
-        )
-    return likelihood_tables(grid, dataset.layer_values()).estimate(dataset)
+def _depth0_only(dataset: ParityDataset) -> bool:
+    """Whether ``dataset`` holds the L=0 record alone.  Such data cannot
+    separate the decay from the amplitude, so it is estimated by the closed
+    form (2 e - N) / N with lam pinned at 0 instead of the joint grid MLE."""
+    return dataset.layer_values() == (0,)
 
 
 def _direct_pi(even, shots):
@@ -549,21 +543,14 @@ def _direct_pi(even, shots):
     return (2.0 * even - shots) / shots
 
 
-def direct_estimate(dataset: ParityDataset) -> EstimationResult:
-    """Closed-form estimate from the L=0 record alone: (2 e_0 - N) / N.
-
-    The decay parameter is pinned to 0; with a single unboosted circuit the
-    data cannot separate signal shrinkage from a smaller amplitude.
-    """
-    if dataset.layer_values() != (0,):
-        raise ValueError("direct_estimate expects exactly one record with L=0")
-    record = dataset.records[0]
-    pi_hat = _direct_pi(record.e_even, record.n_shots)
-    return EstimationResult(
-        pi_hat=pi_hat,
-        lambda_hat=0.0,
-        degenerate_maximum=False,
-    )
+def mle_estimate(dataset: ParityDataset, grid: MLEGrid = MLEGrid()) -> EstimationResult:
+    """Exhaustive-grid joint MLE of (Pi, lam); depth-0-only data takes the
+    closed form with lam pinned at 0 and builds no grid."""
+    if _depth0_only(dataset):
+        (record,) = dataset.records
+        return EstimationResult(pi_hat=_direct_pi(record.e_even, record.n_shots),
+                                lambda_hat=0.0, degenerate_maximum=False, method="direct")
+    return likelihood_tables(grid, dataset.layer_values()).estimate(dataset)
 
 
 @dataclass
@@ -585,8 +572,8 @@ def bootstrap(dataset: ParityDataset, n_replicates: int,
     Replicate ``k`` is entry ``k`` of one ``simulator.sample_parities``
     draw and its argmax is exact, so it depends only on ``(seed, k)``: a
     longer run extends a shorter one without changing its entries.
-    Datasets with only the L=0 record route through the closed form with
-    lam pinned to 0.
+    Depth-0-only data takes the closed form with lam pinned at 0, as in
+    :func:`mle_estimate`.
     """
     if n_replicates < 1:
         raise ValueError("n_replicates must be positive")
@@ -596,14 +583,11 @@ def bootstrap(dataset: ParityDataset, n_replicates: int,
         np.broadcast_to(rates, (n_replicates, len(rates))),
         shots.astype(np.int64), seed), dtype=float)
 
-    if set(dataset.layer_values()) == {0}:
-        pi_hats = _direct_pi(even[:, 0], shots[0])
-        return BootstrapReplicates(pi_hats=pi_hats,
-                                   lambda_hats=np.zeros(n_replicates))
-
-    pi_hats, lambda_hats = likelihood_tables(
-        grid, dataset.layer_values()).estimate_counts(even, shots)
-    return BootstrapReplicates(pi_hats=pi_hats, lambda_hats=lambda_hats)
+    if _depth0_only(dataset):
+        return BootstrapReplicates(_direct_pi(even[:, 0], shots[0]),
+                                   np.zeros(n_replicates))
+    return BootstrapReplicates(*likelihood_tables(
+        grid, dataset.layer_values()).estimate_counts(even, shots))
 
 
 @dataclass

@@ -27,6 +27,7 @@ from .simulator import check_circuit, sample_parities
 
 # curves whose Chebyshev values are all this small carry no decay signal
 FLAT_TOL = 1e-12
+MIN_CURVE_POINTS = 3  # fewest amplitudes a curve may have
 # upper edge of the decay-rate search, and the relative variation across
 # depths above which a profile is called unstable
 LAMBDA_MAX = 5.0
@@ -58,8 +59,8 @@ class LikelihoodCurve:
     def __post_init__(self) -> None:
         if self.layers < 0:
             raise ValueError("layers must be non-negative")
-        if len(self.points) < 3:
-            raise ValueError("curve needs at least 3 points")
+        if len(self.points) < MIN_CURVE_POINTS:
+            raise ValueError(f"curve needs at least {MIN_CURVE_POINTS} points")
         pis = [p.pi for p in self.points]
         if len(set(pis)) != len(pis):
             raise ValueError("pi values must be distinct")

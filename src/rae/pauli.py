@@ -222,7 +222,7 @@ def h2_two_qubit() -> PauliSum:
 THETA_ONE_QUBIT = -6.5095
 THETA_TWO_QUBIT = -6.0575
 
-_HAMILTONIANS = {
+BUILTIN_PROBLEMS = {
     "one_qubit": (h2_one_qubit, "one_qubit_ry", THETA_ONE_QUBIT),
     "two_qubit": (h2_two_qubit, "two_qubit_ucc", THETA_TWO_QUBIT),
 }
@@ -231,10 +231,10 @@ _HAMILTONIANS = {
 def builtin_problem(name: str, theta: float | None = None) -> tuple[PauliSum, AnsatzSpec]:
     """Hamiltonian plus matching ansatz for a built-in problem name."""
     try:
-        build, kind, default_theta = _HAMILTONIANS[name]
+        build, kind, default_theta = BUILTIN_PROBLEMS[name]
     except KeyError:
         raise ValueError(
-            f"unknown hamiltonian {name!r}, expected one of {sorted(_HAMILTONIANS)}"
+            f"unknown hamiltonian {name!r}, expected one of {sorted(BUILTIN_PROBLEMS)}"
         ) from None
     return build(), AnsatzSpec(kind=kind, theta=default_theta if theta is None else theta)
 

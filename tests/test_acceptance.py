@@ -34,7 +34,6 @@ from rae.inference import (
     ParityDataset,
     ParityRecord,
     chebyshev_parity_probability,
-    direct_estimate,
     mle_estimate,
 )
 from rae.noisefit import fit_lambda, lambda_profile, simulate_curves
@@ -143,7 +142,7 @@ def test_04_direct_estimate_closed_form(capsys):
         e = int(rng.integers(0, n + 1))
         dataset = ParityDataset(pauli="Z",
                                 records=(ParityRecord(0, n, e),))
-        result = direct_estimate(dataset)
+        result = mle_estimate(dataset)
         if result.pi_hat == (2.0 * e - n) / n and result.lambda_hat == 0.0:
             exact += 1
         scan = grid_pi[int(np.argmax(log_likelihood(dataset, grid_pi, 0.0)))]

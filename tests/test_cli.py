@@ -568,13 +568,14 @@ class TestFitLambda:
 
     @pytest.mark.parametrize("argv,message", [
         (("--shots", 0), "n_shots must be positive"),
-        (("--points", 2), "curve needs at least 3 points"),
+        (("--lambda", "inf"), "depolarizing rate must be finite and non-negative"),
         (("--lambda", "-1"), "depolarizing rate must be finite and non-negative"),
         (("--lambda", "nan"), "depolarizing rate must be finite and non-negative"),
-        # the circuit is checked before the shots, and both before the curve
+        # the circuit is checked before the shots
         (("--shots", 0, "--lambda", "-1"),
          "depolarizing rate must be finite and non-negative"),
-        (("--points", 2, "--shots", 0), "n_shots must be positive"),
+        # the fewest points argparse accepts still reach the shots check
+        (("--points", 3, "--shots", 0), "n_shots must be positive"),
     ])
     def test_simulate_rejects_bad_arguments(self, capsys, argv, message):
         assert run("fit-lambda", "--simulate", "--hamiltonian", "one_qubit",
@@ -604,6 +605,19 @@ class TestFitLambda:
         assert capsys.readouterr().err.splitlines()[-1] == (
             "rae fit-lambda: error: argument --layers: layer counts must be "
             f"non-negative, got {layers!r}")
+
+    @pytest.mark.parametrize("points", ["-1", "0", "1", "2"])
+    def test_points_below_three_name_the_flag(self, capsys, monkeypatch, points):
+        """argparse rejects the value, before any curve is simulated and
+        before the shots are checked."""
+        monkeypatch.setattr(cli, "simulate_curves", _no_work)
+        with pytest.raises(SystemExit) as exc:
+            run("fit-lambda", "--simulate", "--hamiltonian", "one_qubit",
+                f"--points={points}", "--shots", 0)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "rae fit-lambda: error: argument --points: a curve needs at least "
+            f"3 points, got {points!r}")
 
     def test_sweep_built_once_per_run(self, monkeypatch):
         """A sweep point's angle and state depend on no depth, so each is

@@ -24,7 +24,6 @@ from rae.inference import (
     MLEGrid,
     ParityDataset,
     ParityRecord,
-    direct_estimate,
     rmse_stats,
 )
 from rae.pauli import (
@@ -168,7 +167,8 @@ class TestEstimateTerm:
                               seed=2)
         result, replicates = estimate_term(ds, 50, seed=1)
         assert result.lambda_hat == 0.0
-        assert result.pi_hat == direct_estimate(ds).pi_hat
+        assert result.method == "direct"
+        assert result.pi_hat == (2 * ds.records[0].e_even - 512) / 512
         assert np.all(replicates.lambda_hats == 0.0)
 
     def test_boosted_uses_joint_grid(self):
@@ -215,6 +215,8 @@ class TestTermRow:
         assert row["pi_hat"] == -1.0 + PI_INSET
         assert row["lambda_hat"] == 0.0
         assert row["crb"] == crb_rmse(-1.0 + PI_INSET, 0.0, schedule)
+        assert row["note"] == ("pi_hat at an end of the Pi grid, 1e-09 inside "
+                               "|Pi| = 1: any bound is taken at that inset")
 
     def test_unequal_shot_counts_have_no_bound(self):
         ds = ParityDataset("Z", (ParityRecord(0, 256, 230),

@@ -24,14 +24,12 @@ from rae.inference import (
     BOOTSTRAP_REPLICATES,
     DEGENERACY_TOL,
     SUPER,
-    IdentifiabilityError,
     LikelihoodGrid,
     MLEGrid,
     ParityDataset,
     ParityRecord,
     bootstrap,
     chebyshev_parity_probability,
-    direct_estimate,
     load_dataset,
     likelihood_tables,
     mle_estimate,
@@ -171,9 +169,13 @@ class TestMLEEstimate:
         assert result.lambda_hat == pytest.approx(best[2], abs=1e-15)
 
     def test_unboosted_dataset_rejected(self):
+        """Depth-0-only data cannot separate the decay from the amplitude:
+        it takes the closed form with lam pinned at 0, not the grid."""
         ds = ParityDataset(pauli="Z", records=(ParityRecord(0, 100, 80),))
-        with pytest.raises(IdentifiabilityError):
-            mle_estimate(ds)
+        result = mle_estimate(ds)
+        assert result.method == "direct"
+        assert (result.pi_hat, result.lambda_hat) == (0.6, 0.0)
+        assert not result.degenerate_maximum
 
     def test_balanced_counts_land_at_zero(self):
         ds = ParityDataset(pauli="Z", records=tuple(
@@ -226,13 +228,15 @@ class TestLikelihoodGrid:
 
 
 class TestDirectEstimate:
+    """:func:`mle_estimate` on depth-0-only data: the closed form."""
+
     def test_closed_form_values(self):
         def ds(e, n):
             return ParityDataset(pauli="Z", records=(ParityRecord(0, n, e),))
-        assert direct_estimate(ds(8192, 8192)).pi_hat == 1.0
-        assert direct_estimate(ds(4096, 8192)).pi_hat == 0.0
-        assert direct_estimate(ds(6144, 8192)).pi_hat == 0.5
-        assert direct_estimate(ds(0, 8192)).pi_hat == -1.0
+        assert mle_estimate(ds(8192, 8192)).pi_hat == 1.0
+        assert mle_estimate(ds(4096, 8192)).pi_hat == 0.0
+        assert mle_estimate(ds(6144, 8192)).pi_hat == 0.5
+        assert mle_estimate(ds(0, 8192)).pi_hat == -1.0
 
     def test_exact_formula_on_random_counts(self):
         rng = np.random.default_rng(5)
@@ -240,7 +244,7 @@ class TestDirectEstimate:
             n = int(rng.integers(1, 10000))
             e = int(rng.integers(0, n + 1))
             ds = ParityDataset(pauli="Z", records=(ParityRecord(0, n, e),))
-            result = direct_estimate(ds)
+            result = mle_estimate(ds)
             assert result.pi_hat == (2 * e - n) / n
             assert result.lambda_hat == 0.0
 
@@ -251,16 +255,40 @@ class TestDirectEstimate:
             ds = ParityDataset(pauli="Z", records=(ParityRecord(0, n, e),))
             values = log_likelihood(ds, pi, 0.0)
             pinned = pi[int(np.argmax(values))]
-            assert abs(direct_estimate(ds).pi_hat - pinned) <= PI_STEP
+            assert abs(mle_estimate(ds).pi_hat - pinned) <= PI_STEP
 
     def test_requires_single_unboosted_record(self):
+        """Boosted data never takes the closed form, with or without the
+        L=0 record."""
+        grid = MLEGrid(pi_points=101, lambda_points=11, lambda_max=0.2)
         boosted = ParityDataset(pauli="Z", records=(
             ParityRecord(0, 10, 5), ParityRecord(1, 10, 5)))
-        with pytest.raises(ValueError):
-            direct_estimate(boosted)
         no_anchor = ParityDataset(pauli="Z", records=(ParityRecord(1, 10, 5),))
-        with pytest.raises(ValueError):
-            direct_estimate(no_anchor)
+        for ds in (boosted, no_anchor):
+            assert mle_estimate(ds, grid).method == "mle"
+
+    def test_closed_form_builds_no_grid(self):
+        ds = ParityDataset(pauli="Z", records=(ParityRecord(0, 1000, 357),))
+        before = likelihood_tables.cache_info()
+        result = mle_estimate(ds)
+        assert likelihood_tables.cache_info() == before
+        assert result.pi_hat == (2 * 357 - 1000) / 1000
+        assert result.lambda_hat == 0.0
+        assert result.method == "direct"
+
+    def test_bootstrap_replicates_are_closed_form_estimates(self):
+        """Each depth-0 replicate is the point estimate of its own redraw:
+        the k-th ``SeedSequence`` child's binomial count at the observed
+        rate."""
+        n, e, seed = 1000, 700, 4
+        reps = bootstrap(ParityDataset(pauli="Z", records=(ParityRecord(0, n, e),)),
+                         50, seed=seed)
+        for k, child in enumerate(np.random.SeedSequence(seed).spawn(50)):
+            redraw = int(np.random.default_rng(child).binomial(n, e / n))
+            result = mle_estimate(ParityDataset(
+                pauli="Z", records=(ParityRecord(0, n, redraw),)))
+            assert (reps.pi_hats[k], reps.lambda_hats[k]) == (
+                result.pi_hat, result.lambda_hat)
 
 
 SMALL_GRID = MLEGrid(pi_points=2001, lambda_points=26, lambda_max=0.25)
