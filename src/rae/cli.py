@@ -295,7 +295,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         row = term_row(dataset, *estimate_term(
             dataset, m, grid=grid,
             seed=np.random.SeedSequence(seed, spawn_key=(j,)),
-        ))
+        ), grid)
         row["file"] = path
         row["verdict"] = None if row["crb"] is None else advantage_verdict(
             row["rmse"], row["sigma_rmse"], row["crb"], row["mse_direct"],
@@ -361,7 +361,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for i, schedule in enumerate(schedules):
         for j, (_, string) in enumerate(h.non_identity_terms()):
             row = term_row(*sweep_cell(ansatz, string, args.lam, schedule,
-                                       args.bootstrap, grid, seed, (i, j)))
+                                       args.bootstrap, grid, seed, (i, j)), grid)
             row["l_max"] = int(max(schedule.layers))
             rows.append({c: row[c] for c in columns})
     _write_table(args, ",".join(columns), columns, rows, config)

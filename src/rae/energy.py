@@ -167,28 +167,31 @@ def _reference_expectation(dataset: ParityDataset) -> float | None:
         return None
 
 
-def term_row(dataset: ParityDataset, result, replicates) -> dict:
-    """The per-term report row of ``estimate`` and ``sweep``.
+def term_row(dataset: ParityDataset, result, replicates, grid: MLEGrid) -> dict:
+    """The per-term report row of ``estimate`` and ``sweep``, whose fits
+    searched ``grid``.
 
     The bootstrap RMSE is taken about the oracle value of the ansatz the
     dataset's metadata names, else about ``pi_hat``.  The Cramer-Rao bound
     needs one shot count for every record and a jointly identifiable depth
     set; where either is missing ``crb`` is None and ``note`` says why.  A
     grid fit at either end of the Pi axis is noted too, since any bound is
-    then taken at the grid's inset edge and not at the amplitude.
-    ``mse_direct`` is the depth-0 sampling model at the fitted point with
-    the same query budget.
+    then taken at the grid's inset edge and not at the amplitude, and so is
+    one at the grid's ``lambda_max``, since the decay rate may lie beyond
+    it.  ``mse_direct`` is the depth-0 sampling model at the fitted point
+    with the same query budget.
     """
     pi_ref = _reference_expectation(dataset)
     stats = rmse_stats(replicates.pi_hats,
                        result.pi_hat if pi_ref is None else pi_ref)
     n_queries = sum((2 * r.layers + 1) * r.n_shots for r in dataset.records)
-    crb = note = None
+    crb = None
+    notes = []
     shot_counts = {r.n_shots for r in dataset.records}
     if result.method == "direct":
-        note = "single-depth data: decay rate pinned at 0, no joint error bound"
+        notes.append("single-depth data: decay rate pinned at 0, no joint error bound")
     elif len(shot_counts) != 1:
-        note = "records carry unequal shot counts, no closed-form bound reported"
+        notes.append("records carry unequal shot counts, no closed-form bound reported")
     else:
         schedule = LayerSchedule(tuple(sorted(dataset.layer_values())),
                                  shot_counts.pop())
@@ -196,11 +199,14 @@ def term_row(dataset: ParityDataset, result, replicates) -> dict:
         try:
             crb = crb_rmse(result.pi_hat, result.lambda_hat, schedule)
         except IdentifiabilityError as exc:
-            note = str(exc)
+            notes.append(str(exc))
     if result.method == "mle" and abs(result.pi_hat) >= 1.0 - PI_INSET:
-        edge = (f"pi_hat at an end of the Pi grid, {PI_INSET:g} inside |Pi| = 1: "
-                "any bound is taken at that inset")
-        note = edge if note is None else f"{note}; {edge}"
+        notes.append(f"pi_hat at an end of the Pi grid, {PI_INSET:g} inside "
+                     "|Pi| = 1: any bound is taken at that inset")
+    # the lam axis ends at exactly lambda_max (np.linspace's endpoint)
+    if result.method == "mle" and result.lambda_hat == grid.lambda_max:
+        notes.append(f"lambda_hat at the grid's lambda_max {grid.lambda_max:g}: "
+                     "the decay rate may lie beyond it; raise --grid-lambda-max")
     return {
         "term": dataset.pauli,
         "method": result.method,
@@ -216,7 +222,7 @@ def term_row(dataset: ParityDataset, result, replicates) -> dict:
         "crb": None if crb is None else float(crb),
         "mse_direct": float(direct_mse_model(result.pi_hat, result.lambda_hat,
                                              n_queries)),
-        "note": note,
+        "note": "; ".join(notes) or None,
     }
 
 

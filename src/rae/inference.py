@@ -198,7 +198,7 @@ def _rounding_slack(n_layers: int) -> float:
 
     The kernel's p0 at cell (i, j) is 0.5 (1 + E_j C_i), clipped, from the
     stored factors C_i = T_{2L+1}(Pi_i) and E_j = e^{-lam_j (L + 1/2)}.  A
-    block's p_hi and p_lo go through the same operations from the extreme
+    block's p_hi and p_lo go through the same :func:`_to_p0` from the extreme
     products of the block's ranges of C and E (E >= 0), which its cells
     attain.  Products, sums, halving and clipping are correctly rounded,
     hence monotone, so p_lo <= p0 <= p_hi holds exactly at every cell of
@@ -221,6 +221,16 @@ def _rounding_slack(n_layers: int) -> float:
     16 (n + 1) u is over twice that for every n >= 1.
     """
     return 8.0 * (n_layers + 1) * np.finfo(float).eps
+
+
+def _to_p0(p: np.ndarray) -> np.ndarray:
+    """In place, ``p`` <- 0.5 (1 + p) clipped as np.clip does (maximum, then
+    minimum, without its Python wrapper): the one path from E C to p0."""
+    p += 1.0
+    p *= 0.5
+    np.maximum(p, P_EPS, out=p)
+    np.minimum(p, 1.0 - P_EPS, out=p)
+    return p
 
 
 def _concave_slack(shots: np.ndarray) -> float:
@@ -257,18 +267,20 @@ def _concave_slack(shots: np.ndarray) -> float:
 
 
 class LikelihoodGrid:
-    """The likelihood of count rows whose records carry these layers in this
-    order, on a fixed grid: the grid's axes, the model's factors per grid
-    row and column, and two levels of bounds.  Each block has a range
-    ``[p_lo, p_hi]`` of ``p0`` per layer and upper bounds of ``log p0`` and
-    ``log p1`` per layer.  Each super-block, ``SUPER`` blocks along Pi in
-    one lam block, has the same values, computed the same way from the
-    range of ``C`` over its Pi rows.  They bound every cell of its blocks,
-    so the arguments of :func:`_rounding_slack` and :func:`_concave_slack`
-    carry over to it unchanged.  Its ``p_lo`` and ``p_hi`` are exactly the
-    extremes of its blocks' (each step from ``C`` to ``p0`` is monotone
-    and correctly rounded), and so are its log bounds wherever ``log`` and
-    ``log1p`` are monotone.
+    """The likelihood of count rows on a fixed grid: the grid's axes, the
+    model's factors per grid row and column, and two levels of bounds.  A
+    row is one float even count per layer in ``layer_values`` order, and
+    ``shots`` the (layers,) shot counts in that order: :meth:`estimate`
+    takes one row, :meth:`estimate_counts` a (rows, layers) batch.  Each
+    block has a range ``[p_lo, p_hi]`` of ``p0`` per layer and upper bounds
+    of ``log p0`` and ``log p1`` per layer.  Each super-block, ``SUPER``
+    blocks along Pi in one lam block, has the same values, computed the
+    same way from the range of ``C`` over its Pi rows.  They bound every
+    cell of its blocks, so the arguments of :func:`_rounding_slack` and
+    :func:`_concave_slack` carry over to it unchanged.  Its ``p_lo`` and
+    ``p_hi`` are exactly the extremes of its blocks' (each step from ``C``
+    to ``p0`` is monotone and correctly rounded), and so are its log bounds
+    wherever ``log`` and ``log1p`` are monotone.
 
     One fixed-order kernel, :meth:`_exact`, computes the model at the cells
     it is given and makes every decision (argmax, ties, degeneracy), so a
@@ -317,14 +329,8 @@ class LikelihoodGrid:
         on every unit."""
         # E >= 0, so a unit's extreme products pair C's extreme with either
         # extreme of E
-        p = np.concatenate([np.minimum(c_lo * e_lo, c_lo * e_hi),
-                            np.maximum(c_hi * e_lo, c_hi * e_hi)])
-        p += 1.0
-        p *= 0.5
-        # clipped as np.clip does, maximum then minimum, without its
-        # Python wrapper's cost on every search
-        np.maximum(p, P_EPS, out=p)
-        np.minimum(p, 1.0 - P_EPS, out=p)
+        p = _to_p0(np.concatenate([np.minimum(c_lo * e_lo, c_lo * e_hi),
+                                   np.maximum(c_hi * e_lo, c_hi * e_hi)]))
         p_lo, p_hi = p[:len(c_lo)], p[len(c_lo):]
         bounds = np.concatenate([np.log(p_hi), np.log1p(-p_lo)], axis=1)
         bounds *= 1.0 - _rounding_slack(len(self.layer_values))
@@ -340,10 +346,7 @@ class LikelihoodGrid:
         log_p0 = np.take(self._cheb, i, axis=1)
         log_p1 = np.take(self._decay, j, axis=1)
         log_p1 *= log_p0
-        log_p1 += 1.0
-        log_p1 *= 0.5
-        p0 = np.maximum(log_p1, P_EPS, out=log_p1)
-        np.minimum(p0, 1.0 - P_EPS, out=p0)
+        p0 = _to_p0(log_p1)
         np.log(p0, out=log_p0)
         np.log1p(np.negative(p0, out=p0), out=log_p1)
         odd = shots - even
@@ -473,18 +476,11 @@ class LikelihoodGrid:
         return ((1.0 - _rounding_slack(len(self.layer_values))) * value.sum(axis=1)
                 + _concave_slack(shots))
 
-    def estimate(self, dataset: ParityDataset) -> EstimationResult:
-        """Grid argmax, flagged degenerate when a cell outside its 3x3
-        neighbourhood comes within ``DEGENERACY_TOL`` of the maximum."""
-        if dataset.layer_values() != self.layer_values:
-            raise ValueError(
-                f"dataset layers {list(dataset.layer_values())} differ from "
-                f"the grid's layers {list(self.layer_values)}"
-            )
-        even = np.array([[r.e_even for r in dataset.records]], dtype=float)
-        shots = np.array([r.n_shots for r in dataset.records], dtype=float)
-        cells = self._candidates(even, shots, DEGENERACY_TOL)
-        values = np.concatenate([self._exact(even, shots, tile)[0]
+    def estimate(self, even: np.ndarray, shots: np.ndarray) -> EstimationResult:
+        """Grid argmax of one row, flagged degenerate when a cell outside its
+        3x3 neighbourhood comes within ``DEGENERACY_TOL`` of the maximum."""
+        cells = self._candidates(even[None], shots, DEGENERACY_TOL)
+        values = np.concatenate([self._exact(even[None], shots, tile)[0]
                                  for tile in self._tiles(cells, 1)])
         k = int(np.argmax(values))  # first maximum: smallest Pi index, then lam
         best = values[k]
@@ -531,11 +527,15 @@ def likelihood_tables(grid: MLEGrid, layer_values: tuple[int, ...]) -> Likelihoo
     return LikelihoodGrid(grid, layer_values)
 
 
-def _depth0_only(dataset: ParityDataset) -> bool:
-    """Whether ``dataset`` holds the L=0 record alone.  Such data cannot
-    separate the decay from the amplitude, so it is estimated by the closed
-    form (2 e - N) / N with lam pinned at 0 instead of the joint grid MLE."""
-    return dataset.layer_values() == (0,)
+def _prepared(dataset: ParityDataset, grid: MLEGrid):
+    """``dataset``'s float ``(even, shots)`` in record order and the grid
+    that searches them, or None for the L=0 record alone: such data cannot
+    separate the decay from the amplitude, so it takes the closed form
+    (2 e - N) / N with lam pinned at 0 instead of the joint grid MLE."""
+    even = np.array([r.e_even for r in dataset.records], dtype=float)
+    shots = np.array([r.n_shots for r in dataset.records], dtype=float)
+    layers = dataset.layer_values()
+    return even, shots, None if layers == (0,) else likelihood_tables(grid, layers)
 
 
 def _direct_pi(even, shots):
@@ -546,11 +546,11 @@ def _direct_pi(even, shots):
 def mle_estimate(dataset: ParityDataset, grid: MLEGrid = MLEGrid()) -> EstimationResult:
     """Exhaustive-grid joint MLE of (Pi, lam); depth-0-only data takes the
     closed form with lam pinned at 0 and builds no grid."""
-    if _depth0_only(dataset):
-        (record,) = dataset.records
-        return EstimationResult(pi_hat=_direct_pi(record.e_even, record.n_shots),
+    even, shots, tables = _prepared(dataset, grid)
+    if tables is None:
+        return EstimationResult(pi_hat=float(_direct_pi(even[0], shots[0])),
                                 lambda_hat=0.0, degenerate_maximum=False, method="direct")
-    return likelihood_tables(grid, dataset.layer_values()).estimate(dataset)
+    return tables.estimate(even, shots)
 
 
 @dataclass
@@ -577,17 +577,15 @@ def bootstrap(dataset: ParityDataset, n_replicates: int,
     """
     if n_replicates < 1:
         raise ValueError("n_replicates must be positive")
-    shots = np.array([r.n_shots for r in dataset.records], dtype=float)
+    _, shots, tables = _prepared(dataset, grid)
     rates = np.array([r.e_even / r.n_shots for r in dataset.records])
     even = np.array(sample_parities(
         np.broadcast_to(rates, (n_replicates, len(rates))),
         shots.astype(np.int64), seed), dtype=float)
-
-    if _depth0_only(dataset):
+    if tables is None:
         return BootstrapReplicates(_direct_pi(even[:, 0], shots[0]),
                                    np.zeros(n_replicates))
-    return BootstrapReplicates(*likelihood_tables(
-        grid, dataset.layer_values()).estimate_counts(even, shots))
+    return BootstrapReplicates(*tables.estimate_counts(even, shots))
 
 
 @dataclass

@@ -184,15 +184,16 @@ class TestTermRow:
     GRID = MLEGrid(pi_points=1001, lambda_points=11, lambda_max=0.25)
 
     def row(self, dataset, m_bootstrap=20):
-        return term_row(dataset, *estimate_term(dataset, m_bootstrap,
-                                                grid=self.GRID, seed=1))
+        result, replicates = estimate_term(dataset, m_bootstrap,
+                                           grid=self.GRID, seed=1)
+        return term_row(dataset, result, replicates, self.GRID)
 
     def test_simulated_term_is_judged_against_its_oracle(self):
         schedule = lis(3, 512)
         ds = simulate_dataset(ANSATZ1, PauliString("Z"), 0.05, schedule,
                               seed=2)
         result, replicates = estimate_term(ds, 20, grid=self.GRID, seed=1)
-        row = term_row(ds, result, replicates)
+        row = term_row(ds, result, replicates, self.GRID)
         pi_ref = oracle_expectation(ANSATZ1, PauliString("Z"))
         assert row["method"] == "mle"
         assert row["reference"] == "oracle" and row["pi_ref"] == pi_ref
@@ -217,6 +218,17 @@ class TestTermRow:
         assert row["crb"] == crb_rmse(-1.0 + PI_INSET, 0.0, schedule)
         assert row["note"] == ("pi_hat at an end of the Pi grid, 1e-09 inside "
                                "|Pi| = 1: any bound is taken at that inset")
+
+    def test_decay_beyond_the_grid(self):
+        # lam = 0.8 decays faster than the grid's lambda_max of 0.25 allows:
+        # the fit pins there, and the note says so and names the flag
+        ds = simulate_dataset(ANSATZ1, PauliString("Z"), 0.8, lis(3, 512),
+                              seed=2)
+        row = self.row(ds)
+        assert row["method"] == "mle"
+        assert row["lambda_hat"] == 0.25
+        assert row["note"] == ("lambda_hat at the grid's lambda_max 0.25: the decay "
+                               "rate may lie beyond it; raise --grid-lambda-max")
 
     def test_unequal_shot_counts_have_no_bound(self):
         ds = ParityDataset("Z", (ParityRecord(0, 256, 230),
@@ -243,7 +255,7 @@ class TestTermRow:
         ds = ParityDataset("X", (ParityRecord(0, 256, 90),
                                  ParityRecord(1, 256, 200)))
         result, replicates = estimate_term(ds, 20, grid=self.GRID, seed=1)
-        row = term_row(ds, result, replicates)
+        row = term_row(ds, result, replicates, self.GRID)
         assert row["reference"] == "pi_hat"
         assert row["pi_ref"] is None
         assert row["rmse"] == rmse_stats(replicates.pi_hats, result.pi_hat).rmse

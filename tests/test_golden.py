@@ -14,8 +14,9 @@ BLAS build at one SIMD dispatch level: numpy picks its float64 ``cos``,
 ``arccos``, ``exp``, ``log`` and ``log1p`` kernels by that level, and without
 its AVX-512 kernels the curve and decay-fit digests (``curve.json``,
 ``fit.json``, ``fit-xx.json``) move while every grid-estimate digest holds.
-Regenerate them (print ``_digests``) only for a deliberate output change, and
-say why in CHANGES.md.
+Re-freeze a digest only for a deliberate output change: a failing
+``test_output_bytes_unchanged`` names the digest it computed, and CHANGES.md
+says why it moved.
 """
 
 import hashlib
@@ -184,7 +185,8 @@ def _golden_run(tmp_path_factory):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_output_bytes_unchanged(_golden_run, name):
     root = _golden_run[0]
-    assert hashlib.sha256((root / name).read_bytes()).hexdigest() == GOLDEN[name]
+    digest = hashlib.sha256((root / name).read_bytes()).hexdigest()
+    assert digest == GOLDEN[name], f"{name} now hashes to {digest}"
 
 
 def test_every_file_goes_through_one_writer(_golden_run):

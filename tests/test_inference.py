@@ -216,15 +216,24 @@ class TestLikelihoodGrid:
 
     def test_point_estimate_equals_one_row_batch(self):
         tables = LikelihoodGrid(self.GRID, self.FLAT.layer_values())
-        result = tables.estimate(self.FLAT)
+        result = tables.estimate(np.full(4, 50.0), np.full(4, 100.0))
         pi_hats, lambda_hats = tables.estimate_counts(
             np.full((1, 4), 50.0), np.full(4, 100.0))
         assert (pi_hats[0], lambda_hats[0]) == (result.pi_hat, result.lambda_hat)
 
-    def test_tables_follow_record_order(self):
-        for layers in ((3, 2, 1, 0), (0, 1, 2), (0, 1, 2, 3, 4)):
-            with pytest.raises(ValueError):
-                LikelihoodGrid(self.GRID, layers).estimate(self.FLAT)
+    def test_records_search_the_grid_of_their_own_order(self):
+        """Reversed records are searched on the grid built for the reversed
+        layers, which the cache then holds."""
+        ds = exact_count_dataset(0.6, 0.02, range(4), 256)
+        reversed_ds = ParityDataset(pauli="Z", records=ds.records[::-1])
+        likelihood_tables.cache_clear()
+        result = mle_estimate(reversed_ds, self.GRID)
+        hits = likelihood_tables.cache_info().hits
+        likelihood_tables(self.GRID, (3, 2, 1, 0))
+        assert likelihood_tables.cache_info().hits == hits + 1
+        even = np.array([r.e_even for r in reversed_ds.records], dtype=float)
+        assert result == LikelihoodGrid(self.GRID, (3, 2, 1, 0)).estimate(
+            even, np.full(4, 256.0))
 
 
 class TestDirectEstimate:
@@ -546,8 +555,9 @@ class TestCandidates:
                     if isinstance(values, np.ndarray)}
 
         built = arrays()
-        result = tables.estimate(ds)
+        point = np.array([r.e_even for r in ds.records], dtype=float)
         shots = np.array([r.n_shots for r in ds.records])
+        result = tables.estimate(point, shots.astype(float))
         rates = np.array([r.e_even / r.n_shots for r in ds.records])
         even = np.random.default_rng(0).binomial(shots, rates, size=(130, len(shots)))
         tables.estimate_counts(even.astype(float), shots.astype(float))
@@ -555,7 +565,8 @@ class TestCandidates:
         for values in vars(tables).values():
             if isinstance(values, np.ndarray):
                 assert not values.flags.writeable
-        assert result == LikelihoodGrid(MLEGrid(), ds.layer_values()).estimate(ds)
+        assert result == LikelihoodGrid(MLEGrid(), ds.layer_values()).estimate(
+            point, shots.astype(float))
 
 
 class TestBlockLevel:
