@@ -363,7 +363,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             row = term_row(*sweep_cell(ansatz, string, args.lam, schedule,
                                        args.bootstrap, grid, seed, (i, j)), grid)
             row["l_max"] = int(max(schedule.layers))
-            rows.append({c: row[c] for c in columns})
+            rows.append(row)
     _write_table(args, ",".join(columns), columns, rows, config)
     return EXIT_OK
 

@@ -35,53 +35,48 @@ INSTABILITY_THRESHOLD = 0.20
 
 
 @dataclass(frozen=True)
-class CurvePoint:
-    pi: float
-    p_even: float
-    std_err: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.pi <= 1.0:
-            raise ValueError("pi must lie in [0, 1]")
-        if not 0.0 <= self.p_even <= 1.0:
-            raise ValueError("p_even must lie in [0, 1]")
-        if not self.std_err > 0.0:
-            raise ValueError("std_err must be positive")
-
-
-@dataclass(frozen=True)
 class LikelihoodCurve:
-    """Even-parity rates of one circuit depth over a sweep of amplitudes."""
+    """Even-parity rates of one circuit depth over a sweep of amplitudes:
+    entry i of ``pi``, ``p_even`` and ``std_err`` is one sweep point."""
 
     layers: int
-    points: tuple[CurvePoint, ...]
+    pi: tuple[float, ...]
+    p_even: tuple[float, ...]
+    std_err: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        if not len(self.pi) == len(self.p_even) == len(self.std_err):
+            raise ValueError("pi, p_even and std_err must have equal lengths")
+        for pi, p_even, std_err in zip(self.pi, self.p_even, self.std_err):
+            if not 0.0 <= pi <= 1.0:
+                raise ValueError("pi must lie in [0, 1]")
+            if not 0.0 <= p_even <= 1.0:
+                raise ValueError("p_even must lie in [0, 1]")
+            if not std_err > 0.0:
+                raise ValueError("std_err must be positive")
         if self.layers < 0:
             raise ValueError("layers must be non-negative")
-        if len(self.points) < MIN_CURVE_POINTS:
+        if len(self.pi) < MIN_CURVE_POINTS:
             raise ValueError(f"curve needs at least {MIN_CURVE_POINTS} points")
-        pis = [p.pi for p in self.points]
-        if len(set(pis)) != len(pis):
+        if len(set(self.pi)) != len(self.pi):
             raise ValueError("pi values must be distinct")
 
     def to_dict(self) -> dict:
+        """The file form: a list of ``{pi, p_even, std_err}`` points."""
         return {
             "L": self.layers,
-            "points": [
-                {"pi": p.pi, "p_even": p.p_even, "std_err": p.std_err}
-                for p in self.points
-            ],
+            "points": [{"pi": pi, "p_even": p_even, "std_err": std_err}
+                       for pi, p_even, std_err
+                       in zip(self.pi, self.p_even, self.std_err)],
         }
 
     @classmethod
     def from_dict(cls, doc: dict) -> "LikelihoodCurve":
-        points = tuple(
-            CurvePoint(jsonio.real(p["pi"]), jsonio.real(p["p_even"]),
-                       jsonio.real(p["std_err"]))
-            for p in doc["points"]
-        )
-        return cls(layers=jsonio.integer(doc["L"]), points=points)
+        points = [(jsonio.real(p["pi"]), jsonio.real(p["p_even"]),
+                   jsonio.real(p["std_err"])) for p in doc["points"]]
+        # no points at all leaves three empty columns, which the curve rejects
+        columns = tuple(zip(*points)) or ((), (), ())
+        return cls(jsonio.integer(doc["L"]), *columns)
 
 
 def save_curve(path: str, curve: LikelihoodCurve) -> None:
@@ -113,9 +108,8 @@ def fit_lambda(curve: LikelihoodCurve, lambda_max: float = LAMBDA_MAX) -> Lambda
     """
     if not (math.isfinite(lambda_max) and lambda_max > 0.0):
         raise ValueError("lambda_max must be positive")
-    pis = np.array([p.pi for p in curve.points])
-    rates = np.array([p.p_even for p in curve.points])
-    weights = np.array([p.std_err for p in curve.points]) ** -2.0
+    pis, rates = np.array(curve.pi), np.array(curve.p_even)
+    weights = np.array(curve.std_err) ** -2.0
     half_order = curve.layers + 0.5
     cheb, _ = _model_factors(pis, 0.0, curve.layers)
     if np.max(np.abs(cheb)) < FLAT_TOL:
@@ -200,11 +194,11 @@ def simulate_curves(ansatz_kind: str, target: PauliString, depths, lam: float,
         raise ValueError(f"need one seed per depth, got {len(seeds)} for {len(depths)}")
     if pi_values is None:
         pi_values = np.linspace(0.0, 1.0, 10)
-    pi_values = [float(pi) for pi in pi_values]
+    pi_values = tuple(float(pi) for pi in pi_values)
     ansatzes = [AnsatzSpec(ansatz_kind, angle_for_expectation(ansatz_kind, target, pi))
                 for pi in pi_values]
     if not ansatzes:  # nothing to sample; the curves' own checks reject them
-        return tuple(LikelihoodCurve(layers=layers, points=()) for layers in depths)
+        return tuple(LikelihoodCurve(layers, (), (), ()) for layers in depths)
     for layers in depths:
         check_circuit(ansatzes[0], target, layers, lam)
     expectations = expectation_values(
@@ -216,6 +210,6 @@ def simulate_curves(ansatz_kind: str, target: PauliString, depths, lam: float,
         # sqrt and division are correctly rounded, so these equal the
         # scalar math-module values bit for bit
         std_errs = np.maximum(np.sqrt(rates * (1.0 - rates) / n_shots), 0.5 / n_shots)
-        curves.append(LikelihoodCurve(layers=layers, points=tuple(
-            map(CurvePoint, pi_values, rates.tolist(), std_errs.tolist()))))
+        curves.append(LikelihoodCurve(layers, pi_values, tuple(rates.tolist()),
+                                      tuple(std_errs.tolist())))
     return tuple(curves)

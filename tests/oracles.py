@@ -30,7 +30,7 @@ from rae.inference import (
     _rounding_slack,
     chebyshev_parity_probability,
 )
-from rae.noisefit import CurvePoint, LikelihoodCurve
+from rae.noisefit import LikelihoodCurve
 from rae.pauli import (
     AnsatzSpec,
     PauliString,
@@ -98,13 +98,11 @@ def synthetic_curve(layers: int, lam: float, pi_values=None,
     """Noise-free curve evaluated straight from the parity model."""
     if pi_values is None:
         pi_values = np.linspace(0.0, 1.0, 10)
-    points = tuple(
-        CurvePoint(float(pi),
-                   chebyshev_parity_probability(float(pi), lam, layers, 0),
-                   std_err)
-        for pi in pi_values
-    )
-    return LikelihoodCurve(layers=layers, points=points)
+    pis = tuple(float(pi) for pi in pi_values)
+    return LikelihoodCurve(
+        layers, pis,
+        tuple(chebyshev_parity_probability(pi, lam, layers, 0) for pi in pis),
+        (std_err,) * len(pis))
 
 
 def log_likelihood(dataset, pi, lam):
@@ -297,15 +295,14 @@ def per_point_curve(ansatz_kind: str, target: PauliString, layers: int,
                     pi_values) -> LikelihoodCurve:
     """One depth of ``noisefit.simulate_curves`` with one spec,
     expectation, probability and generator per point."""
-    pi_values = [float(pi) for pi in pi_values]
+    pi_values = tuple(float(pi) for pi in pi_values)
     children = np.random.SeedSequence(seed).spawn(len(pi_values))
     specs = curve_specs(ansatz_kind, target, layers, lam, pi_values)
-    points = []
-    for pi, e_even in zip(pi_values, per_point_counts(specs, n_shots, children)):
-        rate = e_even / n_shots
-        std_err = max(math.sqrt(rate * (1.0 - rate) / n_shots), 0.5 / n_shots)
-        points.append(CurvePoint(pi, rate, std_err))
-    return LikelihoodCurve(layers=layers, points=tuple(points))
+    rates = tuple(e_even / n_shots
+                  for e_even in per_point_counts(specs, n_shots, children))
+    std_errs = tuple(max(math.sqrt(rate * (1.0 - rate) / n_shots), 0.5 / n_shots)
+                     for rate in rates)
+    return LikelihoodCurve(layers, pi_values, rates, std_errs)
 
 
 def per_point_dataset(ansatz: AnsatzSpec, target: PauliString, lam: float,

@@ -8,8 +8,10 @@ determinism.
 """
 
 import contextlib
+import datetime
 import io
 import json
+import math
 import os
 import pathlib
 import random
@@ -35,7 +37,7 @@ from rae.inference import (
     rmse_stats,
     save_dataset,
 )
-from rae.noisefit import save_curve
+from rae.noisefit import LikelihoodCurve, save_curve
 from rae.pauli import (
     PauliSum,
     builtin_problem,
@@ -118,17 +120,21 @@ class TestGenerate:
         assert env == (tmp_path / "flag" / "Z.json").read_bytes()
         assert env != (tmp_path / "zero" / "Z.json").read_bytes()
 
-    @pytest.mark.parametrize("source", ["--seed", "RAE_SEED"])
-    def test_negative_seed_rejected(self, tmp_path, monkeypatch, capsys, source):
+    @pytest.mark.parametrize("source,value,message", [
+        ("--seed", "-1", "--seed must be a non-negative integer, got -1"),
+        ("RAE_SEED", "-1", "RAE_SEED must be a non-negative integer, got -1"),
+        ("RAE_SEED", "abc", "RAE_SEED must be an integer, got 'abc'"),
+    ], ids=["--seed", "RAE_SEED", "RAE_SEED-abc"])
+    def test_negative_seed_rejected(self, tmp_path, monkeypatch, capsys, source,
+                                    value, message):
         argv = ["generate", "--hamiltonian", "one_qubit", "--i-max", 1,
                 "--shots", 16, "--out", tmp_path / "neg"]
         if source == "--seed":
-            argv += ["--seed", -1]
+            argv += ["--seed", value]
         else:
-            monkeypatch.setenv("RAE_SEED", "-1")
+            monkeypatch.setenv("RAE_SEED", value)
         assert run(*argv) == 2
-        assert capsys.readouterr().err == \
-            f"error: {source} must be a non-negative integer, got -1\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "neg").exists()
 
     @pytest.mark.parametrize("argv", [
@@ -414,6 +420,28 @@ class TestSweep:
                     for j in range(len(terms))]
         assert lines == expected
 
+    def test_json_rows_are_whole_term_rows(self, tmp_path):
+        """Each ``--json`` row is the whole ``term_row`` plus ``l_max``, so
+        a fit at the grid's lambda_max carries its edge note there, while
+        the CSV keeps its seven columns."""
+        out, report = tmp_path / "s.csv", tmp_path / "s.json"
+        assert run("sweep", "--hamiltonian", "one_qubit", "--lambda", 0.8,
+                   "--i-max", 2, "--shots", 256, "--bootstrap", 10,
+                   "--grid-pi", 1001, "--grid-lambda", 11, "--seed", 3,
+                   "--out", out, "--json", report) == 0
+        assert out.read_text().splitlines()[0] == \
+            "term,l_max,n_queries,pi_hat,lambda_hat,rmse,sigma_rmse"
+        rows = json.loads(report.read_text())["rows"]
+        assert all(set(row) == {
+            "term", "method", "pi_hat", "lambda_hat", "degenerate_maximum",
+            "n_queries", "n_bootstrap", "pi_ref", "reference", "rmse",
+            "sigma_rmse", "crb", "mse_direct", "note", "l_max"} for row in rows)
+        edge = [row for row in rows if row["lambda_hat"] == 0.5]
+        assert edge
+        for row in edge:
+            assert "lambda_hat at the grid's lambda_max 0.5: the decay rate may " \
+                   "lie beyond it; raise --grid-lambda-max" in row["note"]
+
     def test_nris_has_no_budget_axis(self, tmp_path):
         assert run(
             "sweep", "--schedule", "nris", "--lambda", 0.05,
@@ -551,6 +579,20 @@ class TestFitLambda:
         assert doc["variation"] is None
         assert doc["unstable"] is True
 
+    def test_flat_curve_exits_4(self, tmp_path, capsys):
+        """Sweep points at roots of T_5 leave an L = 2 curve constant in
+        lam: one error line, exit 4, and no report."""
+        roots = (0.0, math.cos(3 * math.pi / 10), math.cos(math.pi / 10))
+        save_curve(str(tmp_path / "c.json"),
+                   LikelihoodCurve(2, roots, (0.5,) * 3, (0.01,) * 3))
+        report = tmp_path / "r.json"
+        assert run("fit-lambda", tmp_path / "c.json", "--out", report) == 4
+        assert capsys.readouterr().err == (
+            "error: curve carries no decay signal: the boosted amplitude "
+            "vanishes at every sweep point, so lambda does not affect the "
+            "model\n")
+        assert not report.exists()
+
     def test_files_and_simulate_conflict(self, tmp_path):
         save_curve(str(tmp_path / "c.json"), synthetic_curve(1, 0.05))
         assert run("fit-lambda", tmp_path / "c.json", "--simulate") == 2
@@ -594,20 +636,28 @@ class TestFitLambda:
             "error: --threshold must be a finite non-negative number, "
             f"got {float(threshold)}\n")
 
-    @pytest.mark.parametrize("layers", ["-1", "1,-2"])
-    def test_negative_layers_name_the_flag(self, capsys, monkeypatch, layers):
+    @pytest.mark.parametrize("layers,message", [
+        ("-1", "layer counts must be non-negative, got '-1'"),
+        ("1,-2", "layer counts must be non-negative, got '1,-2'"),
+        ("1,x", "expected comma-separated integers, got '1,x'"),
+    ], ids=["-1", "1,-2", "1,x"])
+    def test_negative_layers_name_the_flag(self, capsys, monkeypatch, layers,
+                                           message):
         """argparse rejects the value, before any curve is simulated."""
         monkeypatch.setattr(cli, "simulate_curves", _no_work)
         with pytest.raises(SystemExit) as exc:
             run("fit-lambda", "--simulate", "--hamiltonian", "one_qubit",
                 f"--layers={layers}")
         assert exc.value.code == 2
-        assert capsys.readouterr().err.splitlines()[-1] == (
-            "rae fit-lambda: error: argument --layers: layer counts must be "
-            f"non-negative, got {layers!r}")
+        assert capsys.readouterr().err.splitlines()[-1] == \
+            f"rae fit-lambda: error: argument --layers: {message}"
 
-    @pytest.mark.parametrize("points", ["-1", "0", "1", "2"])
-    def test_points_below_three_name_the_flag(self, capsys, monkeypatch, points):
+    @pytest.mark.parametrize("points,message", [
+        (points, f"a curve needs at least 3 points, got {points!r}")
+        for points in ("-1", "0", "1", "2")
+    ] + [("abc", "invalid int value: 'abc'")], ids=["-1", "0", "1", "2", "abc"])
+    def test_points_below_three_name_the_flag(self, capsys, monkeypatch, points,
+                                              message):
         """argparse rejects the value, before any curve is simulated and
         before the shots are checked."""
         monkeypatch.setattr(cli, "simulate_curves", _no_work)
@@ -615,9 +665,8 @@ class TestFitLambda:
             run("fit-lambda", "--simulate", "--hamiltonian", "one_qubit",
                 f"--points={points}", "--shots", 0)
         assert exc.value.code == 2
-        assert capsys.readouterr().err.splitlines()[-1] == (
-            "rae fit-lambda: error: argument --points: a curve needs at least "
-            f"3 points, got {points!r}")
+        assert capsys.readouterr().err.splitlines()[-1] == \
+            f"rae fit-lambda: error: argument --points: {message}"
 
     def test_sweep_built_once_per_run(self, monkeypatch):
         """A sweep point's angle and state depend on no depth, so each is
@@ -716,6 +765,7 @@ class TestSchedule:
         ("eis", "--i-max", 12, "--lambda", 0.5, "--pi", 0.3),
         ("eis", "--i-max", 3, "--lambda", 800, "--pi", 0.3),
         ("nris", "--lambda", 0.01, "--pi", 0.3),
+        ("poly", "--degree", 2, "--i-max", 5, "--lambda", 0.05, "--pi", 0.9),
     ])
     def test_each_prefix_is_crb_rmse_of_that_prefix(self, tmp_path, capsys,
                                                       argv):
@@ -770,6 +820,13 @@ class TestSchedule:
         expected = noise_robust_schedule(-0.2238, 0.045, 100)
         assert f"layers: {' '.join(str(l) for l in expected.layers)}" in out
         assert "origin: nris" in out
+
+    def test_poly_matches_library(self, capsys):
+        assert run("schedule", "--schedule", "poly", "--degree", 2,
+                   "--i-max", 3, "--shots", 8) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "layers: 0 1 4 9"
+        assert "origin: poly2" in out
 
     def test_nris_without_prior_rejected(self):
         assert run("schedule", "--schedule", "nris", "--lambda", 0.05) == 2
@@ -914,6 +971,37 @@ class TestUnwritableOutput:
         self.assert_rejected(("generate", "--hamiltonian", "one_qubit",
                               "--i-max", 1, "--shots", 16, "--out", out),
                              out, capsys)
+
+
+class TestStamp:
+    """``--stamp`` adds a UTC time and nothing else: with it removed, each
+    document equals the unstamped run's, config digest included."""
+
+    @staticmethod
+    def _utc(stamp):
+        when = datetime.datetime.fromisoformat(stamp)
+        assert when.utcoffset() == datetime.timedelta(0)
+
+    def test_generate_and_estimate(self, tmp_path):
+        generate = ("generate", "--hamiltonian", "one_qubit", "--lambda", 0.05,
+                    "--i-max", 2, "--shots", 64, "--seed", 7)
+        estimate = ("estimate", tmp_path / "plain" / "Z.json", "--bootstrap", 10,
+                    *SMALL_GRID_ARGS, "--seed", 1)
+        docs = {}
+        for name, stamp in (("plain", ()), ("stamped", ("--stamp",))):
+            assert run(*generate, *stamp, "--out", tmp_path / name) == 0
+            assert run(*estimate, *stamp, "--out", tmp_path / f"{name}.json") == 0
+            docs[name] = (json.loads((tmp_path / name / "Z.json").read_text()),
+                          json.loads((tmp_path / f"{name}.json").read_text()))
+        (plain_data, plain_report), (data, report) = docs["plain"], docs["stamped"]
+        self._utc(data["metadata"].pop("generated_at"))
+        self._utc(report.pop("timestamp"))
+        assert plain_report.pop("timestamp") is None
+        assert data["metadata"]["config_sha256"] == \
+            plain_data["metadata"]["config_sha256"]
+        assert report["config_sha256"] == plain_report["config_sha256"]
+        assert data == plain_data
+        assert report == plain_report
 
 
 class TestUnreadFlags:

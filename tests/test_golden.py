@@ -108,7 +108,7 @@ GOLDEN = {
     "sweep.csv":
         "fb8c2e18622dbba719392ea5b5ad7f5b626329f3e5233d815aa92c29d66e86be",
     "sweep.json":
-        "0449ab9df8301de87651c2f195f8010489adbcd7088b567471352ebe98a4f4e7",
+        "fd26ade088a32fbfb1e31755b9497aea3d41c486949f83e4fd8659eeab9fd802",
     "energy.csv":
         "611ebab0eb342cfac6eb7f6ad3b44d9850a17faeaccae31c81e8c098274441d3",
     "energy.json":

@@ -9,7 +9,6 @@ import pytest
 from oracles import synthetic_curve
 from rae.inference import IdentifiabilityError, chebyshev_parity_probability
 from rae.noisefit import (
-    CurvePoint,
     LikelihoodCurve,
     fit_lambda,
     lambda_profile,
@@ -21,34 +20,37 @@ from rae.pauli import PauliString
 
 
 def curve_at(layers, lam, pis, noise_rng=None, std_err=0.004):
-    points = []
+    rates = []
     for pi in pis:
         p = chebyshev_parity_probability(float(pi), lam, layers, 0)
         if noise_rng is not None:
             p = float(np.clip(p + noise_rng.normal(0.0, std_err), 0.0, 1.0))
-        points.append(CurvePoint(float(pi), p, std_err))
-    return LikelihoodCurve(layers=layers, points=tuple(points))
+        rates.append(p)
+    return LikelihoodCurve(layers, tuple(float(pi) for pi in pis), tuple(rates),
+                           (std_err,) * len(rates))
 
 
 class TestCurveValidation:
     def test_minimum_points(self):
         with pytest.raises(ValueError):
-            LikelihoodCurve(1, (CurvePoint(0.0, 0.5, 0.01),
-                                CurvePoint(1.0, 0.9, 0.01)))
+            LikelihoodCurve(1, (0.0, 1.0), (0.5, 0.9), (0.01, 0.01))
 
     def test_distinct_pi_required(self):
         with pytest.raises(ValueError):
-            LikelihoodCurve(1, (CurvePoint(0.5, 0.5, 0.01),
-                                CurvePoint(0.5, 0.6, 0.01),
-                                CurvePoint(1.0, 0.9, 0.01)))
+            LikelihoodCurve(1, (0.5, 0.5, 1.0), (0.5, 0.6, 0.9), (0.01, 0.01, 0.01))
 
     def test_point_ranges(self):
-        with pytest.raises(ValueError):
-            CurvePoint(-0.1, 0.5, 0.01)
-        with pytest.raises(ValueError):
-            CurvePoint(0.5, 1.2, 0.01)
-        with pytest.raises(ValueError):
-            CurvePoint(0.5, 0.5, 0.0)
+        with pytest.raises(ValueError, match=r"pi must lie in \[0, 1\]"):
+            LikelihoodCurve(1, (-0.1, 0.5, 1.0), (0.5, 0.5, 0.5), (0.01, 0.01, 0.01))
+        with pytest.raises(ValueError, match=r"p_even must lie in \[0, 1\]"):
+            LikelihoodCurve(1, (0.0, 0.5, 1.0), (0.5, 1.2, 0.5), (0.01, 0.01, 0.01))
+        with pytest.raises(ValueError, match="std_err must be positive"):
+            LikelihoodCurve(1, (0.0, 0.5, 1.0), (0.5, 0.5, 0.5), (0.01, 0.0, 0.01))
+
+    def test_columns_of_equal_length(self):
+        with pytest.raises(ValueError, match="pi, p_even and std_err must have "
+                                             "equal lengths"):
+            LikelihoodCurve(1, (0.0, 0.5, 1.0), (0.5, 0.5), (0.01, 0.01, 0.01))
 
 
 class TestFitLambda:
@@ -71,7 +73,7 @@ class TestFitLambda:
             lam = float(rng.uniform(0.01, 0.2))
             curve = curve_at(layers, lam, pis, noise_rng=rng)
             cheb = np.cos((2 * layers + 1) * np.arccos(pis))
-            rates = np.array([p.p_even for p in curve.points])
+            rates = np.array(curve.p_even)
             g = float(np.sum(cheb * (2 * rates - 1)) / np.sum(cheb ** 2))
             if not 0.0 < g <= 1.0:
                 continue
@@ -90,9 +92,8 @@ class TestFitLambda:
         pis = (0.1, 0.15, 0.2)  # T_5 stays below 0.85 here
         cheb = np.cos(5 * np.arccos(pis))
         for q, expected in ((1.1, 0.0), (-0.3, 2.5)):
-            curve = LikelihoodCurve(2, tuple(
-                CurvePoint(float(pi), float(0.5 * (1.0 + q * c)), 0.01)
-                for pi, c in zip(pis, cheb)))
+            rates = tuple((0.5 * (1.0 + q * cheb)).tolist())
+            curve = LikelihoodCurve(2, pis, rates, (0.01,) * len(pis))
             assert fit_lambda(curve, lambda_max=2.5).lambda_hat == expected
 
     def test_sampled_curve_within_error_bar(self):
@@ -113,9 +114,9 @@ class TestFitLambda:
         curve = curve_at(2, 0.06, pis, noise_rng=rng)
         fit = fit_lambda(curve)
         chi_square = sum(
-            (p.p_even - chebyshev_parity_probability(
-                p.pi, fit.lambda_hat, curve.layers, 0)) ** 2 / p.std_err ** 2
-            for p in curve.points
+            (p_even - chebyshev_parity_probability(
+                pi, fit.lambda_hat, curve.layers, 0)) ** 2 / std_err ** 2
+            for pi, p_even, std_err in zip(curve.pi, curve.p_even, curve.std_err)
         )
         dof = 10 - 1
         assert 0.5 < chi_square / dof < 2.0
@@ -123,7 +124,8 @@ class TestFitLambda:
     def test_point_order_irrelevant(self):
         curve = curve_at(2, 0.08, np.linspace(0.1, 1.0, 8),
                          noise_rng=np.random.default_rng(3))
-        reordered = LikelihoodCurve(curve.layers, curve.points[::-1])
+        reordered = LikelihoodCurve(curve.layers, curve.pi[::-1],
+                                    curve.p_even[::-1], curve.std_err[::-1])
         assert fit_lambda(curve).lambda_hat == pytest.approx(
             fit_lambda(reordered).lambda_hat, abs=1e-9)
 
@@ -131,8 +133,7 @@ class TestFitLambda:
         # sweep points at roots of the order-5 Chebyshev polynomial leave
         # the model constant in lam
         roots = (0.0, math.cos(3 * math.pi / 10), math.cos(math.pi / 10))
-        curve = LikelihoodCurve(2, tuple(CurvePoint(r, 0.5, 0.01)
-                                         for r in roots))
+        curve = LikelihoodCurve(2, roots, (0.5,) * 3, (0.01,) * 3)
         with pytest.raises(IdentifiabilityError):
             fit_lambda(curve)
 
@@ -228,9 +229,9 @@ class TestSimulateCurve:
     def test_rates_near_model_at_high_shots(self):
         curve, = simulate_curves("one_qubit_ry", PauliString("Z"), (1,), 0.02,
                                  100000, (2,))
-        for point in curve.points:
-            model = chebyshev_parity_probability(point.pi, 0.02, 1, 0)
-            assert abs(point.p_even - model) < 5 * max(point.std_err, 1e-4)
+        for pi, p_even, std_err in zip(curve.pi, curve.p_even, curve.std_err):
+            model = chebyshev_parity_probability(pi, 0.02, 1, 0)
+            assert abs(p_even - model) < 5 * max(std_err, 1e-4)
 
     def test_one_seed_per_depth(self):
         with pytest.raises(ValueError, match="need one seed per depth, got 1 for 2"):
@@ -239,4 +240,4 @@ class TestSimulateCurve:
     def test_positive_error_bars_even_at_certainty(self):
         curve, = simulate_curves("one_qubit_ry", PauliString("Z"), (0,), 0.0,
                                  64, (0,), pi_values=(0.0, 0.5, 1.0))
-        assert all(p.std_err > 0 for p in curve.points)
+        assert all(std_err > 0 for std_err in curve.std_err)
