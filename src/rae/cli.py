@@ -31,7 +31,6 @@ import numpy as np
 from . import jsonio
 from .energy import (
     direct_baseline,
-    estimate_term,
     rmse_sweep,
     simulate_dataset,
     sweep_cell,
@@ -47,6 +46,7 @@ from .inference import (
     BOOTSTRAP_REPLICATES,
     IdentifiabilityError,
     MLEGrid,
+    estimate_term,
     load_dataset,
     save_dataset,
 )

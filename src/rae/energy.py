@@ -21,9 +21,8 @@ from .inference import (
     MLEGrid,
     ParityDataset,
     ParityRecord,
-    bootstrap,
     chebyshev_parity_probability,
-    mle_estimate,
+    estimate_term,
     rmse_stats,
 )
 from .pauli import AnsatzSpec, PauliString, PauliSum, oracle_expectation
@@ -125,13 +124,6 @@ def simulate_dataset(ansatz: AnsatzSpec, target: PauliString, lam: float,
                       for layers, e_even in zip(schedule.layers, counts)),
         metadata={"ansatz": ansatz.kind, "theta": ansatz.theta, "lam": lam},
     )
-
-
-def estimate_term(dataset: ParityDataset, m_bootstrap: int,
-                  grid: MLEGrid = MLEGrid(), seed=0):
-    """Point estimate plus bootstrap replicates."""
-    return (mle_estimate(dataset, grid),
-            bootstrap(dataset, m_bootstrap, grid=grid, seed=seed))
 
 
 def sweep_cell(ansatz: AnsatzSpec, string: PauliString, lam: float,

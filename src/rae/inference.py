@@ -270,14 +270,14 @@ class LikelihoodGrid:
     """The likelihood of count rows on a fixed grid: the grid's axes, the
     model's factors per grid row and column, and two levels of bounds.  A
     row is one float even count per layer in ``layer_values`` order, and
-    ``shots`` the (layers,) shot counts in that order: :meth:`estimate`
-    takes one row, :meth:`estimate_counts` a (rows, layers) batch.  Each
-    block has a range ``[p_lo, p_hi]`` of ``p0`` per layer and upper bounds
-    of ``log p0`` and ``log p1`` per layer.  Each super-block, ``SUPER``
-    blocks along Pi in one lam block, has the same values, computed the
-    same way from the range of ``C`` over its Pi rows.  They bound every
-    cell of its blocks, so the arguments of :func:`_rounding_slack` and
-    :func:`_concave_slack` carry over to it unchanged.  Its ``p_lo`` and
+    ``shots`` the (layers,) shot counts in that order: :meth:`search`
+    takes a (rows, layers) batch.  Each block has a range ``[p_lo, p_hi]``
+    of ``p0`` per layer and upper bounds of ``log p0`` and ``log p1`` per
+    layer.  Each super-block, ``SUPER`` blocks along Pi in one lam block,
+    has the same values, computed the same way from the range of ``C`` over
+    its Pi rows.  They bound every cell of its blocks, so the arguments of
+    :func:`_rounding_slack` and :func:`_concave_slack` carry over to it
+    unchanged.  Its ``p_lo`` and
     ``p_hi`` are exactly the extremes of its blocks' (each step from ``C``
     to ``p0`` is monotone and correctly rounded), and so are its log bounds
     wherever ``log`` and ``log1p`` are monotone.
@@ -365,15 +365,20 @@ class LikelihoodGrid:
         size = max(1, min(n_cells // (2 * len(self.layer_values)), n_cells // rows))
         return [cells[k:k + size] for k in range(0, len(cells), size)]
 
-    def _maxima(self, even: np.ndarray, shots: np.ndarray,
-                cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _maxima(self, even: np.ndarray, shots: np.ndarray, cells: np.ndarray,
+                first_row: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Each row's maximum over the ascending ``cells`` and the first
         cell that attains it, kept as a running first maximum over the
-        kernel's tiles."""
+        kernel's tiles; row 0's values at ``cells`` go into ``first_row``
+        if it is given."""
         best = np.full(len(even), -np.inf)
         where = np.zeros(len(even), dtype=np.intp)
+        done = 0
         for tile in self._tiles(cells, len(even)):
             values = self._exact(even, shots, tile)
+            if first_row is not None:
+                first_row[done:done + len(tile)] = values[0]
+                done += len(tile)
             k = np.argmax(values, axis=1)
             top = values[np.arange(len(even)), k]
             better = top > best
@@ -476,42 +481,41 @@ class LikelihoodGrid:
         return ((1.0 - _rounding_slack(len(self.layer_values))) * value.sum(axis=1)
                 + _concave_slack(shots))
 
-    def estimate(self, even: np.ndarray, shots: np.ndarray) -> EstimationResult:
-        """Grid argmax of one row, flagged degenerate when a cell outside its
-        3x3 neighbourhood comes within ``DEGENERACY_TOL`` of the maximum."""
-        cells = self._candidates(even[None], shots, DEGENERACY_TOL)
-        values = np.concatenate([self._exact(even[None], shots, tile)[0]
-                                 for tile in self._tiles(cells, 1)])
-        k = int(np.argmax(values))  # first maximum: smallest Pi index, then lam
-        best = values[k]
-        n_lam = self.grid.lambda_points
-        i, j = divmod(int(cells[k]), n_lam)
-        ci, cj = np.divmod(cells[values > best - DEGENERACY_TOL], n_lam)
-        far = (np.abs(ci - i) > 1) | (np.abs(cj - j) > 1)
+    def search(self, even: np.ndarray,
+               shots: np.ndarray) -> tuple[EstimationResult, np.ndarray, np.ndarray]:
+        """Exact argmax of every row of ``even``, a term's observed counts
+        then its bootstrap replicates: row 0's :class:`EstimationResult`
+        and the other rows' (pi_hats, lambda_hats).  Rows go ``BOUND_ROWS``
+        at a time, each group's kernel on the union of its candidate
+        blocks; ties resolve to the smallest Pi index, then lam index.
 
-        return EstimationResult(
-            pi_hat=float(self.pi_values[i]),
-            lambda_hat=float(self.lambda_values[j]),
-            degenerate_maximum=bool(np.any(far)),
-        )
-
-    def estimate_counts(self, even: np.ndarray, shots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Exact argmax of every row of ``even`` (bootstrap replicates);
-        returns (pi_hats, lambda_hats) without degeneracy diagnostics.
-
-        Rows go ``BOUND_ROWS`` at a time; the kernel evaluates every row of
-        a group on the union of the group's candidate blocks, one tile of
-        cells at a time.  Ties resolve to the smallest Pi index, then the
-        smallest lam index, as in ``estimate``, and a row's result does not
-        depend on the other rows.
+        Row 0 is flagged degenerate when a cell outside its 3x3
+        neighbourhood comes within ``DEGENERACY_TOL`` of its maximum, read
+        from the first group's final kernel pass.  Its threshold is its
+        incumbent, at most its maximum, minus ``DEGENERACY_TOL`` (the other
+        rows' is their incumbent), so every such cell is among the group's
+        candidates, and the cells other rows bring in change neither that
+        set nor any row's first maximum: a row's result does not depend on
+        the other rows.
         """
+        group = even[:BOUND_ROWS]
+        tol = np.zeros(len(group))
+        tol[0] = DEGENERACY_TOL
+        cells = self._candidates(group, shots, tol)
+        first_row = np.empty(len(cells))
         winners = np.empty(len(even), dtype=np.intp)
-        for start in range(0, len(even), BOUND_ROWS):
+        best, winners[:len(group)] = self._maxima(group, shots, cells, first_row)
+        for start in range(BOUND_ROWS, len(even), BOUND_ROWS):
             group = even[start:start + BOUND_ROWS]
             winners[start:start + len(group)] = self._maxima(
                 group, shots, self._candidates(group, shots, 0.0))[1]
         i, j = np.divmod(winners, self.grid.lambda_points)
-        return self.pi_values[i], self.lambda_values[j]
+        ci, cj = np.divmod(cells[first_row > best[0] - DEGENERACY_TOL],
+                           self.grid.lambda_points)
+        far = (np.abs(ci - i[0]) > 1) | (np.abs(cj - j[0]) > 1)
+        pi_hats, lambda_hats = self.pi_values[i], self.lambda_values[j]
+        return (EstimationResult(float(pi_hats[0]), float(lambda_hats[0]), bool(np.any(far))),
+                pi_hats[1:], lambda_hats[1:])
 
 
 @functools.lru_cache(maxsize=1)
@@ -519,38 +523,11 @@ def likelihood_tables(grid: MLEGrid, layer_values: tuple[int, ...]) -> Likelihoo
     """The :class:`LikelihoodGrid` of ``layer_values``, in this order, on
     ``grid``, built once and shared while it stays the most recent.
 
-    One entry is enough: callers run one layer set back to back (a term's
-    point estimate and bootstrap, files sharing a schedule, a sweep row's
-    terms).  It allocates 1.2 MB for nine layers on the default grid, and
-    no search writes on it.
+    One entry is enough: callers run one layer set back to back (files
+    sharing a schedule, a sweep row's terms).  It allocates 1.2 MB for nine
+    layers on the default grid, and no search writes on it.
     """
     return LikelihoodGrid(grid, layer_values)
-
-
-def _prepared(dataset: ParityDataset, grid: MLEGrid):
-    """``dataset``'s float ``(even, shots)`` in record order and the grid
-    that searches them, or None for the L=0 record alone: such data cannot
-    separate the decay from the amplitude, so it takes the closed form
-    (2 e - N) / N with lam pinned at 0 instead of the joint grid MLE."""
-    even = np.array([r.e_even for r in dataset.records], dtype=float)
-    shots = np.array([r.n_shots for r in dataset.records], dtype=float)
-    layers = dataset.layer_values()
-    return even, shots, None if layers == (0,) else likelihood_tables(grid, layers)
-
-
-def _direct_pi(even, shots):
-    """The L=0 closed form (2 e - N) / N; broadcasts over arrays."""
-    return (2.0 * even - shots) / shots
-
-
-def mle_estimate(dataset: ParityDataset, grid: MLEGrid = MLEGrid()) -> EstimationResult:
-    """Exhaustive-grid joint MLE of (Pi, lam); depth-0-only data takes the
-    closed form with lam pinned at 0 and builds no grid."""
-    even, shots, tables = _prepared(dataset, grid)
-    if tables is None:
-        return EstimationResult(pi_hat=float(_direct_pi(even[0], shots[0])),
-                                lambda_hat=0.0, degenerate_maximum=False, method="direct")
-    return tables.estimate(even, shots)
 
 
 @dataclass
@@ -565,27 +542,48 @@ class BootstrapReplicates:
     lambda_hats: np.ndarray
 
 
-def bootstrap(dataset: ParityDataset, n_replicates: int,
-              grid: MLEGrid = MLEGrid(), seed=0) -> BootstrapReplicates:
-    """Re-draw every record binomially and re-estimate, ``n_replicates`` times.
+def _estimate(dataset: ParityDataset, grid: MLEGrid, n_replicates: int = 0,
+              seed=0) -> tuple[EstimationResult, BootstrapReplicates]:
+    """The point estimate and ``n_replicates`` bootstrap replicates of
+    ``dataset``: float count rows in record order, the observed counts
+    first, searched at once by the grid of its layers in that order.
+    Depth-0-only data cannot separate the decay from the amplitude, so it
+    takes the closed form (2 e - N) / N with lam pinned at 0 and builds no
+    grid."""
+    even = np.array([[r.e_even for r in dataset.records]], dtype=float)
+    shots = np.array([r.n_shots for r in dataset.records], dtype=float)
+    if n_replicates:
+        rates = np.array([r.e_even / r.n_shots for r in dataset.records])
+        even = np.vstack([even, np.array(sample_parities(
+            np.broadcast_to(rates, (n_replicates, len(rates))),
+            shots.astype(np.int64), seed), dtype=float)])
+    if dataset.layer_values() == (0,):
+        pi_hats = (2.0 * even[:, 0] - shots[0]) / shots[0]
+        return (EstimationResult(float(pi_hats[0]), 0.0, False, method="direct"),
+                BootstrapReplicates(pi_hats[1:], np.zeros(n_replicates)))
+    result, pi_hats, lambda_hats = likelihood_tables(
+        grid, dataset.layer_values()).search(even, shots)
+    return result, BootstrapReplicates(pi_hats, lambda_hats)
+
+
+def mle_estimate(dataset: ParityDataset, grid: MLEGrid = MLEGrid()) -> EstimationResult:
+    """Exhaustive-grid joint MLE of (Pi, lam); depth-0-only data takes the
+    closed form with lam pinned at 0 and builds no grid."""
+    return _estimate(dataset, grid)[0]
+
+
+def estimate_term(dataset: ParityDataset, m_bootstrap: int, grid: MLEGrid = MLEGrid(),
+                  seed=0) -> tuple[EstimationResult, BootstrapReplicates]:
+    """Point estimate plus ``m_bootstrap`` bootstrap replicates, from one
+    search.
 
     Replicate ``k`` is entry ``k`` of one ``simulator.sample_parities``
     draw and its argmax is exact, so it depends only on ``(seed, k)``: a
     longer run extends a shorter one without changing its entries.
-    Depth-0-only data takes the closed form with lam pinned at 0, as in
-    :func:`mle_estimate`.
     """
-    if n_replicates < 1:
-        raise ValueError("n_replicates must be positive")
-    _, shots, tables = _prepared(dataset, grid)
-    rates = np.array([r.e_even / r.n_shots for r in dataset.records])
-    even = np.array(sample_parities(
-        np.broadcast_to(rates, (n_replicates, len(rates))),
-        shots.astype(np.int64), seed), dtype=float)
-    if tables is None:
-        return BootstrapReplicates(_direct_pi(even[:, 0], shots[0]),
-                                   np.zeros(n_replicates))
-    return BootstrapReplicates(*tables.estimate_counts(even, shots))
+    if m_bootstrap < 1:
+        raise ValueError("m_bootstrap must be positive")
+    return _estimate(dataset, grid, m_bootstrap, seed)
 
 
 @dataclass

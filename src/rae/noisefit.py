@@ -32,6 +32,11 @@ MIN_CURVE_POINTS = 3  # fewest amplitudes a curve may have
 # depths above which a profile is called unstable
 LAMBDA_MAX = 5.0
 INSTABILITY_THRESHOLD = 0.20
+# Smallest std_err a curve point may carry: each term of fit_lambda's sums
+# is its weight std_err^-2 <= 1e200 times at most (L + 1/2)^2 / 4 < 3e37
+# for a file's L < 2^63 (|p - 1/2|, |T| / 2 <= 1/2, q <= 1), so no sum over
+# fewer than 1e70 points, any curve that fits in memory, overflows.
+STD_ERR_MIN = 1e-100
 
 
 @dataclass(frozen=True)
@@ -52,8 +57,8 @@ class LikelihoodCurve:
                 raise ValueError("pi must lie in [0, 1]")
             if not 0.0 <= p_even <= 1.0:
                 raise ValueError("p_even must lie in [0, 1]")
-            if not std_err > 0.0:
-                raise ValueError("std_err must be positive")
+            if not std_err >= STD_ERR_MIN:
+                raise ValueError(f"std_err must be positive, at least {STD_ERR_MIN:g}")
         if self.layers < 0:
             raise ValueError("layers must be non-negative")
         if len(self.pi) < MIN_CURVE_POINTS:

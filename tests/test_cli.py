@@ -18,13 +18,14 @@ import random
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import synthetic_curve
-from rae import cli, energy, fisher, noisefit
+from rae import cli, energy, fisher, jsonio, noisefit
 from rae.cli import main, _fmt
 from rae.energy import sweep_cell
 from rae.fisher import NoContrastError, crb_rmse
@@ -591,6 +592,20 @@ class TestFitLambda:
             "error: curve carries no decay signal: the boosted amplitude "
             "vanishes at every sweep point, so lambda does not affect the "
             "model\n")
+        assert not report.exists()
+
+    def test_tiny_std_err_exits_3(self, tmp_path, capsys):
+        """A std_err whose inverse square overflows is rejected as the curve
+        file is read: one error line, exit 3, no numpy warning, no report."""
+        doc = synthetic_curve(2, 0.05, std_err=0.01).to_dict()
+        doc["points"][3]["std_err"] = 1e-200
+        path, report = tmp_path / "c.json", tmp_path / "r.json"
+        jsonio.save(str(path), doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("fit-lambda", path, "--out", report) == 3
+        assert capsys.readouterr().err == (
+            f"error: {path}: std_err must be positive, at least 1e-100\n")
         assert not report.exists()
 
     def test_files_and_simulate_conflict(self, tmp_path):

@@ -22,14 +22,15 @@ from rae.cli import main
 from rae.inference import (
     BLOCK,
     BOOTSTRAP_REPLICATES,
+    BOUND_ROWS,
     DEGENERACY_TOL,
     SUPER,
     LikelihoodGrid,
     MLEGrid,
     ParityDataset,
     ParityRecord,
-    bootstrap,
     chebyshev_parity_probability,
+    estimate_term,
     load_dataset,
     likelihood_tables,
     mle_estimate,
@@ -216,9 +217,8 @@ class TestLikelihoodGrid:
 
     def test_point_estimate_equals_one_row_batch(self):
         tables = LikelihoodGrid(self.GRID, self.FLAT.layer_values())
-        result = tables.estimate(np.full(4, 50.0), np.full(4, 100.0))
-        pi_hats, lambda_hats = tables.estimate_counts(
-            np.full((1, 4), 50.0), np.full(4, 100.0))
+        result, pi_hats, lambda_hats = tables.search(
+            np.full((2, 4), 50.0), np.full(4, 100.0))
         assert (pi_hats[0], lambda_hats[0]) == (result.pi_hat, result.lambda_hat)
 
     def test_records_search_the_grid_of_their_own_order(self):
@@ -232,8 +232,8 @@ class TestLikelihoodGrid:
         likelihood_tables(self.GRID, (3, 2, 1, 0))
         assert likelihood_tables.cache_info().hits == hits + 1
         even = np.array([r.e_even for r in reversed_ds.records], dtype=float)
-        assert result == LikelihoodGrid(self.GRID, (3, 2, 1, 0)).estimate(
-            even, np.full(4, 256.0))
+        assert result == LikelihoodGrid(self.GRID, (3, 2, 1, 0)).search(
+            even[None], np.full(4, 256.0))[0]
 
 
 class TestDirectEstimate:
@@ -290,8 +290,8 @@ class TestDirectEstimate:
         the k-th ``SeedSequence`` child's binomial count at the observed
         rate."""
         n, e, seed = 1000, 700, 4
-        reps = bootstrap(ParityDataset(pauli="Z", records=(ParityRecord(0, n, e),)),
-                         50, seed=seed)
+        _, reps = estimate_term(
+            ParityDataset(pauli="Z", records=(ParityRecord(0, n, e),)), 50, seed=seed)
         for k, child in enumerate(np.random.SeedSequence(seed).spawn(50)):
             redraw = int(np.random.default_rng(child).binomial(n, e / n))
             result = mle_estimate(ParityDataset(
@@ -306,19 +306,19 @@ SMALL_GRID = MLEGrid(pi_points=2001, lambda_points=26, lambda_max=0.25)
 class TestBootstrap:
     def test_deterministic_given_seed(self):
         ds = exact_count_dataset(-0.2238, 0.045, range(5), 512, pauli="XX")
-        a = bootstrap(ds, 40, grid=SMALL_GRID, seed=7)
-        b = bootstrap(ds, 40, grid=SMALL_GRID, seed=7)
+        a = estimate_term(ds, 40, grid=SMALL_GRID, seed=7)[1]
+        b = estimate_term(ds, 40, grid=SMALL_GRID, seed=7)[1]
         assert np.array_equal(a.pi_hats, b.pi_hats)
         assert np.array_equal(a.lambda_hats, b.lambda_hats)
-        c = bootstrap(ds, 40, grid=SMALL_GRID, seed=8)
+        c = estimate_term(ds, 40, grid=SMALL_GRID, seed=8)[1]
         assert not np.array_equal(a.pi_hats, c.pi_hats)
 
     def test_replicates_do_not_depend_on_replicate_count(self):
         # near-tied lam values on the flat Pi = 0 column: rounding that
         # depended on the other replicates would move replicate 16
         flat, grid = TestLikelihoodGrid.FLAT, TestLikelihoodGrid.GRID
-        a = bootstrap(flat, 17, grid=grid, seed=22)
-        b = bootstrap(flat, 18, grid=grid, seed=22)
+        a = estimate_term(flat, 17, grid=grid, seed=22)[1]
+        b = estimate_term(flat, 18, grid=grid, seed=22)[1]
         assert np.array_equal(a.pi_hats, b.pi_hats[:17])
         assert np.array_equal(a.lambda_hats, b.lambda_hats[:17])
 
@@ -326,19 +326,19 @@ class TestBootstrap:
         # replicate k depends only on (seed, k): a longer run extends a
         # shorter one without changing its entries
         ds = exact_count_dataset(0.6, 0.02, range(4), 256)
-        short = bootstrap(ds, 10, grid=SMALL_GRID, seed=2)
-        long = bootstrap(ds, 25, grid=SMALL_GRID, seed=2)
+        short = estimate_term(ds, 10, grid=SMALL_GRID, seed=2)[1]
+        long = estimate_term(ds, 25, grid=SMALL_GRID, seed=2)[1]
         assert np.array_equal(short.pi_hats, long.pi_hats[:10])
 
     def test_degenerate_counts_give_identical_replicates(self):
         records = (ParityRecord(0, 64, 64), ParityRecord(1, 64, 0))
         ds = ParityDataset(pauli="Z", records=records)
-        reps = bootstrap(ds, 25, grid=SMALL_GRID, seed=0)
+        reps = estimate_term(ds, 25, grid=SMALL_GRID, seed=0)[1]
         assert np.all(reps.pi_hats == reps.pi_hats[0])
 
     def test_unboosted_dataset_routes_through_closed_form(self):
         ds = ParityDataset(pauli="Z", records=(ParityRecord(0, 1000, 700),))
-        reps = bootstrap(ds, 200, seed=4)
+        reps = estimate_term(ds, 200, seed=4)[1]
         assert np.all(reps.lambda_hats == 0.0)
         # every replicate is (2e - n)/n for an integer redraw e
         counts = (reps.pi_hats * 1000 + 1000) / 2
@@ -351,7 +351,7 @@ class TestBootstrap:
         # grid snapping contributes up to one step of systematic offset on
         # top of the monte-carlo error
         ds = exact_count_dataset(-0.2238, 0.045, range(5), 2048, pauli="XX")
-        reps = bootstrap(ds, 150, grid=SMALL_GRID, seed=9)
+        reps = estimate_term(ds, 150, grid=SMALL_GRID, seed=9)[1]
         full = mle_estimate(ds, SMALL_GRID)
         spread = float(np.std(reps.pi_hats))
         pi_step = 2.0 * (1.0 - 1e-9) / (SMALL_GRID.pi_points - 1)
@@ -361,7 +361,7 @@ class TestBootstrap:
     def test_replicate_count_validated(self):
         ds = ParityDataset(pauli="Z", records=(ParityRecord(0, 10, 5),))
         with pytest.raises(ValueError):
-            bootstrap(ds, 0)
+            estimate_term(ds, 0)
 
     def test_default_replicate_counts(self):
         assert BOOTSTRAP_REPLICATES[1] == 15000
@@ -432,6 +432,10 @@ EXHAUSTIVE_CASES = {
     # 150 replicates are three row groups (64, 64, 22) on non-flat data
     "xx-lis8-three-groups": (_sampled(-0.2238, 0.045, range(9), 8192, 16, "XX"),
                              MLEGrid(1001, 101, 0.5), 150),
+    # the observed counts and 64 replicates are 65 rows: the last row group
+    # holds a single replicate
+    "lone-last-replicate": (_sampled(0.55, 0.03, range(4), 256, 17),
+                            RAGGED_GRID, 64),
 }
 
 
@@ -445,10 +449,54 @@ class TestEqualsExhaustiveScan:
 
     def test_bootstrap(self, case):
         ds, grid, n = EXHAUSTIVE_CASES[case]
-        reps = bootstrap(ds, n, grid=grid, seed=3)
+        reps = estimate_term(ds, n, grid=grid, seed=3)[1]
         pi_hats, lambda_hats = exhaustive_bootstrap(ds, n, grid, seed=3)
         assert np.array_equal(reps.pi_hats, pi_hats)
         assert np.array_equal(reps.lambda_hats, lambda_hats)
+
+    def test_term(self, case):
+        """The point estimate, searched as row 0 of the replicates' first
+        row group, and every replicate equal the oracles."""
+        ds, grid, n = EXHAUSTIVE_CASES[case]
+        result, reps = estimate_term(ds, n, grid=grid, seed=3)
+        assert result == exhaustive_estimate(ds, grid)
+        pi_hats, lambda_hats = exhaustive_bootstrap(ds, n, grid, seed=3)
+        assert np.array_equal(reps.pi_hats, pi_hats)
+        assert np.array_equal(reps.lambda_hats, lambda_hats)
+
+
+class TestSearchCount:
+    """A term's point estimate and its bootstrap share one search: the
+    observed counts are row 0 of the replicates' first row group, so a
+    term with n replicates runs ``ceil((n + 1) / BOUND_ROWS)`` candidate
+    searches, and a lone point estimate one."""
+
+    DATASET = EXHAUSTIVE_CASES["acceptance-xx-lis8"][0]
+
+    @staticmethod
+    def searched_rows(monkeypatch, call) -> list[int]:
+        """The number of rows of each ``LikelihoodGrid._candidates`` call
+        that ``call()`` makes."""
+        rows = []
+        candidates = LikelihoodGrid._candidates
+
+        def spy(self, even, shots, tol):
+            rows.append(len(even))
+            return candidates(self, even, shots, tol)
+
+        monkeypatch.setattr(LikelihoodGrid, "_candidates", spy)
+        call()
+        return rows
+
+    def test_point_estimate_searches_once(self, monkeypatch):
+        assert self.searched_rows(monkeypatch, lambda: mle_estimate(self.DATASET)) == [1]
+
+    @pytest.mark.parametrize("n", [30, 63, 64, 130])
+    def test_term_searches_once_per_row_group(self, monkeypatch, n):
+        rows = self.searched_rows(
+            monkeypatch, lambda: estimate_term(self.DATASET, n, seed=0))
+        assert len(rows) == math.ceil((n + 1) / BOUND_ROWS)
+        assert sum(rows) == n + 1
 
 
 DEEP_LAYERS = (0, 1, 2, 4, 8, 16, 32, 64)
@@ -557,16 +605,16 @@ class TestCandidates:
         built = arrays()
         point = np.array([r.e_even for r in ds.records], dtype=float)
         shots = np.array([r.n_shots for r in ds.records])
-        result = tables.estimate(point, shots.astype(float))
+        result = tables.search(point[None], shots.astype(float))[0]
         rates = np.array([r.e_even / r.n_shots for r in ds.records])
         even = np.random.default_rng(0).binomial(shots, rates, size=(130, len(shots)))
-        tables.estimate_counts(even.astype(float), shots.astype(float))
+        tables.search(np.vstack([point, even]), shots.astype(float))
         assert arrays() == built
         for values in vars(tables).values():
             if isinstance(values, np.ndarray):
                 assert not values.flags.writeable
-        assert result == LikelihoodGrid(MLEGrid(), ds.layer_values()).estimate(
-            point, shots.astype(float))
+        assert result == LikelihoodGrid(MLEGrid(), ds.layer_values()).search(
+            point[None], shots.astype(float))[0]
 
 
 class TestBlockLevel:
@@ -620,20 +668,20 @@ class TestLikelihoodTables:
         ds = exact_count_dataset(0.6, 0.02, range(4), 256)
         likelihood_tables.cache_clear()
         mle_estimate(ds, SMALL_GRID)
-        bootstrap(ds, 10, grid=SMALL_GRID, seed=0)
+        estimate_term(ds, 10, grid=SMALL_GRID, seed=0)
         info = likelihood_tables.cache_info()
         assert (info.misses, info.hits) == (1, 1)
 
 
 def _peak_bytes(ds, grid, n_replicates=0) -> int:
-    """tracemalloc's peak over a point estimate and a bootstrap (if
-    ``n_replicates``), from an empty table cache."""
+    """tracemalloc's peak over a point estimate and a point estimate with
+    a bootstrap (if ``n_replicates``), from an empty table cache."""
     likelihood_tables.cache_clear()
     tracemalloc.start()
     try:
         mle_estimate(ds, grid)
         if n_replicates:
-            bootstrap(ds, n_replicates, grid=grid, seed=0)
+            estimate_term(ds, n_replicates, grid=grid, seed=0)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
