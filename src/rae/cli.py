@@ -22,7 +22,6 @@ import contextlib
 import dataclasses
 import datetime
 import errno
-import inspect
 import os
 import sys
 
@@ -37,6 +36,7 @@ from .energy import (
     term_row,
 )
 from .fisher import (
+    VERDICT_BAND,
     NoContrastError,
     advantage_verdict,
     matrix_crb,
@@ -52,6 +52,7 @@ from .inference import (
 )
 from .jsonio import DatasetFormatError
 from .noisefit import (
+    CURVE_POINTS,
     INSTABILITY_THRESHOLD,
     LAMBDA_MAX,
     MIN_CURVE_POINTS,
@@ -70,6 +71,7 @@ from .pauli import (
     oracle_expectation,
 )
 from .schedules import (
+    NRIS_C,
     LayerSchedule,
     eis,
     lis,
@@ -259,7 +261,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     for path, dataset, cost in outputs:
         with _writing(path):
             save_dataset(path, dataset)
-        print(f"wrote {path}: {len(dataset.records)} depths, {cost} queries")
+        print(f"wrote {path}: {len(dataset.layers)} depths, {cost} queries")
     return EXIT_OK
 
 
@@ -495,12 +497,6 @@ def _arg(*flags, **kwargs):
     return flags, kwargs
 
 
-def _default(func, name: str):
-    """``func``'s default for its parameter ``name``, for the flag that
-    sets that parameter."""
-    return inspect.signature(func).parameters[name].default
-
-
 _PROBLEM = [
     _arg("--hamiltonian", default="two_qubit",
          help=f"builtin problem ({', '.join(BUILTIN_PROBLEMS)}) or path to a saved "
@@ -541,10 +537,8 @@ _TABLE = [
     _arg("--json", default=None, help="also write a JSON report here"),
 ]
 # only the commands that can build an nris schedule read --c
-_C = _default(noise_robust_schedule, "c")
-_NRIS = [_arg("--c", type=float, default=_C,
-              help=f"edge-guard width multiplier for nris (default: {_C:g})")]
-_BAND = _default(advantage_verdict, "k")
+_NRIS = [_arg("--c", type=float, default=NRIS_C,
+              help=f"edge-guard width multiplier for nris (default: {NRIS_C:g})")]
 _REPLICATES = ", ".join(f"{m} for {n}-qubit terms"
                         for n, m in BOOTSTRAP_REPLICATES.items())
 _REPORT = _arg("--out", default=None, help="write a JSON report here")
@@ -565,9 +559,9 @@ def _commands() -> dict:
              _arg("files", nargs="+", help="dataset JSON files"),
              _arg("--bootstrap", type=int, default=None,
                   help=f"bootstrap replicates (default: {_REPLICATES})"),
-             _arg("--band", type=float, default=_BAND,
+             _arg("--band", type=float, default=VERDICT_BAND,
                   help="uncertainty band width for the advantage verdict "
-                       f"(default: {_BAND:g})"),
+                       f"(default: {VERDICT_BAND:g})"),
              _arg("--force", action="store_true",
                   help="estimate even if the files disagree on provenance"),
              _REPORT]),
@@ -593,8 +587,8 @@ def _commands() -> dict:
                   help="depolarizing rate for --simulate (default: 0.045)"),
              _arg("--shots", type=int, default=100000,
                   help="shots per curve point for --simulate (default: 100000)"),
-             _arg("--points", type=_parse_points, default=10,
-                  help="amplitudes per curve for --simulate (default: 10)"),
+             _arg("--points", type=_parse_points, default=CURVE_POINTS,
+                  help=f"amplitudes per curve for --simulate (default: {CURVE_POINTS})"),
              _arg("--threshold", type=float, default=INSTABILITY_THRESHOLD,
                   help="relative-variation threshold flagging an unstable "
                        f"fit (default: {INSTABILITY_THRESHOLD:.2f})"),

@@ -20,7 +20,6 @@ from .inference import (
     IdentifiabilityError,
     MLEGrid,
     ParityDataset,
-    ParityRecord,
     chebyshev_parity_probability,
     estimate_term,
     rmse_stats,
@@ -119,9 +118,8 @@ def simulate_dataset(ansatz: AnsatzSpec, target: PauliString, lam: float,
               for layers in schedule.layers]
     counts = sample_parities(p_even, schedule.shots_per_layer, seed)
     return ParityDataset(
-        pauli=target.word,
-        records=tuple(ParityRecord(layers, schedule.shots_per_layer, e_even)
-                      for layers, e_even in zip(schedule.layers, counts)),
+        target.word, schedule.layers,
+        (schedule.shots_per_layer,) * len(schedule.layers), tuple(counts),
         metadata={"ansatz": ansatz.kind, "theta": ansatz.theta, "lam": lam},
     )
 
@@ -176,17 +174,17 @@ def term_row(dataset: ParityDataset, result, replicates, grid: MLEGrid) -> dict:
     pi_ref = _reference_expectation(dataset)
     stats = rmse_stats(replicates.pi_hats,
                        result.pi_hat if pi_ref is None else pi_ref)
-    n_queries = sum((2 * r.layers + 1) * r.n_shots for r in dataset.records)
+    n_queries = sum((2 * layers + 1) * n_shots
+                    for layers, n_shots in zip(dataset.layers, dataset.n_shots))
     crb = None
     notes = []
-    shot_counts = {r.n_shots for r in dataset.records}
+    shot_counts = set(dataset.n_shots)
     if result.method == "direct":
         notes.append("single-depth data: decay rate pinned at 0, no joint error bound")
     elif len(shot_counts) != 1:
         notes.append("records carry unequal shot counts, no closed-form bound reported")
     else:
-        schedule = LayerSchedule(tuple(sorted(dataset.layer_values())),
-                                 shot_counts.pop())
+        schedule = LayerSchedule(tuple(sorted(dataset.layers)), shot_counts.pop())
         # a grid fit has |Pi| <= 1 - PI_INSET, inside the bound's domain
         try:
             crb = crb_rmse(result.pi_hat, result.lambda_hat, schedule)

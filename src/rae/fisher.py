@@ -26,6 +26,9 @@ from .schedules import LayerSchedule
 # two parameters are not jointly identifiable.
 SINGULARITY_TOL = 1e-14
 
+# Default width, in sigma_rmse, of the advantage verdict's uncertainty band.
+VERDICT_BAND = 2.0
+
 
 class NoContrastError(IdentifiabilityError):
     """Every layer's signal has decayed below what a float can hold, so the
@@ -142,7 +145,7 @@ class Verdict(str, Enum):
 
 
 def advantage_verdict(rmse_rae: float, sigma_rmse: float, crb: float,
-                      mse_direct: float, k: float = 2.0) -> Verdict:
+                      mse_direct: float, k: float = VERDICT_BAND) -> Verdict:
     """Compare boosted estimation against the direct-sampling error model.
 
     ADVANTAGE requires the achieved RMSE to be consistent with its own

@@ -45,66 +45,56 @@ class IdentifiabilityError(ValueError):
     """The requested estimate is not identifiable from the given data."""
 
 
-@dataclass(frozen=True)
-class ParityRecord:
-    """Counts for one circuit depth: ``e_even`` even outcomes in ``n_shots``."""
-
-    layers: int
-    n_shots: int
-    e_even: int
-
-    def __post_init__(self) -> None:
-        if self.layers < 0:
-            raise ValueError("layers must be non-negative")
-        if self.n_shots <= 0:
-            raise ValueError("n_shots must be positive")
-        if not 0 <= self.e_even <= self.n_shots:
-            raise ValueError("e_even must lie in [0, n_shots]")
-
-
 @dataclass
 class ParityDataset:
-    """All parity counts collected for a single Pauli term."""
+    """All parity counts collected for a single Pauli term: entry i of
+    ``layers``, ``n_shots`` and ``e_even`` is one record, ``e_even`` even
+    outcomes in ``n_shots`` shots of the circuit with that many layers."""
 
     pauli: str
-    records: tuple[ParityRecord, ...]
+    layers: tuple[int, ...]
+    n_shots: tuple[int, ...]
+    e_even: tuple[int, ...]
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         PauliString(self.pauli)  # validates the word
-        if not self.records:
+        if not len(self.layers) == len(self.n_shots) == len(self.e_even):
+            raise ValueError("layers, n_shots and e_even must have equal lengths")
+        if not self.layers:
             raise ValueError("dataset needs at least one record")
-        layer_values = [r.layers for r in self.records]
-        if len(set(layer_values)) != len(layer_values):
+        for layers, n_shots, e_even in zip(self.layers, self.n_shots, self.e_even):
+            if layers < 0:
+                raise ValueError("layers must be non-negative")
+            if n_shots <= 0:
+                raise ValueError("n_shots must be positive")
+            if not 0 <= e_even <= n_shots:
+                raise ValueError("e_even must lie in [0, n_shots]")
+        if len(set(self.layers)) != len(self.layers):
             raise ValueError("duplicate layer values in dataset")
 
-    def layer_values(self) -> tuple[int, ...]:
-        return tuple(r.layers for r in self.records)
-
     def to_dict(self) -> dict:
+        """The file form: a list of ``{L, n_shots, e_even}`` records."""
         return {
             "pauli": self.pauli,
-            "records": [
-                {"L": r.layers, "n_shots": r.n_shots, "e_even": r.e_even}
-                for r in self.records
-            ],
+            "records": [{"L": layers, "n_shots": n_shots, "e_even": e_even}
+                        for layers, n_shots, e_even
+                        in zip(self.layers, self.n_shots, self.e_even)],
             "metadata": self.metadata,
         }
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ParityDataset":
-        records = tuple(
-            ParityRecord(jsonio.integer(r["L"]), jsonio.integer(r["n_shots"]),
-                         jsonio.integer(r["e_even"]))
-            for r in doc["records"]
-        )
+        records = [(jsonio.integer(r["L"]), jsonio.integer(r["n_shots"]),
+                    jsonio.integer(r["e_even"])) for r in doc["records"]]
+        # no records at all leaves three empty columns, which the dataset rejects
+        columns = tuple(zip(*records)) or ((), (), ())
         metadata = doc.get("metadata", {})
         if not isinstance(metadata, dict):
             raise jsonio.DatasetFormatError(
                 f"dataset metadata must be a JSON object, not a "
                 f"{type(metadata).__name__}")
-        return cls(pauli=str(doc["pauli"]), records=records,
-                   metadata=dict(metadata))
+        return cls(str(doc["pauli"]), *columns, metadata=dict(metadata))
 
 
 def save_dataset(path: str, dataset: ParityDataset) -> None:
@@ -550,19 +540,20 @@ def _estimate(dataset: ParityDataset, grid: MLEGrid, n_replicates: int = 0,
     Depth-0-only data cannot separate the decay from the amplitude, so it
     takes the closed form (2 e - N) / N with lam pinned at 0 and builds no
     grid."""
-    even = np.array([[r.e_even for r in dataset.records]], dtype=float)
-    shots = np.array([r.n_shots for r in dataset.records], dtype=float)
+    even = np.array([dataset.e_even], dtype=float)
+    shots = np.array(dataset.n_shots, dtype=float)
     if n_replicates:
-        rates = np.array([r.e_even / r.n_shots for r in dataset.records])
+        rates = np.array([e / n for e, n in zip(dataset.e_even, dataset.n_shots)])
         even = np.vstack([even, np.array(sample_parities(
             np.broadcast_to(rates, (n_replicates, len(rates))),
             shots.astype(np.int64), seed), dtype=float)])
-    if dataset.layer_values() == (0,):
+    layers = tuple(dataset.layers)
+    if layers == (0,):
         pi_hats = (2.0 * even[:, 0] - shots[0]) / shots[0]
         return (EstimationResult(float(pi_hats[0]), 0.0, False, method="direct"),
                 BootstrapReplicates(pi_hats[1:], np.zeros(n_replicates)))
     result, pi_hats, lambda_hats = likelihood_tables(
-        grid, dataset.layer_values()).search(even, shots)
+        grid, layers).search(even, shots)
     return result, BootstrapReplicates(pi_hats, lambda_hats)
 
 

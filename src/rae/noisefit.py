@@ -28,6 +28,7 @@ from .simulator import check_circuit, sample_parities
 # curves whose Chebyshev values are all this small carry no decay signal
 FLAT_TOL = 1e-12
 MIN_CURVE_POINTS = 3  # fewest amplitudes a curve may have
+CURVE_POINTS = 10  # amplitudes of a simulated curve, unless given
 # upper edge of the decay-rate search, and the relative variation across
 # depths above which a profile is called unstable
 LAMBDA_MAX = 5.0
@@ -198,7 +199,7 @@ def simulate_curves(ansatz_kind: str, target: PauliString, depths, lam: float,
     if len(seeds) != len(depths):
         raise ValueError(f"need one seed per depth, got {len(seeds)} for {len(depths)}")
     if pi_values is None:
-        pi_values = np.linspace(0.0, 1.0, 10)
+        pi_values = np.linspace(0.0, 1.0, CURVE_POINTS)
     pi_values = tuple(float(pi) for pi in pi_values)
     ansatzes = [AnsatzSpec(ansatz_kind, angle_for_expectation(ansatz_kind, target, pi))
                 for pi in pi_values]

@@ -9,6 +9,8 @@ from dataclasses import dataclass, field
 # against it before building its layers, and the noise-robust scan, which
 # tests each layer below its Fisher-envelope maximum, checks that maximum.
 MAX_LAYERS = 10**6
+# Default edge-guard width multiplier of the noise-robust schedule.
+NRIS_C = 1.0
 
 
 @dataclass(frozen=True)
@@ -89,7 +91,7 @@ def query_cost(schedule: LayerSchedule) -> int:
 
 
 def noise_robust_schedule(pi_prior: float, lam: float, n_shots: int,
-                          c: float = 1.0) -> LayerSchedule:
+                          c: float = NRIS_C) -> LayerSchedule:
     """Layer selection that avoids Fisher-information minima.
 
     Keeps the depths L < 1/lam + 1/2 whose boosted signal sits near an

@@ -26,7 +26,6 @@ from rae.inference import (
     P_EPS,
     EstimationResult,
     ParityDataset,
-    ParityRecord,
     _rounding_slack,
     chebyshev_parity_probability,
 )
@@ -111,13 +110,14 @@ def log_likelihood(dataset, pi, lam):
     the exact sum of the per-record terms (``math.fsum``), so it does not
     depend on the record order; arrays are summed in record order."""
     terms = []
-    for record in dataset.records:
+    for layers, n_shots, e_even in zip(dataset.layers, dataset.n_shots,
+                                       dataset.e_even):
         p_even = np.clip(
-            chebyshev_parity_probability(pi, lam, record.layers, 0),
+            chebyshev_parity_probability(pi, lam, layers, 0),
             P_EPS, 1.0 - P_EPS,
         )
-        terms.append((record.e_even * np.log(p_even),
-                      (record.n_shots - record.e_even) * np.log1p(-p_even)))
+        terms.append((e_even * np.log(p_even),
+                      (n_shots - e_even) * np.log1p(-p_even)))
     if np.isscalar(pi) and np.isscalar(lam):
         return math.fsum(float(t) for pair in terms for t in pair)
     total = 0.0
@@ -161,10 +161,9 @@ def exhaustive_scan(grid, tables, even, shots) -> tuple[int, float, bool]:
 
 def exhaustive_estimate(dataset, grid) -> EstimationResult:
     """The grid MLE by :func:`exhaustive_scan`."""
-    tables = dense_tables(grid, dataset.layer_values())
-    even = [r.e_even for r in dataset.records]
-    shots = [r.n_shots for r in dataset.records]
-    best_flat, _, degenerate = exhaustive_scan(grid, tables, even, shots)
+    tables = dense_tables(grid, dataset.layers)
+    best_flat, _, degenerate = exhaustive_scan(grid, tables, dataset.e_even,
+                                               dataset.n_shots)
     i, j = divmod(best_flat, grid.lambda_points)
     return EstimationResult(pi_hat=float(grid.pi_values()[i]),
                             lambda_hat=float(grid.lambda_values()[j]),
@@ -175,9 +174,9 @@ def exhaustive_bootstrap(dataset, n_replicates: int, grid, seed) -> tuple[np.nda
     """(pi_hats, lambda_hats) of the bootstrap by :func:`exhaustive_scan`:
     replicate k redraws every record binomially at its observed rate from
     the k-th ``SeedSequence`` child of ``seed``."""
-    tables = dense_tables(grid, dataset.layer_values())
-    shots = np.array([r.n_shots for r in dataset.records])
-    rates = np.array([r.e_even / r.n_shots for r in dataset.records])
+    tables = dense_tables(grid, dataset.layers)
+    shots = np.array(dataset.n_shots)
+    rates = np.array([e / n for e, n in zip(dataset.e_even, dataset.n_shots)])
     flats = [
         exhaustive_scan(grid, tables,
                         np.random.default_rng(child).binomial(shots, rates), shots)[0]
@@ -314,9 +313,8 @@ def per_point_dataset(ansatz: AnsatzSpec, target: PauliString, lam: float,
              for layers in schedule.layers]
     counts = per_point_counts(specs, schedule.shots_per_layer, children)
     return ParityDataset(
-        pauli=target.word,
-        records=tuple(ParityRecord(spec.layers, schedule.shots_per_layer, e)
-                      for spec, e in zip(specs, counts)),
+        target.word, schedule.layers,
+        (schedule.shots_per_layer,) * len(schedule.layers), tuple(counts),
         metadata={"ansatz": ansatz.kind, "theta": ansatz.theta, "lam": lam},
     )
 

@@ -32,7 +32,6 @@ from rae.inference import (
     IdentifiabilityError,
     MLEGrid,
     ParityDataset,
-    ParityRecord,
     chebyshev_parity_probability,
     mle_estimate,
 )
@@ -140,8 +139,7 @@ def test_04_direct_estimate_closed_form(capsys):
     for _ in range(1000):
         n = int(rng.integers(1, 5000))
         e = int(rng.integers(0, n + 1))
-        dataset = ParityDataset(pauli="Z",
-                                records=(ParityRecord(0, n, e),))
+        dataset = ParityDataset("Z", (0,), (n,), (e,))
         result = mle_estimate(dataset)
         if result.pi_hat == (2.0 * e - n) / n and result.lambda_hat == 0.0:
             exact += 1
@@ -162,12 +160,13 @@ def test_05_mle_rmse_within_crb_band(capsys):
     errors = []
     for child in base.spawn(200):
         rng = np.random.default_rng(child)
-        records = []
+        counts = []
         for layers in schedule.layers:
             p0 = float(chebyshev_parity_probability(pi0, lam0, layers, 0))
-            records.append(ParityRecord(layers, schedule.shots_per_layer,
-                                        int(rng.binomial(schedule.shots_per_layer, p0))))
-        result = mle_estimate(ParityDataset(pauli="XX", records=tuple(records)))
+            counts.append(int(rng.binomial(schedule.shots_per_layer, p0)))
+        result = mle_estimate(ParityDataset(
+            "XX", schedule.layers, (schedule.shots_per_layer,) * len(counts),
+            tuple(counts)))
         errors.append(result.pi_hat - pi0)
     rmse = float(np.sqrt(np.mean(np.square(errors))))
     crb = crb_rmse(pi0, lam0, schedule)
@@ -191,14 +190,13 @@ def _scaling_slope(builder, points, stream: int) -> float:
         for child in base.spawn(150):
             rng = np.random.default_rng(child)
             pi0 = float(rng.uniform(-0.9, 0.9))
-            records = tuple(
-                ParityRecord(layers, n_shots,
-                             int(rng.binomial(n_shots, float(
-                                 chebyshev_parity_probability(pi0, 0.0, layers, 0)))))
+            counts = tuple(
+                int(rng.binomial(n_shots, float(
+                    chebyshev_parity_probability(pi0, 0.0, layers, 0))))
                 for layers in schedule.layers
             )
-            result = mle_estimate(ParityDataset(pauli="X", records=records),
-                                  grid=grid)
+            result = mle_estimate(ParityDataset(
+                "X", schedule.layers, (n_shots,) * len(counts), counts), grid=grid)
             errors.append(result.pi_hat - pi0)
         log_queries.append(math.log(query_cost(schedule)))
         log_rmse.append(math.log(float(np.sqrt(np.mean(np.square(errors))))))

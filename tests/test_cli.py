@@ -33,7 +33,6 @@ from rae.inference import (
     IdentifiabilityError,
     MLEGrid,
     ParityDataset,
-    ParityRecord,
     load_dataset,
     rmse_stats,
     save_dataset,
@@ -91,8 +90,8 @@ class TestGenerate:
         names = sorted(p.name for p in out.iterdir())
         assert names == ["IZ.json", "XX.json", "YY.json", "ZI.json", "ZZ.json"]
         dataset = load_dataset(str(out / "XX.json"))
-        assert dataset.layer_values() == tuple(range(9))
-        assert all(r.n_shots == 16 for r in dataset.records)
+        assert dataset.layers == tuple(range(9))
+        assert all(n_shots == 16 for n_shots in dataset.n_shots)
         assert dataset.metadata["lam"] == 0.05
         assert dataset.metadata["ansatz"] == "two_qubit_ucc"
         assert dataset.metadata["seed"] == 11
@@ -326,7 +325,7 @@ class TestEstimate:
 
     def test_single_boosted_depth_has_no_verdict(self, tmp_path, capsys):
         path = tmp_path / "L2.json"
-        save_dataset(path, ParityDataset("Z", (ParityRecord(2, 256, 200),)))
+        save_dataset(path, ParityDataset("Z", (2,), (256,), (200,)))
         report = tmp_path / "rep.json"
         assert run("estimate", path, "--bootstrap", 10, *SMALL_GRID_ARGS,
                    "--out", report) == 0
@@ -335,6 +334,17 @@ class TestEstimate:
         assert row["verdict"] is None
         assert "singular" in row["note"]
         assert "verdict=" not in capsys.readouterr().out
+
+    def test_three_qubit_term_needs_bootstrap(self, tmp_path, capsys):
+        """No default replicate count exists past two qubits: exit 2 with
+        one line, and no report written."""
+        path = tmp_path / "ZZZ.json"
+        save_dataset(path, ParityDataset("ZZZ", (0, 1), (16, 16), (8, 5)))
+        report = tmp_path / "rep.json"
+        assert run("estimate", path, *SMALL_GRID_ARGS, "--out", report) == 2
+        assert capsys.readouterr().err == (
+            "error: no default replicate count for 3-qubit terms; pass --bootstrap\n")
+        assert not report.exists()
 
     @pytest.mark.parametrize("band", ["nan", "inf", "0", "-1"])
     @pytest.mark.parametrize("i_max", [0, 2])
@@ -408,7 +418,7 @@ class TestSweep:
                 ansatz, terms[j][1], 0.02, schedule, 30, grid, 4, (i, j),
             )
             assert dataset.pauli == terms[j][1].word
-            assert dataset.layer_values() == schedule.layers
+            assert dataset.layers == schedule.layers
             stats = rmse_stats(reps.pi_hats,
                                oracle_expectation(ansatz, terms[j][1]))
             recomputed[(i, j)] = (
@@ -1070,8 +1080,7 @@ def _versioned(doc):
 # input kind -> (valid document, its required list key, argv reading the file)
 INPUT_FILES = {
     "dataset": (
-        lambda: _versioned(ParityDataset("Z", (ParityRecord(0, 16, 8),
-                                               ParityRecord(1, 16, 5))).to_dict()),
+        lambda: _versioned(ParityDataset("Z", (0, 1), (16, 16), (8, 5)).to_dict()),
         "records",
         lambda path, tmp: ("estimate", path, "--bootstrap", 10,
                            *SMALL_GRID_ARGS),
@@ -1106,6 +1115,16 @@ MALFORMED = [
     ("dataset", "version=1.0", lambda doc, key: {**doc, "version": 1.0}),
     ("dataset", "metadata-not-an-object",
      lambda doc, key: {**doc, "metadata": [["a", 1]]}),
+    # the range checks of a record, a term and a curve
+    ("dataset", "records=[]", lambda doc, key: {**doc, key: []}),
+    ("dataset", "n_shots=0", _entry_field("n_shots", 0)),
+    ("dataset", "L=-1", _entry_field("L", -1)),
+    ("dataset", "e_even=17-of-16", _entry_field("e_even", 17)),
+    ("dataset", "e_even=-1", _entry_field("e_even", -1)),
+    ("dataset", "duplicate-L", _entry_field("L", 1)),
+    ("hamiltonian", "terms=[]", lambda doc, key: {**doc, key: []}),
+    ("hamiltonian", "coeff=NaN", _entry_field("coeff", math.nan)),
+    ("curve", "L=-1", lambda doc, key: {**doc, "L": -1}),
 ]
 
 

@@ -23,7 +23,6 @@ from rae.inference import (
     IdentifiabilityError,
     MLEGrid,
     ParityDataset,
-    ParityRecord,
     rmse_stats,
 )
 from rae.pauli import (
@@ -137,8 +136,8 @@ class TestSimulateDataset:
         ds = simulate_dataset(ANSATZ2, PauliString("XX"), 0.045, schedule,
                               seed=3)
         assert ds.pauli == "XX"
-        assert ds.layer_values() == (0, 1, 2, 3, 4)
-        assert all(r.n_shots == 256 for r in ds.records)
+        assert ds.layers == (0, 1, 2, 3, 4)
+        assert all(n_shots == 256 for n_shots in ds.n_shots)
         assert ds.metadata["lam"] == 0.045
 
     def test_deterministic_and_seed_sensitive(self):
@@ -155,10 +154,10 @@ class TestSimulateDataset:
         n = 200000
         ds = simulate_dataset(ANSATZ1, PauliString("Z"), 0.02, lis(3, n),
                               seed=11)
-        for record in ds.records:
-            p = chebyshev_parity_probability(pi, 0.02, record.layers, 0)
+        for layers, e_even in zip(ds.layers, ds.e_even):
+            p = chebyshev_parity_probability(pi, 0.02, layers, 0)
             sigma = math.sqrt(max(p * (1 - p), 1e-12) * n)
-            assert abs(record.e_even - n * p) < 5 * max(sigma, 1.0)
+            assert abs(e_even - n * p) < 5 * max(sigma, 1.0)
 
 
 class TestEstimateTerm:
@@ -168,7 +167,7 @@ class TestEstimateTerm:
         result, replicates = estimate_term(ds, 50, seed=1)
         assert result.lambda_hat == 0.0
         assert result.method == "direct"
-        assert result.pi_hat == (2 * ds.records[0].e_even - 512) / 512
+        assert result.pi_hat == (2 * ds.e_even[0] - 512) / 512
         assert np.all(replicates.lambda_hats == 0.0)
 
     def test_boosted_uses_joint_grid(self):
@@ -231,9 +230,7 @@ class TestTermRow:
                                "rate may lie beyond it; raise --grid-lambda-max")
 
     def test_unequal_shot_counts_have_no_bound(self):
-        ds = ParityDataset("Z", (ParityRecord(0, 256, 230),
-                                 ParityRecord(1, 512, 300),
-                                 ParityRecord(2, 256, 40)))
+        ds = ParityDataset("Z", (0, 1, 2), (256, 512, 256), (230, 300, 40))
         row = self.row(ds)
         assert row["method"] == "mle"
         assert row["crb"] is None
@@ -243,7 +240,7 @@ class TestTermRow:
     def test_single_boosted_depth_notes_the_singular_bound(self):
         # one depth L >= 1 goes to the grid MLE, but its Fisher matrix is
         # singular: the bound's error message becomes the note
-        ds = ParityDataset("Z", (ParityRecord(2, 256, 200),))
+        ds = ParityDataset("Z", (2,), (256,), (200,))
         row = self.row(ds)
         assert row["method"] == "mle"
         assert row["crb"] is None
@@ -252,8 +249,7 @@ class TestTermRow:
         assert row["note"] == str(exc.value)
 
     def test_without_metadata_the_reference_is_the_estimate(self):
-        ds = ParityDataset("X", (ParityRecord(0, 256, 90),
-                                 ParityRecord(1, 256, 200)))
+        ds = ParityDataset("X", (0, 1), (256, 256), (90, 200))
         result, replicates = estimate_term(ds, 20, grid=self.GRID, seed=1)
         row = term_row(ds, result, replicates, self.GRID)
         assert row["reference"] == "pi_hat"

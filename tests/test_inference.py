@@ -28,7 +28,6 @@ from rae.inference import (
     LikelihoodGrid,
     MLEGrid,
     ParityDataset,
-    ParityRecord,
     chebyshev_parity_probability,
     estimate_term,
     load_dataset,
@@ -43,12 +42,12 @@ from rae.pauli import PauliString, builtin_problem, oracle_expectation
 
 def exact_count_dataset(pi: float, lam: float, layers, n_shots: int,
                         pauli: str = "Z") -> ParityDataset:
-    records = tuple(
-        ParityRecord(L, n_shots,
-                     int(round(n_shots * chebyshev_parity_probability(pi, lam, L, 0))))
+    layers = tuple(layers)
+    counts = tuple(
+        int(round(n_shots * chebyshev_parity_probability(pi, lam, L, 0)))
         for L in layers
     )
-    return ParityDataset(pauli=pauli, records=records)
+    return ParityDataset(pauli, layers, (n_shots,) * len(layers), counts)
 
 
 # default-grid spacings, used for landing tolerances below
@@ -113,29 +112,29 @@ class TestChebyshevParityProbability:
 
 class TestLogLikelihood:
     def test_certain_data_peaks_at_unit_amplitude(self):
-        ds = ParityDataset(pauli="Z", records=(ParityRecord(0, 100, 100),))
+        ds = ParityDataset("Z", (0,), (100,), (100,))
         near_one = log_likelihood(ds, 1.0 - 1e-9, 0.0)
         assert abs(near_one) < 1e-6
         assert near_one > log_likelihood(ds, 0.5, 0.0)
 
     def test_coin_flip_data_maximized_at_zero(self):
         # even/odd balance at every depth puts the noiseless argmax at Pi = 0
-        ds = ParityDataset(pauli="Z", records=tuple(
-            ParityRecord(L, 8192, 4096) for L in range(9)))
+        ds = ParityDataset("Z", tuple(range(9)), (8192,) * 9, (4096,) * 9)
         pi = np.linspace(-0.999, 0.999, 4001)
         values = log_likelihood(ds, pi, 0.0)
         assert abs(pi[np.argmax(values)]) < 1e-3
 
     def test_record_permutation_invariant(self):
-        records = tuple(ParityRecord(L, 200, 40 + 13 * L) for L in range(5))
-        ds = ParityDataset(pauli="Z", records=records)
-        ds_rev = ParityDataset(pauli="Z", records=records[::-1])
+        layers = tuple(range(5))
+        counts = tuple(40 + 13 * L for L in layers)
+        ds = ParityDataset("Z", layers, (200,) * 5, counts)
+        ds_rev = ParityDataset("Z", layers[::-1], (200,) * 5, counts[::-1])
         for pi, lam in [(-0.7, 0.0), (0.2, 0.13), (0.94, 0.4)]:
             assert log_likelihood(ds, pi, lam) == log_likelihood(ds_rev, pi, lam)
 
     def test_finite_at_impossible_data(self):
         # clamping keeps zero-probability observations at a finite penalty
-        ds = ParityDataset(pauli="Z", records=(ParityRecord(0, 10, 0),))
+        ds = ParityDataset("Z", (0,), (10,), (0,))
         value = log_likelihood(ds, 1.0, 0.0)
         assert math.isfinite(value)
         assert value == pytest.approx(10 * math.log(1e-12))
@@ -172,15 +171,14 @@ class TestMLEEstimate:
     def test_unboosted_dataset_rejected(self):
         """Depth-0-only data cannot separate the decay from the amplitude:
         it takes the closed form with lam pinned at 0, not the grid."""
-        ds = ParityDataset(pauli="Z", records=(ParityRecord(0, 100, 80),))
+        ds = ParityDataset("Z", (0,), (100,), (80,))
         result = mle_estimate(ds)
         assert result.method == "direct"
         assert (result.pi_hat, result.lambda_hat) == (0.6, 0.0)
         assert not result.degenerate_maximum
 
     def test_balanced_counts_land_at_zero(self):
-        ds = ParityDataset(pauli="Z", records=tuple(
-            ParityRecord(L, 8192, 4096) for L in range(9)))
+        ds = ParityDataset("Z", tuple(range(9)), (8192,) * 9, (4096,) * 9)
         result = mle_estimate(ds)
         assert abs(result.pi_hat) <= PI_STEP
 
@@ -188,7 +186,7 @@ class TestMLEEstimate:
         # a single L=1 record with balanced counts peaks wherever the
         # order-3 Chebyshev vanishes: three separated ridges, exact mirror
         # ties, so the runner-up sits far from the argmax
-        ds = ParityDataset(pauli="Z", records=(ParityRecord(1, 100, 50),))
+        ds = ParityDataset("Z", (1,), (100,), (50,))
         result = mle_estimate(ds)
         assert result.degenerate_maximum
         assert result.pi_hat < 0.0
@@ -198,9 +196,8 @@ class TestMLEEstimate:
         rng = np.random.default_rng(3)
         grid = MLEGrid(pi_points=201, lambda_points=11, lambda_max=0.3)
         for _ in range(10):
-            records = tuple(
-                ParityRecord(L, 50, int(rng.integers(0, 51))) for L in (0, 1, 2))
-            result = mle_estimate(ParityDataset(pauli="Z", records=records), grid)
+            counts = tuple(int(rng.integers(0, 51)) for _ in range(3))
+            result = mle_estimate(ParityDataset("Z", (0, 1, 2), (50,) * 3, counts), grid)
             assert -1.0 < result.pi_hat < 1.0
             assert 0.0 <= result.lambda_hat <= 0.3
 
@@ -211,12 +208,11 @@ class TestLikelihoodGrid:
     # BLAS product rounds some of these cells differently with the number
     # of rows it is given; the fixed-order kernel that makes every decision
     # does not.
-    FLAT = ParityDataset(pauli="Z", records=tuple(
-        ParityRecord(L, 100, 50) for L in range(4)))
+    FLAT = ParityDataset("Z", tuple(range(4)), (100,) * 4, (50,) * 4)
     GRID = MLEGrid(pi_points=1001, lambda_points=11, lambda_max=0.25)
 
     def test_point_estimate_equals_one_row_batch(self):
-        tables = LikelihoodGrid(self.GRID, self.FLAT.layer_values())
+        tables = LikelihoodGrid(self.GRID, self.FLAT.layers)
         result, pi_hats, lambda_hats = tables.search(
             np.full((2, 4), 50.0), np.full(4, 100.0))
         assert (pi_hats[0], lambda_hats[0]) == (result.pi_hat, result.lambda_hat)
@@ -225,13 +221,14 @@ class TestLikelihoodGrid:
         """Reversed records are searched on the grid built for the reversed
         layers, which the cache then holds."""
         ds = exact_count_dataset(0.6, 0.02, range(4), 256)
-        reversed_ds = ParityDataset(pauli="Z", records=ds.records[::-1])
+        reversed_ds = ParityDataset("Z", ds.layers[::-1], ds.n_shots[::-1],
+                                    ds.e_even[::-1])
         likelihood_tables.cache_clear()
         result = mle_estimate(reversed_ds, self.GRID)
         hits = likelihood_tables.cache_info().hits
         likelihood_tables(self.GRID, (3, 2, 1, 0))
         assert likelihood_tables.cache_info().hits == hits + 1
-        even = np.array([r.e_even for r in reversed_ds.records], dtype=float)
+        even = np.array(reversed_ds.e_even, dtype=float)
         assert result == LikelihoodGrid(self.GRID, (3, 2, 1, 0)).search(
             even[None], np.full(4, 256.0))[0]
 
@@ -241,7 +238,7 @@ class TestDirectEstimate:
 
     def test_closed_form_values(self):
         def ds(e, n):
-            return ParityDataset(pauli="Z", records=(ParityRecord(0, n, e),))
+            return ParityDataset("Z", (0,), (n,), (e,))
         assert mle_estimate(ds(8192, 8192)).pi_hat == 1.0
         assert mle_estimate(ds(4096, 8192)).pi_hat == 0.0
         assert mle_estimate(ds(6144, 8192)).pi_hat == 0.5
@@ -252,7 +249,7 @@ class TestDirectEstimate:
         for _ in range(100):
             n = int(rng.integers(1, 10000))
             e = int(rng.integers(0, n + 1))
-            ds = ParityDataset(pauli="Z", records=(ParityRecord(0, n, e),))
+            ds = ParityDataset("Z", (0,), (n,), (e,))
             result = mle_estimate(ds)
             assert result.pi_hat == (2 * e - n) / n
             assert result.lambda_hat == 0.0
@@ -261,7 +258,7 @@ class TestDirectEstimate:
         grid = MLEGrid()
         pi = grid.pi_values()
         for e, n in [(700, 1000), (13, 64), (500, 1000), (999, 1000)]:
-            ds = ParityDataset(pauli="Z", records=(ParityRecord(0, n, e),))
+            ds = ParityDataset("Z", (0,), (n,), (e,))
             values = log_likelihood(ds, pi, 0.0)
             pinned = pi[int(np.argmax(values))]
             assert abs(mle_estimate(ds).pi_hat - pinned) <= PI_STEP
@@ -270,14 +267,13 @@ class TestDirectEstimate:
         """Boosted data never takes the closed form, with or without the
         L=0 record."""
         grid = MLEGrid(pi_points=101, lambda_points=11, lambda_max=0.2)
-        boosted = ParityDataset(pauli="Z", records=(
-            ParityRecord(0, 10, 5), ParityRecord(1, 10, 5)))
-        no_anchor = ParityDataset(pauli="Z", records=(ParityRecord(1, 10, 5),))
+        boosted = ParityDataset("Z", (0, 1), (10, 10), (5, 5))
+        no_anchor = ParityDataset("Z", (1,), (10,), (5,))
         for ds in (boosted, no_anchor):
             assert mle_estimate(ds, grid).method == "mle"
 
     def test_closed_form_builds_no_grid(self):
-        ds = ParityDataset(pauli="Z", records=(ParityRecord(0, 1000, 357),))
+        ds = ParityDataset("Z", (0,), (1000,), (357,))
         before = likelihood_tables.cache_info()
         result = mle_estimate(ds)
         assert likelihood_tables.cache_info() == before
@@ -291,11 +287,10 @@ class TestDirectEstimate:
         rate."""
         n, e, seed = 1000, 700, 4
         _, reps = estimate_term(
-            ParityDataset(pauli="Z", records=(ParityRecord(0, n, e),)), 50, seed=seed)
+            ParityDataset("Z", (0,), (n,), (e,)), 50, seed=seed)
         for k, child in enumerate(np.random.SeedSequence(seed).spawn(50)):
             redraw = int(np.random.default_rng(child).binomial(n, e / n))
-            result = mle_estimate(ParityDataset(
-                pauli="Z", records=(ParityRecord(0, n, redraw),)))
+            result = mle_estimate(ParityDataset("Z", (0,), (n,), (redraw,)))
             assert (reps.pi_hats[k], reps.lambda_hats[k]) == (
                 result.pi_hat, result.lambda_hat)
 
@@ -331,13 +326,12 @@ class TestBootstrap:
         assert np.array_equal(short.pi_hats, long.pi_hats[:10])
 
     def test_degenerate_counts_give_identical_replicates(self):
-        records = (ParityRecord(0, 64, 64), ParityRecord(1, 64, 0))
-        ds = ParityDataset(pauli="Z", records=records)
+        ds = ParityDataset("Z", (0, 1), (64, 64), (64, 0))
         reps = estimate_term(ds, 25, grid=SMALL_GRID, seed=0)[1]
         assert np.all(reps.pi_hats == reps.pi_hats[0])
 
     def test_unboosted_dataset_routes_through_closed_form(self):
-        ds = ParityDataset(pauli="Z", records=(ParityRecord(0, 1000, 700),))
+        ds = ParityDataset("Z", (0,), (1000,), (700,))
         reps = estimate_term(ds, 200, seed=4)[1]
         assert np.all(reps.lambda_hats == 0.0)
         # every replicate is (2e - n)/n for an integer redraw e
@@ -359,7 +353,7 @@ class TestBootstrap:
         assert abs(float(np.mean(reps.pi_hats)) - full.pi_hat) < tol
 
     def test_replicate_count_validated(self):
-        ds = ParityDataset(pauli="Z", records=(ParityRecord(0, 10, 5),))
+        ds = ParityDataset("Z", (0,), (10,), (5,))
         with pytest.raises(ValueError):
             estimate_term(ds, 0)
 
@@ -370,9 +364,9 @@ class TestBootstrap:
 
 def _sampled(pi, lam, layers, n_shots, seed, pauli="Z"):
     rng = np.random.default_rng(seed)
-    return ParityDataset(pauli=pauli, records=tuple(
-        ParityRecord(L, n_shots, int(rng.binomial(
-            n_shots, chebyshev_parity_probability(pi, lam, L, 0))))
+    layers = tuple(layers)
+    return ParityDataset(pauli, layers, (n_shots,) * len(layers), tuple(
+        int(rng.binomial(n_shots, chebyshev_parity_probability(pi, lam, L, 0)))
         for L in layers))
 
 
@@ -409,21 +403,20 @@ EXHAUSTIVE_CASES = {
                          RAGGED_GRID, 60),
     # p0 rounds to exactly 1/2 from a lam that varies with the Pi row, so
     # exact maxima lie in several rows and lam blocks of one block row
-    "exact-ties-across-blocks": (ParityDataset("Z", (ParityRecord(4, 100, 50),)),
+    "exact-ties-across-blocks": (ParityDataset("Z", (4,), (100,), (50,)),
                                  MLEGrid(101, 101, 10.0), 30),
     # e = N at L = 0 and e = 0 at L = 1 put p* at an end of every block's
     # interval; on this grid T_3 reaches -1 and 1 exactly at lam = 0, so
     # both clipped ends, log(P_EPS), enter the L = 1 values
-    "saturated": (ParityDataset("Z", (ParityRecord(0, 64, 64), ParityRecord(1, 64, 0),
-                                      ParityRecord(2, 64, 48))),
+    "saturated": (ParityDataset("Z", (0, 1, 2), (64, 64, 64), (64, 0, 48)),
                   MLEGrid(1001, 11, 0.25), 60),
-    "16-shot-flat": (ParityDataset("Z", tuple(ParityRecord(L, 16, 8) for L in range(9))),
+    "16-shot-flat": (ParityDataset("Z", tuple(range(9)), (16,) * 9, (8,) * 9),
                      MLEGrid(1001, 11, 50.0), 30),
     # from lam = 10 on, e^{-4.5 lam} T_9(Pi) rounds p0 to exactly 1/2, so
     # balanced counts tie at every cell of those columns: the point
     # estimate's 10,201 candidates span three kernel tiles of 5,100 cells,
     # and the replicates that redraw 50 span thirty tiles of 340
-    "ties-across-tiles": (ParityDataset("Z", (ParityRecord(4, 100, 50),)),
+    "ties-across-tiles": (ParityDataset("Z", (4,), (100,), (50,)),
                           MLEGrid(101, 101, 1000.0), 30),
     # lis(1): the concave stage cuts the most blocks where two records
     # leave the linear bound loose
@@ -578,10 +571,10 @@ class TestCandidates:
         assert main(["generate", "--seed", "11", "--lambda", "0.045",
                      "--out", str(tmp_path)]) == 0
         ds = load_dataset(str(tmp_path / "XX.json"))
-        tables = LikelihoodGrid(MLEGrid(), ds.layer_values())
-        shots = np.array([r.n_shots for r in ds.records])
-        rates = np.array([r.e_even / r.n_shots for r in ds.records])
-        point = np.array([[r.e_even for r in ds.records]], dtype=float)
+        tables = LikelihoodGrid(MLEGrid(), ds.layers)
+        shots = np.array(ds.n_shots)
+        rates = np.array([e / n for e, n in zip(ds.e_even, ds.n_shots)])
+        point = np.array([ds.e_even], dtype=float)
         group = np.array([np.random.default_rng(child).binomial(shots, rates)
                           for child in np.random.SeedSequence(0).spawn(64)], dtype=float)
         for even, tol in ((point, DEGENERACY_TOL), (group, 0.0)):
@@ -596,24 +589,24 @@ class TestCandidates:
                      "--out", str(tmp_path)]) == 0
         ds = load_dataset(str(tmp_path / "XX.json"))
         likelihood_tables.cache_clear()
-        tables = likelihood_tables(MLEGrid(), ds.layer_values())
+        tables = likelihood_tables(MLEGrid(), ds.layers)
 
         def arrays():
             return {name: values.tobytes() for name, values in vars(tables).items()
                     if isinstance(values, np.ndarray)}
 
         built = arrays()
-        point = np.array([r.e_even for r in ds.records], dtype=float)
-        shots = np.array([r.n_shots for r in ds.records])
+        point = np.array(ds.e_even, dtype=float)
+        shots = np.array(ds.n_shots)
         result = tables.search(point[None], shots.astype(float))[0]
-        rates = np.array([r.e_even / r.n_shots for r in ds.records])
+        rates = np.array([e / n for e, n in zip(ds.e_even, ds.n_shots)])
         even = np.random.default_rng(0).binomial(shots, rates, size=(130, len(shots)))
         tables.search(np.vstack([point, even]), shots.astype(float))
         assert arrays() == built
         for values in vars(tables).values():
             if isinstance(values, np.ndarray):
                 assert not values.flags.writeable
-        assert result == LikelihoodGrid(MLEGrid(), ds.layer_values()).search(
+        assert result == LikelihoodGrid(MLEGrid(), ds.layers).search(
             point[None], shots.astype(float))[0]
 
 
@@ -696,9 +689,9 @@ class TestMemory:
         # balanced 2-shot counts at 30 depths: the point estimate's
         # candidates cover all 25,000 cells, where (layers, cells) log
         # tables would take 60 grid surfaces (11 MiB)
-        ds = ParityDataset("Z", tuple(ParityRecord(L, 2, 1) for L in range(30)))
+        ds = ParityDataset("Z", tuple(range(30)), (2,) * 30, (1,) * 30)
         grid = MLEGrid(500, 50, 50.0)
-        tables = LikelihoodGrid(grid, ds.layer_values())
+        tables = LikelihoodGrid(grid, ds.layers)
         even = np.array([[1.0] * 30])
         assert len(tables._candidates(even, np.full(30, 2.0), DEGENERACY_TOL)) == 25000
         assert _peak_bytes(ds, grid) < 4 * 2**20
@@ -707,7 +700,7 @@ class TestMemory:
         # balanced 2-shot counts at 30 depths: most (row, block) pairs pass
         # the linear bound, and the concave stage's (pairs, layers)
         # temporaries would reach ~68 grid surfaces (13 MiB) unchunked
-        ds = ParityDataset("Z", tuple(ParityRecord(L, 2, 1) for L in range(30)))
+        ds = ParityDataset("Z", tuple(range(30)), (2,) * 30, (1,) * 30)
         assert _peak_bytes(ds, MLEGrid(500, 50, 50.0), 64) < 6 * 2**20
 
 
@@ -748,8 +741,7 @@ class TestRmseStats:
 class TestDatasetIO:
     def _dataset(self):
         return ParityDataset(
-            pauli="XX",
-            records=(ParityRecord(0, 8192, 4000), ParityRecord(3, 8192, 7121)),
+            "XX", (0, 3), (8192, 8192), (4000, 7121),
             metadata={"hamiltonian": "h2_two_qubit", "seed": 17},
         )
 
@@ -792,14 +784,13 @@ class TestDatasetIO:
 
     def test_record_validation(self):
         with pytest.raises(ValueError):
-            ParityRecord(0, 100, 101)
+            ParityDataset("Z", (0,), (100,), (101,))
         with pytest.raises(ValueError):
-            ParityRecord(-1, 100, 50)
+            ParityDataset("Z", (-1,), (100,), (50,))
         with pytest.raises(ValueError):
-            ParityDataset(pauli="Z", records=(
-                ParityRecord(0, 10, 5), ParityRecord(0, 10, 6)))
+            ParityDataset("Z", (0, 0), (10, 10), (5, 6))
         with pytest.raises(ValueError):
-            ParityDataset(pauli="Q", records=(ParityRecord(0, 10, 5),))
+            ParityDataset("Q", (0,), (10,), (5,))
 
 
 class TestMLEGridValidation:
