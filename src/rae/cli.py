@@ -32,7 +32,7 @@ from .energy import (
     direct_baseline,
     rmse_sweep,
     simulate_dataset,
-    sweep_cell,
+    sweep,
     term_row,
 )
 from .fisher import (
@@ -359,26 +359,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     seed, h, ansatz, schedules, grid, config = _sweep_setup(args)
     columns = ("term", "l_max", "n_queries", "pi_hat", "lambda_hat", "rmse",
                "sigma_rmse")
-    rows = []
-    for i, schedule in enumerate(schedules):
-        for j, (_, string) in enumerate(h.non_identity_terms()):
-            row = term_row(*sweep_cell(ansatz, string, args.lam, schedule,
-                                       args.bootstrap, grid, seed, (i, j)), grid)
-            row["l_max"] = int(max(schedule.layers))
-            rows.append(row)
+    rows = [{**term_row(*cell, grid), "l_max": int(max(schedule.layers))}
+            for schedule, cells in sweep(h, ansatz, args.lam, schedules,
+                                         args.bootstrap, grid, seed)
+            for cell in cells]
     _write_table(args, ",".join(columns), columns, rows, config)
     return EXIT_OK
 
 
 def cmd_energy(args: argparse.Namespace) -> int:
     seed, h, ansatz, schedules, grid, config = _sweep_setup(args)
-    estimates = rmse_sweep(h, ansatz, args.lam, schedules, args.bootstrap,
-                           seed=seed, grid=grid)
-    rows = [
-        {**dataclasses.asdict(row), "baseline_rmse":
-         direct_baseline(h, ansatz, args.lam, row.n_queries_per_term).rmse}
-        for row in estimates
-    ]
+    rows = [{**dataclasses.asdict(row), "baseline_rmse":
+             direct_baseline(h, ansatz, args.lam, row.n_queries_per_term).rmse}
+            for row in rmse_sweep(h, ansatz, args.lam, schedules, args.bootstrap,
+                                  seed=seed, grid=grid)]
     _write_table(args, "l_max,n_queries,rmse,bias,variance",
                  ("l_max", "n_queries_per_term", "rmse", "bias", "variance"),
                  rows, config)

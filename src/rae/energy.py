@@ -2,9 +2,9 @@
 
 Every non-identity Pauli term is measured by its own circuit family, so
 term estimates combine as independent random variables: coefficients weigh
-the means linearly, the variances quadratically.  The sweep driver runs the
-full simulate / estimate / bootstrap pipeline per term and layer budget and
-reports energy error against the dense-diagonalization reference.
+the means linearly, the variances quadratically.  :func:`sweep` runs the
+full simulate / estimate / bootstrap pipeline per layer budget and term, and
+:func:`rmse_sweep` combines each budget's terms into an energy row.
 """
 
 from __future__ import annotations
@@ -51,45 +51,26 @@ class EnergyEstimate:
             raise ValueError("rmse inconsistent with bias and variance")
 
 
-@dataclass(frozen=True)
-class TermEstimate:
-    """Per-term inputs to the energy combination."""
-
-    pi_hat: float
-    variance: float
-    bias: float
-
-
-def combine_energy(hamiltonian: PauliSum, estimates: dict[str, TermEstimate],
-                   n_queries_per_term: int = 0,
-                   l_max: int = 0) -> EnergyEstimate:
+def combine_energy(hamiltonian: PauliSum, estimates: dict[str, tuple],
+                   n_queries_per_term: int = 0, l_max: int = 0) -> EnergyEstimate:
     """Linear combination of term estimates with independent errors.
 
-    ``estimates`` maps Pauli words to their :class:`TermEstimate`; the
+    ``estimates`` maps Pauli words to ``(pi_hat, variance, bias)``; the
     identity term needs no estimate and contributes its coefficient exactly.
     """
-    energy = hamiltonian.identity_coefficient
-    variance = 0.0
-    bias = 0.0
-    missing = []
-    for coeff, string in hamiltonian.non_identity_terms():
-        term = estimates.get(string.word)
-        if term is None:
-            missing.append(string.word)
-            continue
-        energy += coeff * term.pi_hat
-        variance += coeff * coeff * term.variance
-        bias += coeff * term.bias
+    terms = hamiltonian.non_identity_terms()
+    missing = [string.word for _, string in terms if string.word not in estimates]
     if missing:
         raise ValueError(f"no estimate for terms: {', '.join(missing)}")
-    return EnergyEstimate(
-        energy=energy,
-        variance=variance,
-        bias=bias,
-        rmse=math.sqrt(bias * bias + variance),
-        n_queries_per_term=n_queries_per_term,
-        l_max=l_max,
-    )
+    energy, variance, bias = hamiltonian.identity_coefficient, 0.0, 0.0
+    for coeff, string in terms:
+        pi_hat, term_variance, term_bias = estimates[string.word]
+        energy += coeff * pi_hat
+        variance += coeff * coeff * term_variance
+        bias += coeff * term_bias
+    return EnergyEstimate(energy=energy, variance=variance, bias=bias,
+                          rmse=math.sqrt(bias * bias + variance),
+                          n_queries_per_term=n_queries_per_term, l_max=l_max)
 
 
 def direct_baseline(hamiltonian: PauliSum, ansatz: AnsatzSpec, lam: float,
@@ -101,8 +82,7 @@ def direct_baseline(hamiltonian: PauliSum, ansatz: AnsatzSpec, lam: float,
     for _, string in hamiltonian.non_identity_terms():
         pi = oracle_expectation(ansatz, string)
         bias, variance = direct_error_model(pi, lam, n_queries)
-        estimates[string.word] = TermEstimate(
-            pi_hat=pi + bias, variance=variance, bias=bias)
+        estimates[string.word] = (pi + bias, variance, bias)
     return combine_energy(hamiltonian, estimates,
                           n_queries_per_term=n_queries, l_max=0)
 
@@ -135,14 +115,23 @@ def sweep_cell(ansatz: AnsatzSpec, string: PauliString, lam: float,
     concurrently, and still reproduce the sequential table.
     """
     i, j = position
-    dataset = simulate_dataset(
-        ansatz, string, lam, schedule,
-        seed=np.random.SeedSequence(seed, spawn_key=(i, j, 0)),
-    )
+    dataset = simulate_dataset(ansatz, string, lam, schedule,
+                               seed=np.random.SeedSequence(seed, spawn_key=(i, j, 0)))
     result, replicates = estimate_term(
         dataset, m_bootstrap, grid=grid,
         seed=np.random.SeedSequence(seed, spawn_key=(i, j, 1)))
     return dataset, result, replicates
+
+
+def sweep(hamiltonian: PauliSum, ansatz: AnsatzSpec, lam: float, schedules,
+          m_bootstrap: int, grid: MLEGrid, seed: int):
+    """Yield each of ``schedules`` with the :func:`sweep_cell` of every
+    non-identity term, in term order: schedule i, term j is cell (i, j)."""
+    terms = hamiltonian.non_identity_terms()
+    for i, schedule in enumerate(schedules):
+        yield schedule, [sweep_cell(ansatz, string, lam, schedule, m_bootstrap,
+                                    grid, seed, (i, j))
+                         for j, (_, string) in enumerate(terms)]
 
 
 def _reference_expectation(dataset: ParityDataset) -> float | None:
@@ -219,24 +208,20 @@ def term_row(dataset: ParityDataset, result, replicates, grid: MLEGrid) -> dict:
 def rmse_sweep(hamiltonian: PauliSum, ansatz: AnsatzSpec, lam: float,
                schedules, m_bootstrap: int, seed: int = 0,
                grid: MLEGrid = MLEGrid()) -> tuple[EnergyEstimate, ...]:
-    """Energy error versus layer budget, one row per entry of ``schedules``.
-
-    Every term of a row is one :func:`sweep_cell`, and the row's ``l_max``
-    is its schedule's deepest layer.
+    """Energy error versus layer budget: each row of :func:`sweep` combined,
+    a term's variance and bias taken from its bootstrap replicates about its
+    oracle value, and the row's ``l_max`` its schedule's deepest layer.
     """
     terms = hamiltonian.non_identity_terms()
     rows = []
-    for i, schedule in enumerate(schedules):
-        estimates = {}
-        for j, (_, string) in enumerate(terms):
-            _, result, replicates = sweep_cell(ansatz, string, lam, schedule,
-                                               m_bootstrap, grid, seed, (i, j))
-            pi_ref = oracle_expectation(ansatz, string)
-            estimates[string.word] = TermEstimate(
-                pi_hat=result.pi_hat,
-                variance=float(np.var(replicates.pi_hats)),
-                bias=float(np.mean(replicates.pi_hats)) - pi_ref,
-            )
+    for schedule, cells in sweep(hamiltonian, ansatz, lam, schedules,
+                                 m_bootstrap, grid, seed):
+        estimates = {
+            string.word: (result.pi_hat, float(np.var(replicates.pi_hats)),
+                          float(np.mean(replicates.pi_hats))
+                          - oracle_expectation(ansatz, string))
+            for (_, string), (_, result, replicates) in zip(terms, cells)
+        }
         rows.append(combine_energy(hamiltonian, estimates,
                                    n_queries_per_term=query_cost(schedule),
                                    l_max=max(schedule.layers)))

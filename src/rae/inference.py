@@ -63,6 +63,10 @@ class ParityDataset:
             raise ValueError("layers, n_shots and e_even must have equal lengths")
         if not self.layers:
             raise ValueError("dataset needs at least one record")
+        for name in ("layers", "n_shots", "e_even"):
+            if any(isinstance(value, bool) or not isinstance(value, (int, np.integer))
+                   for value in getattr(self, name)):
+                raise ValueError(f"{name} entries must be integers")
         for layers, n_shots, e_even in zip(self.layers, self.n_shots, self.e_even):
             if layers < 0:
                 raise ValueError("layers must be non-negative")
@@ -392,7 +396,7 @@ class LikelihoodGrid:
     def _block_cells(self, blocks) -> np.ndarray:
         """Flat indices of the cells of the given blocks, ascending."""
         n_pi, n_lam = self.grid.pi_points, self.grid.lambda_points
-        bi, bj = np.divmod(blocks, -(-n_lam // BLOCK))
+        bi, bj = np.divmod(blocks, len(self._e_lo))
         rows = bi[:, None] * BLOCK + np.arange(BLOCK)
         cols = bj[:, None] * BLOCK + np.arange(BLOCK)
         inside = (rows < n_pi)[:, :, None] & (cols < n_lam)[:, None, :]

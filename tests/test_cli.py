@@ -70,7 +70,6 @@ def _no_work(*args, **kwargs):
 def _bootstrap_count_rejected(argv, count, outputs, capsys, monkeypatch):
     """``sweep`` and ``energy`` reject ``--bootstrap count`` in their shared
     set-up: exit 2 naming the flag, no cell estimated, no file written."""
-    monkeypatch.setattr(cli, "sweep_cell", _no_work)
     monkeypatch.setattr(energy, "sweep_cell", _no_work)
     assert run(*argv, "--bootstrap", count) == 2
     assert capsys.readouterr().err == \
@@ -510,6 +509,28 @@ class TestEnergy:
                  for line in (tmp_path / "s.csv").read_text().splitlines()[1:]]
         assert energy == [0, 1, 2, 4]
         assert sweep == [depth for depth in energy for _ in range(2)]
+
+    def test_rows_combine_the_sweep_cells(self, tmp_path):
+        """Each ``energy`` row is the identity coefficient plus every term's
+        coefficient times the ``pi_hat`` that ``sweep`` reports for it at
+        that ``l_max``, summed in Hamiltonian order, bit for bit."""
+        args = ("--hamiltonian", "two_qubit", "--lambda", 0.05, "--i-max", 3,
+                "--shots", 256, "--bootstrap", 7, *SMALL_GRID_ARGS, "--seed", 4)
+        assert run("energy", *args, "--out", tmp_path / "e.csv",
+                   "--json", tmp_path / "e.json") == 0
+        assert run("sweep", *args, "--out", tmp_path / "s.csv",
+                   "--json", tmp_path / "s.json") == 0
+        energy_rows = json.loads((tmp_path / "e.json").read_text())["rows"]
+        sweep_rows = json.loads((tmp_path / "s.json").read_text())["rows"]
+        h, _ = builtin_problem("two_qubit")
+        assert len(energy_rows) == 4
+        for row in energy_rows:
+            pi_hats = {cell["term"]: cell["pi_hat"] for cell in sweep_rows
+                       if cell["l_max"] == row["l_max"]}
+            energy = h.identity_coefficient
+            for coeff, string in h.non_identity_terms():
+                energy += coeff * pi_hats[string.word]
+            assert energy == row["energy"]
 
     def test_negative_i_max_rejected(self, tmp_path, capsys):
         out, sidecar = tmp_path / "energy.csv", tmp_path / "energy.json"
@@ -973,7 +994,7 @@ class TestUnwritableOutput:
                "a-directory": tmp_path}[kind]
         argv = UNWRITABLE[command](tmp_path, out)
         for work in ("_build_schedule", "estimate_term", "rmse_sweep",
-                     "simulate_curves", "sweep_cell"):
+                     "simulate_curves", "sweep"):
             monkeypatch.setattr(cli, work, _no_work)
         capsys.readouterr()
         before = sorted(tmp_path.rglob("*"))

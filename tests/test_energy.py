@@ -9,7 +9,6 @@ from oracles import exact_ground_energy
 from rae.energy import (
     CHEMICAL_ACCURACY,
     EnergyEstimate,
-    TermEstimate,
     combine_energy,
     direct_baseline,
     estimate_term,
@@ -39,7 +38,7 @@ H2, ANSATZ2 = builtin_problem("two_qubit")
 
 def oracle_estimates(hamiltonian, ansatz):
     return {
-        s.word: TermEstimate(oracle_expectation(ansatz, s), 0.0, 0.0)
+        s.word: (oracle_expectation(ansatz, s), 0.0, 0.0)
         for _, s in hamiltonian.non_identity_terms()
     }
 
@@ -60,7 +59,7 @@ class TestCombineEnergy:
 
     def test_single_term_variance_weighting(self):
         h = PauliSum.from_pairs([(0.25, "I"), (-0.6, "Z")])
-        estimate = combine_energy(h, {"Z": TermEstimate(0.9, 0.01, 0.0)})
+        estimate = combine_energy(h, {"Z": (0.9, 0.01, 0.0)})
         assert estimate.variance == pytest.approx(0.36 * 0.01)
         assert estimate.energy == pytest.approx(0.25 - 0.54)
 
@@ -73,9 +72,9 @@ class TestCombineEnergy:
 
     def test_linearity_under_coefficient_scaling(self):
         base = [(0.2, "IZ"), (-0.4, "ZI"), (0.1, "XX")]
-        estimates = {"IZ": TermEstimate(0.3, 0.02, 0.01),
-                     "ZI": TermEstimate(-0.5, 0.03, -0.02),
-                     "XX": TermEstimate(0.1, 0.01, 0.005)}
+        estimates = {"IZ": (0.3, 0.02, 0.01),
+                     "ZI": (-0.5, 0.03, -0.02),
+                     "XX": (0.1, 0.01, 0.005)}
         one = combine_energy(PauliSum.from_pairs(base), estimates)
         three = combine_energy(
             PauliSum.from_pairs([(3 * c, w) for c, w in base]), estimates)
@@ -85,11 +84,11 @@ class TestCombineEnergy:
 
     def test_missing_term_listed(self):
         with pytest.raises(ValueError, match="ZI"):
-            combine_energy(H2, {"IZ": TermEstimate(0.9, 0.0, 0.0)})
+            combine_energy(H2, {"IZ": (0.9, 0.0, 0.0)})
 
     def test_rmse_is_quadrature_sum(self):
         h = PauliSum.from_pairs([(1.0, "Z")])
-        estimate = combine_energy(h, {"Z": TermEstimate(0.5, 0.0004, 0.03)})
+        estimate = combine_energy(h, {"Z": (0.5, 0.0004, 0.03)})
         assert estimate.rmse == pytest.approx(math.hypot(0.03, 0.02))
 
 

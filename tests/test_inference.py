@@ -791,6 +791,12 @@ class TestDatasetIO:
             ParityDataset("Z", (0, 0), (10, 10), (5, 6))
         with pytest.raises(ValueError):
             ParityDataset("Q", (0,), (10,), (5,))
+        with pytest.raises(ValueError, match="layers entries must be integers"):
+            ParityDataset("Z", (0, 1.5), (100, 100), (60, 30))
+        with pytest.raises(ValueError, match="layers entries must be integers"):
+            ParityDataset("Z", (0, True), (100, 100), (60, 30))
+        with pytest.raises(ValueError, match="n_shots entries must be integers"):
+            ParityDataset("Z", (0, 1), (100.5, 100), (60, 30))
 
 
 class TestMLEGridValidation:

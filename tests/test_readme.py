@@ -11,6 +11,12 @@ README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 IMPORT = re.compile(r"^from (rae(?:\.\w+)*) import (\([^)]*\)|[^\n]*)", re.MULTILINE)
 PYTHON_BLOCK = re.compile(r"^```python\n(.*?)^```", re.MULTILINE | re.DOTALL)
 
+# A backticked ``rae.<module>.<name>`` or ``<module>.<name>``, with an
+# optional ``.attr``, for every module of the package.
+MODULES = ("cli", "energy", "fisher", "inference", "jsonio", "noisefit", "pauli",
+           "schedules", "simulator")
+QUALIFIED = re.compile(r"`(?:rae\.)?((?:%s)(?:\.\w+){1,2})`" % "|".join(MODULES))
+
 
 def readme_imports():
     pairs = []
@@ -27,6 +33,24 @@ def test_readme_imports_resolve():
     missing = [f"{module}.{name}" for module, name in pairs
                if not hasattr(importlib.import_module(module), name)]
     assert missing == []
+
+
+def _resolves(dotted: str) -> bool:
+    module, *parts = dotted.split(".")
+    target = importlib.import_module(f"rae.{module}")
+    for part in parts:
+        if not hasattr(target, part):
+            return False
+        target = getattr(target, part)
+    return True
+
+
+def test_readme_qualified_names_resolve():
+    """Every module-qualified name the prose cites exists, so a renamed
+    function or moved name fails here and not in a reader's hands."""
+    names = QUALIFIED.findall(README.read_text(encoding="utf-8"))
+    assert names, "README.md cites no module-qualified names"
+    assert [name for name in names if not _resolves(name)] == []
 
 
 def test_readme_examples_run(tmp_path, monkeypatch):
