@@ -71,6 +71,7 @@ from .pauli import (
     oracle_expectation,
 )
 from .schedules import (
+    MAX_LAYERS,
     NRIS_C,
     LayerSchedule,
     eis,
@@ -113,15 +114,17 @@ def _check_bootstrap(count: int | None) -> None:
 
 def _load_problem(args: argparse.Namespace) -> tuple[PauliSum, AnsatzSpec]:
     """The ``--hamiltonian`` problem, a builtin name or a saved file, with
-    ``--theta`` applied to its ansatz.  Every command that loads a problem
-    runs its ansatz, so a file without one is rejected."""
+    ``--theta`` applied to its ansatz where the command declares it.  Every
+    command that loads a problem runs its ansatz, so a file without one is
+    rejected."""
+    theta = getattr(args, "theta", None)
     if args.hamiltonian in BUILTIN_PROBLEMS:
-        return builtin_problem(args.hamiltonian, args.theta)
+        return builtin_problem(args.hamiltonian, theta)
     h, ansatz = load_hamiltonian(args.hamiltonian)
     if ansatz is None:
         raise ValueError(f"{args.command} needs an ansatz; the Hamiltonian file has none")
-    if args.theta is not None:
-        ansatz = AnsatzSpec(ansatz.kind, args.theta)
+    if theta is not None:
+        ansatz = AnsatzSpec(ansatz.kind, theta)
     return h, ansatz
 
 
@@ -294,10 +297,9 @@ def cmd_estimate(args: argparse.Namespace) -> int:
                     f"no default replicate count for {len(dataset.pauli)}-qubit "
                     "terms; pass --bootstrap"
                 )
-        row = term_row(dataset, *estimate_term(
-            dataset, m, grid=grid,
-            seed=np.random.SeedSequence(seed, spawn_key=(j,)),
-        ), grid)
+        result, pi_hats, _ = estimate_term(
+            dataset, m, grid=grid, seed=np.random.SeedSequence(seed, spawn_key=(j,)))
+        row = term_row(dataset, result, pi_hats, grid)
         row["file"] = path
         row["verdict"] = None if row["crb"] is None else advantage_verdict(
             row["rmse"], row["sigma_rmse"], row["crb"], row["mse_direct"],
@@ -472,6 +474,9 @@ def _parse_layer_list(text: str) -> tuple[int, ...]:
     if min(layers) < 0:
         raise argparse.ArgumentTypeError(
             f"layer counts must be non-negative, got {text!r}")
+    if max(layers) > MAX_LAYERS:
+        raise argparse.ArgumentTypeError(
+            f"layer counts must be at most {MAX_LAYERS}, got {text!r}")
     return layers
 
 
@@ -491,10 +496,13 @@ def _arg(*flags, **kwargs):
     return flags, kwargs
 
 
+_HAMILTONIAN = _arg(
+    "--hamiltonian", default="two_qubit",
+    help=f"builtin problem ({', '.join(BUILTIN_PROBLEMS)}) or path to a saved "
+         "Hamiltonian JSON (default: two_qubit)")
+# fit-lambda sweeps the ansatz angle itself, so it reads no --theta
 _PROBLEM = [
-    _arg("--hamiltonian", default="two_qubit",
-         help=f"builtin problem ({', '.join(BUILTIN_PROBLEMS)}) or path to a saved "
-              "Hamiltonian JSON (default: two_qubit)"),
+    _HAMILTONIAN,
     _arg("--theta", type=float, default=None,
          help="ansatz angle override (default: the problem's ground-state angle)"),
 ]
@@ -568,7 +576,7 @@ def _commands() -> dict:
         "fit-lambda": (
             cmd_fit_lambda,
             "fit the decay rate from likelihood curves and report stability",
-            [*_PROBLEM, *_SEED, *_STAMP,
+            [_HAMILTONIAN, *_SEED, *_STAMP,
              _arg("files", nargs="*", help="saved curve JSON files"),
              _arg("--simulate", action="store_true",
                   help="simulate the curves instead of reading files"),

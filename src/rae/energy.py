@@ -108,7 +108,7 @@ def sweep_cell(ansatz: AnsatzSpec, string: PauliString, lam: float,
                schedule: LayerSchedule, m_bootstrap: int, grid: MLEGrid,
                seed: int, position: tuple[int, int]):
     """Simulate and estimate the (budget row, term) cell at ``position``;
-    returns the dataset with its point estimate and replicates.
+    returns the dataset, its point estimate and its replicates' pi_hats.
 
     The data and bootstrap substreams are keyed by (row, term, 0) and
     (row, term, 1) only, so cells can be computed in any order, or
@@ -117,10 +117,10 @@ def sweep_cell(ansatz: AnsatzSpec, string: PauliString, lam: float,
     i, j = position
     dataset = simulate_dataset(ansatz, string, lam, schedule,
                                seed=np.random.SeedSequence(seed, spawn_key=(i, j, 0)))
-    result, replicates = estimate_term(
+    result, pi_hats, _ = estimate_term(
         dataset, m_bootstrap, grid=grid,
         seed=np.random.SeedSequence(seed, spawn_key=(i, j, 1)))
-    return dataset, result, replicates
+    return dataset, result, pi_hats
 
 
 def sweep(hamiltonian: PauliSum, ansatz: AnsatzSpec, lam: float, schedules,
@@ -146,9 +146,9 @@ def _reference_expectation(dataset: ParityDataset) -> float | None:
         return None
 
 
-def term_row(dataset: ParityDataset, result, replicates, grid: MLEGrid) -> dict:
+def term_row(dataset: ParityDataset, result, pi_hats, grid: MLEGrid) -> dict:
     """The per-term report row of ``estimate`` and ``sweep``, whose fits
-    searched ``grid``.
+    searched ``grid``, from the point estimate and its replicates' pi_hats.
 
     The bootstrap RMSE is taken about the oracle value of the ansatz the
     dataset's metadata names, else about ``pi_hat``.  The Cramer-Rao bound
@@ -161,8 +161,8 @@ def term_row(dataset: ParityDataset, result, replicates, grid: MLEGrid) -> dict:
     with the same query budget.
     """
     pi_ref = _reference_expectation(dataset)
-    stats = rmse_stats(replicates.pi_hats,
-                       result.pi_hat if pi_ref is None else pi_ref)
+    rmse, sigma_rmse = rmse_stats(pi_hats,
+                                  result.pi_hat if pi_ref is None else pi_ref)
     n_queries = sum((2 * layers + 1) * n_shots
                     for layers, n_shots in zip(dataset.layers, dataset.n_shots))
     crb = None
@@ -193,11 +193,11 @@ def term_row(dataset: ParityDataset, result, replicates, grid: MLEGrid) -> dict:
         "lambda_hat": float(result.lambda_hat),
         "degenerate_maximum": bool(result.degenerate_maximum),
         "n_queries": int(n_queries),
-        "n_bootstrap": len(replicates.pi_hats),
+        "n_bootstrap": len(pi_hats),
         "pi_ref": None if pi_ref is None else float(pi_ref),
         "reference": "pi_hat" if pi_ref is None else "oracle",
-        "rmse": float(stats.rmse),
-        "sigma_rmse": float(stats.sigma_rmse),
+        "rmse": float(rmse),
+        "sigma_rmse": float(sigma_rmse),
         "crb": None if crb is None else float(crb),
         "mse_direct": float(direct_mse_model(result.pi_hat, result.lambda_hat,
                                              n_queries)),
@@ -217,10 +217,9 @@ def rmse_sweep(hamiltonian: PauliSum, ansatz: AnsatzSpec, lam: float,
     for schedule, cells in sweep(hamiltonian, ansatz, lam, schedules,
                                  m_bootstrap, grid, seed):
         estimates = {
-            string.word: (result.pi_hat, float(np.var(replicates.pi_hats)),
-                          float(np.mean(replicates.pi_hats))
-                          - oracle_expectation(ansatz, string))
-            for (_, string), (_, result, replicates) in zip(terms, cells)
+            string.word: (result.pi_hat, float(np.var(pi_hats)),
+                          float(np.mean(pi_hats)) - oracle_expectation(ansatz, string))
+            for (_, string), (_, result, pi_hats) in zip(terms, cells)
         }
         rows.append(combine_energy(hamiltonian, estimates,
                                    n_queries_per_term=query_cost(schedule),

@@ -476,10 +476,10 @@ class LikelihoodGrid:
                 + _concave_slack(shots))
 
     def search(self, even: np.ndarray,
-               shots: np.ndarray) -> tuple[EstimationResult, np.ndarray, np.ndarray]:
+               shots: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
         """Exact argmax of every row of ``even``, a term's observed counts
-        then its bootstrap replicates: row 0's :class:`EstimationResult`
-        and the other rows' (pi_hats, lambda_hats).  Rows go ``BOUND_ROWS``
+        then its bootstrap replicates: every row's (pi_hats, lambda_hats),
+        and whether row 0's maximum is degenerate.  Rows go ``BOUND_ROWS``
         at a time, each group's kernel on the union of its candidate
         blocks; ties resolve to the smallest Pi index, then lam index.
 
@@ -507,9 +507,7 @@ class LikelihoodGrid:
         ci, cj = np.divmod(cells[first_row > best[0] - DEGENERACY_TOL],
                            self.grid.lambda_points)
         far = (np.abs(ci - i[0]) > 1) | (np.abs(cj - j[0]) > 1)
-        pi_hats, lambda_hats = self.pi_values[i], self.lambda_values[j]
-        return (EstimationResult(float(pi_hats[0]), float(lambda_hats[0]), bool(np.any(far))),
-                pi_hats[1:], lambda_hats[1:])
+        return self.pi_values[i], self.lambda_values[j], bool(np.any(far))
 
 
 @functools.lru_cache(maxsize=1)
@@ -524,24 +522,12 @@ def likelihood_tables(grid: MLEGrid, layer_values: tuple[int, ...]) -> Likelihoo
     return LikelihoodGrid(grid, layer_values)
 
 
-@dataclass
-class BootstrapReplicates:
-    """Bootstrap re-estimates; arrays are aligned by replicate.
-
-    Each replicate redraws every record binomially at its observed rate
-    ``e_even / n_shots`` (not from the fitted model) and re-estimates.
-    """
-
-    pi_hats: np.ndarray
-    lambda_hats: np.ndarray
-
-
 def _estimate(dataset: ParityDataset, grid: MLEGrid, n_replicates: int = 0,
-              seed=0) -> tuple[EstimationResult, BootstrapReplicates]:
-    """The point estimate and ``n_replicates`` bootstrap replicates of
-    ``dataset``: float count rows in record order, the observed counts
-    first, searched at once by the grid of its layers in that order.
-    Depth-0-only data cannot separate the decay from the amplitude, so it
+              seed=0) -> tuple[EstimationResult, np.ndarray, np.ndarray]:
+    """The point estimate and ``n_replicates`` bootstrap (pi_hats,
+    lambda_hats) of ``dataset``: float count rows in record order, the
+    observed counts first, searched at once by the grid of its layers in
+    that order, and row 0 the point estimate.  Depth-0-only data cannot separate the decay from the amplitude, so it
     takes the closed form (2 e - N) / N with lam pinned at 0 and builds no
     grid."""
     even = np.array([dataset.e_even], dtype=float)
@@ -554,11 +540,14 @@ def _estimate(dataset: ParityDataset, grid: MLEGrid, n_replicates: int = 0,
     layers = tuple(dataset.layers)
     if layers == (0,):
         pi_hats = (2.0 * even[:, 0] - shots[0]) / shots[0]
-        return (EstimationResult(float(pi_hats[0]), 0.0, False, method="direct"),
-                BootstrapReplicates(pi_hats[1:], np.zeros(n_replicates)))
-    result, pi_hats, lambda_hats = likelihood_tables(
-        grid, layers).search(even, shots)
-    return result, BootstrapReplicates(pi_hats, lambda_hats)
+        lambda_hats, degenerate, method = np.zeros(len(even)), False, "direct"
+    else:
+        pi_hats, lambda_hats, degenerate = likelihood_tables(
+            grid, layers).search(even, shots)
+        method = "mle"
+    result = EstimationResult(float(pi_hats[0]), float(lambda_hats[0]),
+                              degenerate, method)
+    return result, pi_hats[1:], lambda_hats[1:]
 
 
 def mle_estimate(dataset: ParityDataset, grid: MLEGrid = MLEGrid()) -> EstimationResult:
@@ -568,9 +557,9 @@ def mle_estimate(dataset: ParityDataset, grid: MLEGrid = MLEGrid()) -> Estimatio
 
 
 def estimate_term(dataset: ParityDataset, m_bootstrap: int, grid: MLEGrid = MLEGrid(),
-                  seed=0) -> tuple[EstimationResult, BootstrapReplicates]:
-    """Point estimate plus ``m_bootstrap`` bootstrap replicates, from one
-    search.
+                  seed=0) -> tuple[EstimationResult, np.ndarray, np.ndarray]:
+    """Point estimate plus the (pi_hats, lambda_hats) of ``m_bootstrap``
+    bootstrap replicates, from one search.
 
     Replicate ``k`` is entry ``k`` of one ``simulator.sample_parities``
     draw and its argmax is exact, so it depends only on ``(seed, k)``: a
@@ -581,16 +570,9 @@ def estimate_term(dataset: ParityDataset, m_bootstrap: int, grid: MLEGrid = MLEG
     return _estimate(dataset, grid, m_bootstrap, seed)
 
 
-@dataclass
-class BootstrapSummary:
-    """RMSE of replicates about a reference value, with its own error bar."""
-
-    rmse: float
-    sigma_rmse: float
-
-
-def rmse_stats(pi_hats, pi_ref: float) -> BootstrapSummary:
-    """RMSE about ``pi_ref`` and sigma_RMSE = sqrt(Var(MSE)) / (2 RMSE).
+def rmse_stats(pi_hats, pi_ref: float) -> tuple[float, float]:
+    """(RMSE, sigma_RMSE) of replicates about ``pi_ref``, with
+    sigma_RMSE = sqrt(Var(MSE)) / (2 RMSE).
 
     Both follow the population conventions: MSE = mean of squared
     deviations from ``pi_ref``, Var(MSE) = mean of {squared deviation -
@@ -605,4 +587,4 @@ def rmse_stats(pi_hats, pi_ref: float) -> BootstrapSummary:
     var_mse = float(np.mean((sq - mse) ** 2))
     rmse = math.sqrt(mse)
     sigma = math.sqrt(var_mse) / (2.0 * rmse) if rmse > 0.0 else 0.0
-    return BootstrapSummary(rmse=rmse, sigma_rmse=sigma)
+    return rmse, sigma

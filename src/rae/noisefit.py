@@ -190,8 +190,8 @@ def simulate_curves(ansatz_kind: str, target: PauliString, depths, lam: float,
 
     The sweep's angles, states and expectation values depend on no depth,
     so they are computed once and shared; every depth's circuit is checked
-    before any is sampled.  Each depth's probabilities come from one
-    ``chebyshev_parity_probability`` call.  Error bars are binomial with a
+    before any amplitude is inverted.  Each depth's probabilities come from
+    one ``chebyshev_parity_probability`` call.  Error bars are binomial with a
     half-count floor so degenerate rates (0 or 1) still carry a positive
     uncertainty.
     """
@@ -201,12 +201,13 @@ def simulate_curves(ansatz_kind: str, target: PauliString, depths, lam: float,
     if pi_values is None:
         pi_values = np.linspace(0.0, 1.0, CURVE_POINTS)
     pi_values = tuple(float(pi) for pi in pi_values)
+    # the register is the ansatz kind's, whatever the angle
+    for layers in depths:
+        check_circuit(AnsatzSpec(ansatz_kind, 0.0), target, layers, lam)
     ansatzes = [AnsatzSpec(ansatz_kind, angle_for_expectation(ansatz_kind, target, pi))
                 for pi in pi_values]
     if not ansatzes:  # nothing to sample; the curves' own checks reject them
         return tuple(LikelihoodCurve(layers, (), (), ()) for layers in depths)
-    for layers in depths:
-        check_circuit(ansatzes[0], target, layers, lam)
     expectations = expectation_values(
         np.array([ansatz_state(ansatz) for ansatz in ansatzes]), target)
     curves = []

@@ -413,18 +413,18 @@ class TestSweep:
         recomputed = {}
         for i, j in cells:
             schedule = lis(i, 128)
-            dataset, result, reps = sweep_cell(
+            dataset, result, pi_hats = sweep_cell(
                 ansatz, terms[j][1], 0.02, schedule, 30, grid, 4, (i, j),
             )
             assert dataset.pauli == terms[j][1].word
             assert dataset.layers == schedule.layers
-            stats = rmse_stats(reps.pi_hats,
-                               oracle_expectation(ansatz, terms[j][1]))
+            rmse, sigma_rmse = rmse_stats(pi_hats,
+                                          oracle_expectation(ansatz, terms[j][1]))
             recomputed[(i, j)] = (
                 f"{terms[j][1].word},{max(schedule.layers)},"
                 f"{query_cost(schedule)},{_fmt(result.pi_hat)},"
-                f"{_fmt(result.lambda_hat)},{_fmt(stats.rmse)},"
-                f"{_fmt(stats.sigma_rmse)}"
+                f"{_fmt(result.lambda_hat)},{_fmt(rmse)},"
+                f"{_fmt(sigma_rmse)}"
             )
         expected = [recomputed[(i, j)] for i in range(3)
                     for j in range(len(terms))]
@@ -686,7 +686,9 @@ class TestFitLambda:
         ("-1", "layer counts must be non-negative, got '-1'"),
         ("1,-2", "layer counts must be non-negative, got '1,-2'"),
         ("1,x", "expected comma-separated integers, got '1,x'"),
-    ], ids=["-1", "1,-2", "1,x"])
+        ("1,1000001", "layer counts must be at most 1000000, got '1,1000001'"),
+        (f"1{'0' * 30}", f"layer counts must be at most 1000000, got '1{'0' * 30}'"),
+    ], ids=["-1", "1,-2", "1,x", "1,1000001", "10^30"])
     def test_negative_layers_name_the_flag(self, capsys, monkeypatch, layers,
                                            message):
         """argparse rejects the value, before any curve is simulated."""
@@ -735,10 +737,17 @@ class TestFitLambda:
 
     def test_simulate_needs_an_invertible_term(self, capsys):
         assert run("fit-lambda", "--simulate", "--hamiltonian", "two_qubit",
-                   "--term", "Z", "--layers", 1) == 2
+                   "--term", "ZZ", "--layers", 1) == 2
         err = capsys.readouterr().err
         assert "has no invertible closed form" in err
         assert err.count("\n") == 1
+
+    def test_simulate_names_a_register_mismatch(self, capsys):
+        """The defaults pair the 1-qubit term Z with the 2-qubit ansatz:
+        the circuit check says so before any amplitude is inverted."""
+        assert run("fit-lambda", "--simulate") == 2
+        assert capsys.readouterr().err == \
+            "error: target 'Z' acts on 1 qubits, ansatz prepares 2\n"
 
 
 class TestInternalError:
@@ -1052,14 +1061,15 @@ class TestStamp:
 
 class TestUnreadFlags:
     """A command accepts only the flags it reads: ``schedule`` draws no
-    counts, and ``sweep`` and ``energy`` reject nris, the only schedule
-    that reads ``--c``."""
+    counts, ``sweep`` and ``energy`` reject nris, the only schedule that
+    reads ``--c``, and ``fit-lambda`` sweeps the ansatz angle itself."""
 
     @pytest.mark.parametrize("argv", [
         ("schedule", "--seed", 3),
         ("sweep", "--c", 2.0, "--out", "x.csv"),
         ("energy", "--c", 2.0, "--out", "x.csv"),
-    ], ids=["schedule-seed", "sweep-c", "energy-c"])
+        ("fit-lambda", "--simulate", "--theta", 1.234),
+    ], ids=["schedule-seed", "sweep-c", "energy-c", "fit-lambda-theta"])
     def test_exit_2(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             run(*argv)

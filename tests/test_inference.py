@@ -213,9 +213,12 @@ class TestLikelihoodGrid:
 
     def test_point_estimate_equals_one_row_batch(self):
         tables = LikelihoodGrid(self.GRID, self.FLAT.layers)
-        result, pi_hats, lambda_hats = tables.search(
+        pi_hats, lambda_hats, degenerate = tables.search(
             np.full((2, 4), 50.0), np.full(4, 100.0))
-        assert (pi_hats[0], lambda_hats[0]) == (result.pi_hat, result.lambda_hat)
+        point = tables.search(np.full((1, 4), 50.0), np.full(4, 100.0))
+        assert (pi_hats[1], lambda_hats[1]) == (pi_hats[0], lambda_hats[0])
+        assert (point[0][0], point[1][0], point[2]) == (
+            pi_hats[0], lambda_hats[0], degenerate)
 
     def test_records_search_the_grid_of_their_own_order(self):
         """Reversed records are searched on the grid built for the reversed
@@ -229,8 +232,11 @@ class TestLikelihoodGrid:
         likelihood_tables(self.GRID, (3, 2, 1, 0))
         assert likelihood_tables.cache_info().hits == hits + 1
         even = np.array(reversed_ds.e_even, dtype=float)
-        assert result == LikelihoodGrid(self.GRID, (3, 2, 1, 0)).search(
-            even[None], np.full(4, 256.0))[0]
+        pi_hats, lambda_hats, degenerate = LikelihoodGrid(
+            self.GRID, (3, 2, 1, 0)).search(even[None], np.full(4, 256.0))
+        assert result.method == "mle"
+        assert (result.pi_hat, result.lambda_hat, result.degenerate_maximum) == (
+            pi_hats[0], lambda_hats[0], degenerate)
 
 
 class TestDirectEstimate:
@@ -286,12 +292,12 @@ class TestDirectEstimate:
         the k-th ``SeedSequence`` child's binomial count at the observed
         rate."""
         n, e, seed = 1000, 700, 4
-        _, reps = estimate_term(
+        _, pi_hats, lambda_hats = estimate_term(
             ParityDataset("Z", (0,), (n,), (e,)), 50, seed=seed)
         for k, child in enumerate(np.random.SeedSequence(seed).spawn(50)):
             redraw = int(np.random.default_rng(child).binomial(n, e / n))
             result = mle_estimate(ParityDataset("Z", (0,), (n,), (redraw,)))
-            assert (reps.pi_hats[k], reps.lambda_hats[k]) == (
+            assert (pi_hats[k], lambda_hats[k]) == (
                 result.pi_hat, result.lambda_hat)
 
 
@@ -301,21 +307,21 @@ SMALL_GRID = MLEGrid(pi_points=2001, lambda_points=26, lambda_max=0.25)
 class TestBootstrap:
     def test_deterministic_given_seed(self):
         ds = exact_count_dataset(-0.2238, 0.045, range(5), 512, pauli="XX")
-        a = estimate_term(ds, 40, grid=SMALL_GRID, seed=7)[1]
-        b = estimate_term(ds, 40, grid=SMALL_GRID, seed=7)[1]
-        assert np.array_equal(a.pi_hats, b.pi_hats)
-        assert np.array_equal(a.lambda_hats, b.lambda_hats)
-        c = estimate_term(ds, 40, grid=SMALL_GRID, seed=8)[1]
-        assert not np.array_equal(a.pi_hats, c.pi_hats)
+        _, a_pi, a_lambda = estimate_term(ds, 40, grid=SMALL_GRID, seed=7)
+        _, b_pi, b_lambda = estimate_term(ds, 40, grid=SMALL_GRID, seed=7)
+        assert np.array_equal(a_pi, b_pi)
+        assert np.array_equal(a_lambda, b_lambda)
+        c_pi = estimate_term(ds, 40, grid=SMALL_GRID, seed=8)[1]
+        assert not np.array_equal(a_pi, c_pi)
 
     def test_replicates_do_not_depend_on_replicate_count(self):
         # near-tied lam values on the flat Pi = 0 column: rounding that
         # depended on the other replicates would move replicate 16
         flat, grid = TestLikelihoodGrid.FLAT, TestLikelihoodGrid.GRID
-        a = estimate_term(flat, 17, grid=grid, seed=22)[1]
-        b = estimate_term(flat, 18, grid=grid, seed=22)[1]
-        assert np.array_equal(a.pi_hats, b.pi_hats[:17])
-        assert np.array_equal(a.lambda_hats, b.lambda_hats[:17])
+        _, a_pi, a_lambda = estimate_term(flat, 17, grid=grid, seed=22)
+        _, b_pi, b_lambda = estimate_term(flat, 18, grid=grid, seed=22)
+        assert np.array_equal(a_pi, b_pi[:17])
+        assert np.array_equal(a_lambda, b_lambda[:17])
 
     def test_prefix_property_of_substreams(self):
         # replicate k depends only on (seed, k): a longer run extends a
@@ -323,34 +329,34 @@ class TestBootstrap:
         ds = exact_count_dataset(0.6, 0.02, range(4), 256)
         short = estimate_term(ds, 10, grid=SMALL_GRID, seed=2)[1]
         long = estimate_term(ds, 25, grid=SMALL_GRID, seed=2)[1]
-        assert np.array_equal(short.pi_hats, long.pi_hats[:10])
+        assert np.array_equal(short, long[:10])
 
     def test_degenerate_counts_give_identical_replicates(self):
         ds = ParityDataset("Z", (0, 1), (64, 64), (64, 0))
-        reps = estimate_term(ds, 25, grid=SMALL_GRID, seed=0)[1]
-        assert np.all(reps.pi_hats == reps.pi_hats[0])
+        pi_hats = estimate_term(ds, 25, grid=SMALL_GRID, seed=0)[1]
+        assert np.all(pi_hats == pi_hats[0])
 
     def test_unboosted_dataset_routes_through_closed_form(self):
         ds = ParityDataset("Z", (0,), (1000,), (700,))
-        reps = estimate_term(ds, 200, seed=4)[1]
-        assert np.all(reps.lambda_hats == 0.0)
+        _, pi_hats, lambda_hats = estimate_term(ds, 200, seed=4)
+        assert np.all(lambda_hats == 0.0)
         # every replicate is (2e - n)/n for an integer redraw e
-        counts = (reps.pi_hats * 1000 + 1000) / 2
+        counts = (pi_hats * 1000 + 1000) / 2
         assert np.allclose(counts, np.round(counts))
         # binomial mean matches the observed rate within 3 standard errors
         se = math.sqrt(0.7 * 0.3 / 1000) * 2 / math.sqrt(200)
-        assert abs(reps.pi_hats.mean() - 0.4) < 3 * se
+        assert abs(pi_hats.mean() - 0.4) < 3 * se
 
     def test_replicate_mean_tracks_full_estimate(self):
         # grid snapping contributes up to one step of systematic offset on
         # top of the monte-carlo error
         ds = exact_count_dataset(-0.2238, 0.045, range(5), 2048, pauli="XX")
-        reps = estimate_term(ds, 150, grid=SMALL_GRID, seed=9)[1]
+        pi_hats = estimate_term(ds, 150, grid=SMALL_GRID, seed=9)[1]
         full = mle_estimate(ds, SMALL_GRID)
-        spread = float(np.std(reps.pi_hats))
+        spread = float(np.std(pi_hats))
         pi_step = 2.0 * (1.0 - 1e-9) / (SMALL_GRID.pi_points - 1)
         tol = 3.0 * spread / math.sqrt(150) + pi_step
-        assert abs(float(np.mean(reps.pi_hats)) - full.pi_hat) < tol
+        assert abs(float(np.mean(pi_hats)) - full.pi_hat) < tol
 
     def test_replicate_count_validated(self):
         ds = ParityDataset("Z", (0,), (10,), (5,))
@@ -442,20 +448,20 @@ class TestEqualsExhaustiveScan:
 
     def test_bootstrap(self, case):
         ds, grid, n = EXHAUSTIVE_CASES[case]
-        reps = estimate_term(ds, n, grid=grid, seed=3)[1]
-        pi_hats, lambda_hats = exhaustive_bootstrap(ds, n, grid, seed=3)
-        assert np.array_equal(reps.pi_hats, pi_hats)
-        assert np.array_equal(reps.lambda_hats, lambda_hats)
+        _, pi_hats, lambda_hats = estimate_term(ds, n, grid=grid, seed=3)
+        expected_pi, expected_lambda = exhaustive_bootstrap(ds, n, grid, seed=3)
+        assert np.array_equal(pi_hats, expected_pi)
+        assert np.array_equal(lambda_hats, expected_lambda)
 
     def test_term(self, case):
         """The point estimate, searched as row 0 of the replicates' first
         row group, and every replicate equal the oracles."""
         ds, grid, n = EXHAUSTIVE_CASES[case]
-        result, reps = estimate_term(ds, n, grid=grid, seed=3)
+        result, pi_hats, lambda_hats = estimate_term(ds, n, grid=grid, seed=3)
         assert result == exhaustive_estimate(ds, grid)
-        pi_hats, lambda_hats = exhaustive_bootstrap(ds, n, grid, seed=3)
-        assert np.array_equal(reps.pi_hats, pi_hats)
-        assert np.array_equal(reps.lambda_hats, lambda_hats)
+        expected_pi, expected_lambda = exhaustive_bootstrap(ds, n, grid, seed=3)
+        assert np.array_equal(pi_hats, expected_pi)
+        assert np.array_equal(lambda_hats, expected_lambda)
 
 
 class TestSearchCount:
@@ -598,7 +604,7 @@ class TestCandidates:
         built = arrays()
         point = np.array(ds.e_even, dtype=float)
         shots = np.array(ds.n_shots)
-        result = tables.search(point[None], shots.astype(float))[0]
+        result = tables.search(point[None], shots.astype(float))
         rates = np.array([e / n for e, n in zip(ds.e_even, ds.n_shots)])
         even = np.random.default_rng(0).binomial(shots, rates, size=(130, len(shots)))
         tables.search(np.vstack([point, even]), shots.astype(float))
@@ -606,8 +612,10 @@ class TestCandidates:
         for values in vars(tables).values():
             if isinstance(values, np.ndarray):
                 assert not values.flags.writeable
-        assert result == LikelihoodGrid(MLEGrid(), ds.layers).search(
-            point[None], shots.astype(float))[0]
+        fresh = LikelihoodGrid(MLEGrid(), ds.layers).search(
+            point[None], shots.astype(float))
+        assert (result[0][0], result[1][0], result[2]) == (
+            fresh[0][0], fresh[1][0], fresh[2])
 
 
 class TestBlockLevel:
@@ -707,30 +715,30 @@ class TestMemory:
 class TestRmseStats:
     def test_all_replicates_on_reference(self):
         # a zero RMSE has a zero sigma, not a division by zero
-        s = rmse_stats([0.9, 0.9, 0.9], 0.9)
-        assert s.rmse == 0.0
-        assert s.sigma_rmse == 0.0
+        rmse, sigma_rmse = rmse_stats([0.9, 0.9, 0.9], 0.9)
+        assert rmse == 0.0
+        assert sigma_rmse == 0.0
 
     def test_single_replicate(self):
-        s = rmse_stats([1.0], 0.9)
-        assert s.rmse == pytest.approx(0.1)
-        assert s.sigma_rmse == pytest.approx(0.0, abs=1e-15)
+        rmse, sigma_rmse = rmse_stats([1.0], 0.9)
+        assert rmse == pytest.approx(0.1)
+        assert sigma_rmse == pytest.approx(0.0, abs=1e-15)
 
     def test_symmetric_pair(self):
         # both replicates sit 0.1 from the reference, so the squared
         # deviations are constant: variance 0, sigma 0, but rmse nonzero
-        s = rmse_stats([0.8, 1.0], 0.9)
-        assert s.rmse == pytest.approx(0.1)
-        assert s.sigma_rmse == pytest.approx(0.0, abs=1e-15)
+        rmse, sigma_rmse = rmse_stats([0.8, 1.0], 0.9)
+        assert rmse == pytest.approx(0.1)
+        assert sigma_rmse == pytest.approx(0.0, abs=1e-15)
 
     def test_population_conventions(self):
         rng = np.random.default_rng(0)
         values = rng.normal(0.5, 0.01, size=400)
-        s = rmse_stats(values, 0.5)
+        rmse, sigma_rmse = rmse_stats(values, 0.5)
         sq = (values - 0.5) ** 2
         mse = sq.mean()
-        assert s.rmse == pytest.approx(math.sqrt(mse))
-        assert s.sigma_rmse == pytest.approx(
+        assert rmse == pytest.approx(math.sqrt(mse))
+        assert sigma_rmse == pytest.approx(
             math.sqrt(((sq - mse) ** 2).mean()) / (2 * math.sqrt(mse)))
 
     def test_empty_rejected(self):
