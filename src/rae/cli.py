@@ -401,9 +401,10 @@ def cmd_fit_lambda(args: argparse.Namespace) -> int:
     profile = lambda_profile(
         curves, instability_threshold=args.threshold, lambda_max=args.lambda_max
     )
-    print("  L  lambda_hat    delta_lambda")
+    width = max([3, *(len(str(row.layers)) for row in profile.rows)])
+    print(f"{'L':>{width}}  lambda_hat    delta_lambda")
     for row in profile.rows:
-        print(f"{row.layers:>3d}  {row.lambda_hat:<12.6f} {row.delta_lambda:.6f}")
+        print(f"{row.layers:>{width}d}  {row.lambda_hat:<12.6f} {row.delta_lambda:.6f}")
     bounded = np.isfinite(profile.variation)
     if bounded:
         print(f"relative variation: {100.0 * profile.variation:.1f}%")

@@ -213,6 +213,20 @@ def _rounding_slack(n_layers: int) -> float:
     falls below a threshold holds no cell at or above it.
 
     16 (n + 1) u is over twice that for every n >= 1.
+
+    The same slack, as a factor 1 + s, covers the matrix-product screen.
+    Every term c T of a row's value at a cell (counts c >= 0, table values
+    T <= 0) has one sign, so the kernel value K and a matrix product B of
+    the same counts and table, summed in any order with or without fused
+    multiply-adds, both lie within gamma_2n of the exact sum S <= 0:
+    (1 + gamma_2n) S <= K, B <= (1 - gamma_2n) S.  With
+    r = (1 + gamma_2n) / (1 - gamma_2n) that gives K >= r B and B >= r K.
+    A row's best product m over some cells hence has a kernel value of at
+    least r m >= (1 + s) m there, rounded included, so m (1 + s) is a lower
+    bound of its kernel maximum: an incumbent.  And every cell whose kernel
+    value is at least K_max - tol has B >= r (r m - tol) >= r^2 (m - tol),
+    which is at or above (m - tol)(1 + s) computed in floating point, since
+    r^2 <= 1 + 8.1 n u: such a cell passes the screen's cut.
     """
     return 8.0 * (n_layers + 1) * np.finfo(float).eps
 
@@ -276,10 +290,11 @@ class LikelihoodGrid:
     to ``p0`` is monotone and correctly rounded), and so are its log bounds
     wherever ``log`` and ``log1p`` are monotone.
 
-    One fixed-order kernel, :meth:`_exact`, computes the model at the cells
+    One fixed-order kernel, :meth:`_sum`, computes the model at the cells
     it is given and makes every decision (argmax, ties, degeneracy), so a
     cell's value never depends on what else is evaluated with it; the
-    bounds only narrow down which cells the kernel must see.
+    bounds, and a matrix-product screen of each tile, only narrow down
+    which cells the kernel must see.
 
     The grid stores the factors, their ranges per block and the super-block
     level.  A search computes the bounds of the blocks it reaches with
@@ -330,53 +345,81 @@ class LikelihoodGrid:
         bounds *= 1.0 - _rounding_slack(len(self.layer_values))
         return p_lo, p_hi, bounds.T
 
-    def _exact(self, even: np.ndarray, shots: np.ndarray,
-               cells: np.ndarray) -> np.ndarray:
-        """Joint log-likelihood of every row of ``even`` at the flat
-        ``cells``: a (rows, cells) array.  ``log p0`` and ``log p1`` are
-        computed once per layer and cell and shared by every row, whose
-        values are summed elementwise layer by layer in record order."""
+    def _table(self, cells: np.ndarray) -> np.ndarray:
+        """``log p0`` then ``log p1`` of every layer at the flat ``cells``:
+        a (2 layers, cells) table, in the row order of the bound matrices,
+        so that count rows ``[even, shots - even]`` multiply it directly.
+        Each column is computed elementwise from the stored factors alone."""
         i, j = np.divmod(cells, self.grid.lambda_points)
-        log_p0 = np.take(self._cheb, i, axis=1)
-        log_p1 = np.take(self._decay, j, axis=1)
-        log_p1 *= log_p0
-        p0 = _to_p0(log_p1)
+        n = len(self.layer_values)
+        table = np.concatenate([self._cheb.take(i, axis=1), self._decay.take(j, axis=1)])
+        log_p0, p0 = table[:n], table[n:]
+        p0 *= log_p0
+        _to_p0(p0)
         np.log(p0, out=log_p0)
-        np.log1p(np.negative(p0, out=p0), out=log_p1)
-        odd = shots - even
-        total = np.zeros((len(even), len(cells)))
+        np.log1p(np.negative(p0, out=p0), out=p0)
+        return table
+
+    def _sum(self, counts: np.ndarray, table: np.ndarray) -> np.ndarray:
+        """The fixed-order kernel: joint log-likelihood of every row of
+        ``counts`` at the columns of a :meth:`_table`, a (rows, columns)
+        array, each row's values summed elementwise layer by layer in
+        record order."""
+        n = len(self.layer_values)
+        total = np.zeros((len(counts), table.shape[1]))
         term = np.empty_like(total)
-        for l in range(len(self.layer_values)):
-            total += np.multiply(even[:, l, None], log_p0[l], out=term)
-            total += np.multiply(odd[:, l, None], log_p1[l], out=term)
+        for l in range(n):
+            total += np.multiply(counts[:, l, None], table[l], out=term)
+            total += np.multiply(counts[:, n + l, None], table[n + l], out=term)
         return total
+
+    def _floor(self, counts: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+        """Each row's best matrix-product value on the cells of ``blocks``,
+        widened by :func:`_rounding_slack`: at most its kernel maximum
+        there."""
+        screen = counts @ self._table(self._block_cells(blocks))
+        return screen.max(axis=1) * (1.0 + _rounding_slack(len(self.layer_values)))
 
     def _tiles(self, cells: np.ndarray, rows: int) -> list[np.ndarray]:
         """``cells`` in consecutive slices small enough that neither a
-        slice's ``(layers, tile)`` log tables nor its ``(rows, tile)``
+        slice's ``(2 layers, tile)`` table nor its ``(rows, tile)``
         values exceed one full-grid surface."""
         n_cells = self.grid.pi_points * self.grid.lambda_points
         size = max(1, min(n_cells // (2 * len(self.layer_values)), n_cells // rows))
         return [cells[k:k + size] for k in range(0, len(cells), size)]
 
     def _maxima(self, even: np.ndarray, shots: np.ndarray, cells: np.ndarray,
+                tol: np.ndarray | float,
                 first_row: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Each row's maximum over the ascending ``cells`` and the first
-        cell that attains it, kept as a running first maximum over the
-        kernel's tiles; row 0's values at ``cells`` go into ``first_row``
-        if it is given."""
+        cell that attains it, kept as a running first maximum over tiles;
+        row 0's kernel values at the cells the screen keeps go into
+        ``first_row`` if it is given, whose other entries stay as they are.
+
+        Each tile's table is screened by one matrix product: a cell stays
+        if some row's product there is at least that row's best product
+        in the tile, less its ``tol``, widened by :func:`_rounding_slack`.
+        That keeps every cell whose kernel value comes within ``tol`` of
+        the row's maximum, so the kernel, run on the kept cells only,
+        finds the same first maximum."""
+        counts = np.hstack([even, shots - even])
+        slack = 1.0 + _rounding_slack(len(self.layer_values))
         best = np.full(len(even), -np.inf)
         where = np.zeros(len(even), dtype=np.intp)
         done = 0
         for tile in self._tiles(cells, len(even)):
-            values = self._exact(even, shots, tile)
+            table = self._table(tile)
+            screen = counts @ table
+            cut = (screen.max(axis=1) - tol) * slack
+            keep = np.any(screen >= cut[:, None], axis=0)
+            values = self._sum(counts, table[:, keep])
             if first_row is not None:
-                first_row[done:done + len(tile)] = values[0]
+                first_row[done:done + len(tile)][keep] = values[0]
                 done += len(tile)
             k = np.argmax(values, axis=1)
             top = values[np.arange(len(even)), k]
             better = top > best
-            best[better], where[better] = top[better], tile[k[better]]
+            best[better], where[better] = top[better], tile[keep][k[better]]
         return best, where
 
     def _members(self, supers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -409,8 +452,8 @@ class LikelihoodGrid:
         """Flat indices, ascending, of every cell of every block on which
         some row of ``even`` may come within ``tol`` of its maximum.
 
-        A row's incumbent is its best kernel value on the rows' top blocks
-        of their top super-blocks, both by the linear bound.  The search
+        A row's incumbent is its :meth:`_floor` on the rows' top blocks of
+        their top super-blocks, both by the linear bound.  The search
         then filters super-blocks, and the blocks of the super-blocks that
         survive for a row, with :meth:`_survivors`.
         """
@@ -418,7 +461,7 @@ class LikelihoodGrid:
         reach = counts @ self._super_bounds
         blocks, _ = self._members(np.unique(np.argmax(reach, axis=1)))
         top = np.unique(blocks[np.argmax(counts @ self._block_bounds(blocks)[2], axis=1)])
-        threshold = self._maxima(even, shots, self._block_cells(top))[0] - tol
+        threshold = self._floor(counts, top) - tol
         rows, supers = self._survivors(even, shots, threshold, reach,
                                        self._super_p_lo, self._super_p_hi)
         supers, owner = np.unique(supers, return_inverse=True)
@@ -433,8 +476,8 @@ class LikelihoodGrid:
         # rows' best surviving blocks
         best = set(blocks[np.argmax(reach, axis=1)].tolist()).difference(top.tolist())
         if best:
-            cells = self._block_cells(np.fromiter(best, dtype=np.intp))
-            threshold = np.maximum(threshold, self._maxima(even, shots, cells)[0] - tol)
+            threshold = np.maximum(
+                threshold, self._floor(counts, np.fromiter(best, dtype=np.intp)) - tol)
         _, kept = self._survivors(even, shots, threshold, reach, p_lo, p_hi)
         return self._block_cells(np.unique(blocks[kept]))
 
@@ -496,13 +539,13 @@ class LikelihoodGrid:
         tol = np.zeros(len(group))
         tol[0] = DEGENERACY_TOL
         cells = self._candidates(group, shots, tol)
-        first_row = np.empty(len(cells))
+        first_row = np.full(len(cells), -np.inf)
         winners = np.empty(len(even), dtype=np.intp)
-        best, winners[:len(group)] = self._maxima(group, shots, cells, first_row)
+        best, winners[:len(group)] = self._maxima(group, shots, cells, tol, first_row)
         for start in range(BOUND_ROWS, len(even), BOUND_ROWS):
             group = even[start:start + BOUND_ROWS]
             winners[start:start + len(group)] = self._maxima(
-                group, shots, self._candidates(group, shots, 0.0))[1]
+                group, shots, self._candidates(group, shots, 0.0), 0.0)[1]
         i, j = np.divmod(winners, self.grid.lambda_points)
         ci, cj = np.divmod(cells[first_row > best[0] - DEGENERACY_TOL],
                            self.grid.lambda_points)

@@ -14,6 +14,7 @@ import json
 import math
 import os
 import pathlib
+import platform
 import random
 import subprocess
 import sys
@@ -255,6 +256,33 @@ class TestEstimate:
         assert by_term["Z"]["crb"] > 0
         assert by_term["Z"]["reference"] == "oracle"
         assert "ADVANTAGE" in capsys.readouterr().out
+
+    def test_blas_thread_count_moves_no_byte(self, tmp_path):
+        """The grid search's bounds and screen are BLAS matrix products,
+        whose rounding may follow the BLAS build, but every decision is the
+        fixed-order kernel's: one and two OpenBLAS threads write the same
+        report, over two row groups of replicates.  On x86-64 a third run
+        forces OpenBLAS's SSE3 kernels, whose products differ from the
+        AVX2 and AVX-512 ones in their last bits."""
+        data = self.generated(tmp_path)
+        src = str(pathlib.Path(cli.__file__).parents[1])
+        settings = [{"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2"}]
+        if platform.machine() in ("x86_64", "AMD64"):
+            settings.append({"OPENBLAS_NUM_THREADS": "2", "OPENBLAS_CORETYPE": "Prescott"})
+        reports = []
+        for k, setting in enumerate(settings):
+            report = tmp_path / f"rep-{k}.json"
+            subprocess.run(
+                [sys.executable, "-m", "rae.cli", "estimate",
+                 *sorted(str(path) for path in data.glob("*.json")),
+                 "--bootstrap", "100", "--grid-pi", "2001", "--grid-lambda", "26",
+                 "--grid-lambda-max", "0.25", "--seed", "1", "--out", str(report)],
+                check=True, capture_output=True, timeout=120, cwd=tmp_path,
+                env={**os.environ, "PYTHONPATH": src,
+                     "OMP_NUM_THREADS": setting["OPENBLAS_NUM_THREADS"], **setting},
+            )
+            reports.append(report.read_bytes())
+        assert all(report == reports[0] for report in reports)
 
     def test_single_depth_routes_direct(self, tmp_path):
         data = self.generated(tmp_path, i_max=0)
@@ -748,6 +776,17 @@ class TestFitLambda:
         assert run("fit-lambda", "--simulate") == 2
         assert capsys.readouterr().err == \
             "error: target 'Z' acts on 1 qubits, ansatz prepares 2\n"
+
+    def test_depth_column_fits_the_widest_depth(self, capsys):
+        """A four-digit depth widens the L column and its header, so every
+        rate starts under ``lambda_hat``."""
+        assert run("fit-lambda", "--simulate", "--hamiltonian", "one_qubit",
+                   "--layers", "1,2,100,1000", "--lambda", 0.045,
+                   "--seed", 4) == 0
+        header, *rows = capsys.readouterr().out.splitlines()[:5]
+        assert header == "   L  lambda_hat    delta_lambda"
+        assert [row[:4] for row in rows] == ["   1", "   2", " 100", "1000"]
+        assert all(row[4:6] == "  " and row[6] in "0123456789-" for row in rows)
 
 
 class TestInternalError:

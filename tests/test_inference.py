@@ -435,6 +435,16 @@ EXHAUSTIVE_CASES = {
     # holds a single replicate
     "lone-last-replicate": (_sampled(0.55, 0.03, range(4), 256, 17),
                             RAGGED_GRID, 64),
+    # wide peaks at a high decay rate: the bounds leave most of the grid
+    # to the screen, in tens of tiles, for every row at once
+    "lambda-0.35-lis8": (_sampled(-0.2238, 0.35, range(9), 8192, 18, "XX"),
+                         MLEGrid(1001, 51, 0.5), 60),
+    # 4 shots at two depths leave maxima a few ulps apart: the screen's
+    # matrix product and the fixed-order kernel rank them differently for
+    # some replicates, which a screen cut without the rounding slack, or
+    # one that keeps only each row's best product, gets wrong
+    "screen-near-ties": (_sampled(-0.34, 0.14, (4, 8), 4, 47),
+                         MLEGrid(1001, 11, 0.25), 60),
 }
 
 
@@ -496,6 +506,31 @@ class TestSearchCount:
             monkeypatch, lambda: estimate_term(self.DATASET, n, seed=0))
         assert len(rows) == math.ceil((n + 1) / BOUND_ROWS)
         assert sum(rows) == n + 1
+
+    @pytest.mark.parametrize("n", [0, 130])
+    def test_kernel_sees_fewer_cells_than_the_screen(self, monkeypatch, n):
+        """The fixed-order kernel runs only on the cells the matrix-product
+        screen keeps: here under a tenth of the cells screened, for the
+        point estimate alone and with three row groups of replicates."""
+        screened, summed = [], []
+        maxima, kernel = LikelihoodGrid._maxima, LikelihoodGrid._sum
+
+        def screen_spy(self, even, shots, cells, *args):
+            screened.append(len(cells))
+            return maxima(self, even, shots, cells, *args)
+
+        def kernel_spy(self, counts, table):
+            summed.append(table.shape[1])
+            return kernel(self, counts, table)
+
+        monkeypatch.setattr(LikelihoodGrid, "_maxima", screen_spy)
+        monkeypatch.setattr(LikelihoodGrid, "_sum", kernel_spy)
+        if n:
+            estimate_term(self.DATASET, n, seed=0)
+        else:
+            mle_estimate(self.DATASET)
+        assert len(screened) == math.ceil((n + 1) / BOUND_ROWS)
+        assert 0 < 10 * sum(summed) < sum(screened)
 
 
 DEEP_LAYERS = (0, 1, 2, 4, 8, 16, 32, 64)
