@@ -443,7 +443,11 @@ def cmd_schedule(args: argparse.Namespace) -> int:
             if args.out:
                 prefixes.append({"layers": list(schedule.layers[:k]),
                                  "n_queries": n_queries, "crb": bound})
-            lines.append(f"  L<={layer:>4d}  queries={n_queries:>9d}  crb={text}")
+            lines.append((layer, n_queries, text))
+    layer_width = max([4, *(len(str(layer)) for layer, _, _ in lines)])
+    query_width = max([9, *(len(str(n_queries)) for _, n_queries, _ in lines)])
+    lines = [f"  L<={layer:>{layer_width}d}  queries={n_queries:>{query_width}d}  crb={text}"
+             for layer, n_queries, text in lines]
     print(f"layers: {' '.join(str(layer) for layer in schedule.layers)}")
     print(f"shots per layer: {schedule.shots_per_layer}")
     print(f"query cost: {query_cost(schedule)}")

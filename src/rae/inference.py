@@ -125,7 +125,8 @@ class MLEGrid:
         if self.pi_points < 2 or self.lambda_points < 2:
             raise ValueError("grid needs at least 2 points per axis")
         if not (math.isfinite(self.lambda_max) and self.lambda_max > 0.0):
-            raise ValueError("lambda_max must be positive")
+            raise ValueError(
+                f"lambda_max must be a finite positive number, got {self.lambda_max}")
 
     def pi_values(self) -> np.ndarray:
         return np.linspace(-1.0 + PI_INSET, 1.0 - PI_INSET, self.pi_points)
@@ -224,9 +225,9 @@ def _rounding_slack(n_layers: int) -> float:
     A row's best product m over some cells hence has a kernel value of at
     least r m >= (1 + s) m there, rounded included, so m (1 + s) is a lower
     bound of its kernel maximum: an incumbent.  And every cell whose kernel
-    value is at least K_max - tol has B >= r (r m - tol) >= r^2 (m - tol),
-    which is at or above (m - tol)(1 + s) computed in floating point, since
-    r^2 <= 1 + 8.1 n u: such a cell passes the screen's cut.
+    value is at least K_max - t, for t = DEGENERACY_TOL, has B >= r (r m - t)
+    >= r^2 (m - t), at or above (m - t)(1 + s) computed in floating point,
+    as r^2 <= 1 + 8.1 n u: such a cell passes the screen's cut.
     """
     return 8.0 * (n_layers + 1) * np.finfo(float).eps
 
@@ -296,8 +297,8 @@ class LikelihoodGrid:
     bounds, and a matrix-product screen of each tile, only narrow down
     which cells the kernel must see.
 
-    The grid stores the factors, their ranges per block and the super-block
-    level.  A search computes the bounds of the blocks it reaches with
+    The grid stores its :func:`_rounding_slack`, the factors, their ranges
+    per block and the super-block level.  A search computes the bounds of the blocks it reaches with
     :meth:`_block_bounds`, elementwise, so a block's bounds do not depend
     on which blocks are computed with it.  Nothing changes after the build,
     and the arrays are read-only, since :func:`likelihood_tables` shares
@@ -309,6 +310,7 @@ class LikelihoodGrid:
         self.layer_values = tuple(layer_values)
         if not self.layer_values:
             raise ValueError("need at least one layer")
+        self._slack = _rounding_slack(len(self.layer_values))
         self.pi_values, self.lambda_values = grid.pi_values(), grid.lambda_values()
         # (layers, pi points) and (layers, lam points)
         self._cheb, self._decay = _model_factors(
@@ -342,7 +344,7 @@ class LikelihoodGrid:
                                    np.maximum(c_hi * e_lo, c_hi * e_hi)]))
         p_lo, p_hi = p[:len(c_lo)], p[len(c_lo):]
         bounds = np.concatenate([np.log(p_hi), np.log1p(-p_lo)], axis=1)
-        bounds *= 1.0 - _rounding_slack(len(self.layer_values))
+        bounds *= 1.0 - self._slack
         return p_lo, p_hi, bounds.T
 
     def _table(self, cells: np.ndarray) -> np.ndarray:
@@ -378,49 +380,41 @@ class LikelihoodGrid:
         widened by :func:`_rounding_slack`: at most its kernel maximum
         there."""
         screen = counts @ self._table(self._block_cells(blocks))
-        return screen.max(axis=1) * (1.0 + _rounding_slack(len(self.layer_values)))
+        return screen.max(axis=1) * (1.0 + self._slack)
 
-    def _tiles(self, cells: np.ndarray, rows: int) -> list[np.ndarray]:
-        """``cells`` in consecutive slices small enough that neither a
-        slice's ``(2 layers, tile)`` table nor its ``(rows, tile)``
-        values exceed one full-grid surface."""
-        n_cells = self.grid.pi_points * self.grid.lambda_points
-        size = max(1, min(n_cells // (2 * len(self.layer_values)), n_cells // rows))
-        return [cells[k:k + size] for k in range(0, len(cells), size)]
-
-    def _maxima(self, even: np.ndarray, shots: np.ndarray, cells: np.ndarray,
-                tol: np.ndarray | float,
-                first_row: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    def _maxima(self, even: np.ndarray, shots: np.ndarray,
+                cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Each row's maximum over the ascending ``cells`` and the first
-        cell that attains it, kept as a running first maximum over tiles;
-        row 0's kernel values at the cells the screen keeps go into
-        ``first_row`` if it is given, whose other entries stay as they are.
+        cell that attains it, kept as a running first maximum over tiles,
+        slices of ``cells`` whose ``(2 layers, tile)`` table and
+        ``(rows, tile)`` values stay within one full-grid surface; and row
+        0's kernel values over ``cells``, -inf where the screen drops one.
 
         Each tile's table is screened by one matrix product: a cell stays
         if some row's product there is at least that row's best product
-        in the tile, less its ``tol``, widened by :func:`_rounding_slack`.
-        That keeps every cell whose kernel value comes within ``tol`` of
-        the row's maximum, so the kernel, run on the kept cells only,
-        finds the same first maximum."""
+        in the tile, less ``DEGENERACY_TOL``, widened by
+        :func:`_rounding_slack`.  That keeps every cell whose kernel value
+        comes within ``DEGENERACY_TOL`` of the row's maximum, so the
+        kernel, run on the kept cells only, finds the same first maximum."""
         counts = np.hstack([even, shots - even])
-        slack = 1.0 + _rounding_slack(len(self.layer_values))
+        n_cells = self.grid.pi_points * self.grid.lambda_points
+        size = max(1, min(n_cells // (2 * len(self.layer_values)), n_cells // len(even)))
         best = np.full(len(even), -np.inf)
         where = np.zeros(len(even), dtype=np.intp)
-        done = 0
-        for tile in self._tiles(cells, len(even)):
+        first_row = np.full(len(cells), -np.inf)
+        for start in range(0, len(cells), size):
+            tile = cells[start:start + size]
             table = self._table(tile)
             screen = counts @ table
-            cut = (screen.max(axis=1) - tol) * slack
+            cut = (screen.max(axis=1) - DEGENERACY_TOL) * (1.0 + self._slack)
             keep = np.any(screen >= cut[:, None], axis=0)
             values = self._sum(counts, table[:, keep])
-            if first_row is not None:
-                first_row[done:done + len(tile)][keep] = values[0]
-                done += len(tile)
+            first_row[start:start + size][keep] = values[0]
             k = np.argmax(values, axis=1)
             top = values[np.arange(len(even)), k]
             better = top > best
             best[better], where[better] = top[better], tile[keep][k[better]]
-        return best, where
+        return best, where, first_row
 
     def _members(self, supers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The blocks of the given super-blocks, grouped by super-block, and
@@ -447,22 +441,23 @@ class LikelihoodGrid:
         cells.sort()
         return cells
 
-    def _candidates(self, even: np.ndarray, shots: np.ndarray,
-                    tol: float) -> np.ndarray:
+    def _candidates(self, even: np.ndarray, shots: np.ndarray) -> np.ndarray:
         """Flat indices, ascending, of every cell of every block on which
-        some row of ``even`` may come within ``tol`` of its maximum.
+        some row of ``even`` may come within ``DEGENERACY_TOL`` of its
+        maximum.
 
         A row's incumbent is its :meth:`_floor` on the rows' top blocks of
         their top super-blocks, both by the linear bound.  The search
         then filters super-blocks, and the blocks of the super-blocks that
-        survive for a row, with :meth:`_survivors`.
+        survive for a row, with :meth:`_survivors` at that incumbent less
+        ``DEGENERACY_TOL``.
         """
         counts = np.hstack([even, shots - even])
         reach = counts @ self._super_bounds
         blocks, _ = self._members(np.unique(np.argmax(reach, axis=1)))
         top = np.unique(blocks[np.argmax(counts @ self._block_bounds(blocks)[2], axis=1)])
-        threshold = self._floor(counts, top) - tol
-        rows, supers = self._survivors(even, shots, threshold, reach,
+        incumbent = self._floor(counts, top)
+        rows, supers = self._survivors(even, shots, incumbent - DEGENERACY_TOL, reach,
                                        self._super_p_lo, self._super_p_hi)
         supers, owner = np.unique(supers, return_inverse=True)
         alive = np.zeros((len(even), len(supers)), dtype=bool)
@@ -476,9 +471,9 @@ class LikelihoodGrid:
         # rows' best surviving blocks
         best = set(blocks[np.argmax(reach, axis=1)].tolist()).difference(top.tolist())
         if best:
-            threshold = np.maximum(
-                threshold, self._floor(counts, np.fromiter(best, dtype=np.intp)) - tol)
-        _, kept = self._survivors(even, shots, threshold, reach, p_lo, p_hi)
+            incumbent = np.maximum(
+                incumbent, self._floor(counts, np.fromiter(best, dtype=np.intp)))
+        _, kept = self._survivors(even, shots, incumbent - DEGENERACY_TOL, reach, p_lo, p_hi)
         return self._block_cells(np.unique(blocks[kept]))
 
     def _survivors(self, even: np.ndarray, shots: np.ndarray,
@@ -515,8 +510,7 @@ class LikelihoodGrid:
         p = np.log(p, out=p)
         p *= even
         value += p
-        return ((1.0 - _rounding_slack(len(self.layer_values))) * value.sum(axis=1)
-                + _concave_slack(shots))
+        return (1.0 - self._slack) * value.sum(axis=1) + _concave_slack(shots)
 
     def search(self, even: np.ndarray,
                shots: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
@@ -528,27 +522,22 @@ class LikelihoodGrid:
 
         Row 0 is flagged degenerate when a cell outside its 3x3
         neighbourhood comes within ``DEGENERACY_TOL`` of its maximum, read
-        from the first group's final kernel pass.  Its threshold is its
-        incumbent, at most its maximum, minus ``DEGENERACY_TOL`` (the other
-        rows' is their incumbent), so every such cell is among the group's
-        candidates, and the cells other rows bring in change neither that
-        set nor any row's first maximum: a row's result does not depend on
-        the other rows.
+        from the first group's kernel pass.  Every row's threshold is its
+        incumbent, at most its maximum, minus ``DEGENERACY_TOL``, so every
+        such cell is among the group's candidates, and the cells other
+        rows bring in change neither that set nor any row's first maximum:
+        a row's result does not depend on the other rows.
         """
-        group = even[:BOUND_ROWS]
-        tol = np.zeros(len(group))
-        tol[0] = DEGENERACY_TOL
-        cells = self._candidates(group, shots, tol)
-        first_row = np.full(len(cells), -np.inf)
         winners = np.empty(len(even), dtype=np.intp)
-        best, winners[:len(group)] = self._maxima(group, shots, cells, tol, first_row)
-        for start in range(BOUND_ROWS, len(even), BOUND_ROWS):
+        for start in range(0, len(even), BOUND_ROWS):
             group = even[start:start + BOUND_ROWS]
-            winners[start:start + len(group)] = self._maxima(
-                group, shots, self._candidates(group, shots, 0.0), 0.0)[1]
+            cells = self._candidates(group, shots)
+            best, winners[start:start + len(group)], first_row = self._maxima(
+                group, shots, cells)
+            if not start:
+                near = cells[first_row > best[0] - DEGENERACY_TOL]
         i, j = np.divmod(winners, self.grid.lambda_points)
-        ci, cj = np.divmod(cells[first_row > best[0] - DEGENERACY_TOL],
-                           self.grid.lambda_points)
+        ci, cj = np.divmod(near, self.grid.lambda_points)
         far = (np.abs(ci - i[0]) > 1) | (np.abs(cj - j[0]) > 1)
         return self.pi_values[i], self.lambda_values[j], bool(np.any(far))
 
@@ -570,9 +559,9 @@ def _estimate(dataset: ParityDataset, grid: MLEGrid, n_replicates: int = 0,
     """The point estimate and ``n_replicates`` bootstrap (pi_hats,
     lambda_hats) of ``dataset``: float count rows in record order, the
     observed counts first, searched at once by the grid of its layers in
-    that order, and row 0 the point estimate.  Depth-0-only data cannot separate the decay from the amplitude, so it
-    takes the closed form (2 e - N) / N with lam pinned at 0 and builds no
-    grid."""
+    that order, and row 0 the point estimate.  Depth-0-only data cannot
+    separate the decay from the amplitude, so it takes the closed form
+    (2 e - N) / N with lam pinned at 0 and builds no grid."""
     even = np.array([dataset.e_even], dtype=float)
     shots = np.array(dataset.n_shots, dtype=float)
     if n_replicates:

@@ -113,7 +113,7 @@ def fit_lambda(curve: LikelihoodCurve, lambda_max: float = LAMBDA_MAX) -> Lambda
     delta = 1 / sqrt(sum_i J_i^2 / s_i^2) with J = dP/dlam at the optimum.
     """
     if not (math.isfinite(lambda_max) and lambda_max > 0.0):
-        raise ValueError("lambda_max must be positive")
+        raise ValueError(f"lambda_max must be a finite positive number, got {lambda_max}")
     pis, rates = np.array(curve.pi), np.array(curve.p_even)
     weights = np.array(curve.std_err) ** -2.0
     half_order = curve.layers + 0.5

@@ -141,16 +141,23 @@ def dense_tables(grid, layer_values) -> tuple[np.ndarray, np.ndarray]:
     return log_p0, log_p1
 
 
-def exhaustive_scan(grid, tables, even, shots) -> tuple[int, float, bool]:
-    """Every cell of the grid, summed elementwise layer by layer in record
-    order against the :func:`dense_tables` ``tables``: (flat index of the
-    first maximum, the maximum, whether a cell outside its 3x3
-    neighbourhood comes within 1e-9 of it)."""
+def dense_surface(tables, even, shots) -> np.ndarray:
+    """The log-likelihood of one count row at every cell of the grid, flat,
+    summed elementwise layer by layer in record order against the
+    :func:`dense_tables` ``tables``."""
     log_p0, log_p1 = (t.reshape(len(t), -1) for t in tables)
     total = np.zeros(log_p0.shape[1])
     for l in range(len(log_p0)):
         total += even[l] * log_p0[l]
         total += (shots[l] - even[l]) * log_p1[l]
+    return total
+
+
+def exhaustive_scan(grid, tables, even, shots) -> tuple[int, float, bool]:
+    """Every cell of the grid by :func:`dense_surface`: (flat index of the
+    first maximum, the maximum, whether a cell outside its 3x3
+    neighbourhood comes within 1e-9 of it)."""
+    total = dense_surface(tables, even, shots)
     best_flat = int(np.argmax(total))
     best = total[best_flat]
     surface = total.reshape(grid.pi_points, grid.lambda_points)

@@ -393,6 +393,20 @@ class TestEstimate:
         assert err.startswith("error: --band must be a finite positive number")
         assert not report.exists()
 
+    @pytest.mark.parametrize("lambda_max", ["inf", "0"])
+    def test_grid_lambda_max_validated(self, tmp_path, capsys, monkeypatch,
+                                       lambda_max):
+        """Rejected before any estimate, with the value it got."""
+        data = self.generated(tmp_path)
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "estimate_term", _no_work)
+        report = tmp_path / "rep.json"
+        assert run("estimate", data / "Z.json", "--bootstrap", 10,
+                   "--grid-lambda-max", lambda_max, "--out", report) == 2
+        assert capsys.readouterr().err == ("error: lambda_max must be a finite "
+                                           f"positive number, got {float(lambda_max)}\n")
+        assert not report.exists()
+
     @pytest.mark.parametrize("count", [0, -3])
     def test_bootstrap_must_be_positive(self, tmp_path, capsys, monkeypatch,
                                         count):
@@ -674,12 +688,13 @@ class TestFitLambda:
     def test_no_input_rejected(self):
         assert run("fit-lambda") == 2
 
-    @pytest.mark.parametrize("lambda_max", ["-1", "nan"])
+    @pytest.mark.parametrize("lambda_max", ["-1", "nan", "inf"])
     def test_lambda_max_validated(self, capsys, lambda_max):
         assert run("fit-lambda", "--simulate", "--hamiltonian", "one_qubit",
                    "--term", "Z", "--shots", 100, "--layers", 1,
                    "--lambda-max", lambda_max) == 2
-        assert "lambda_max must be positive" in capsys.readouterr().err
+        assert capsys.readouterr().err == ("error: lambda_max must be a finite "
+                                           f"positive number, got {float(lambda_max)}\n")
 
 
     @pytest.mark.parametrize("argv,message", [
@@ -819,6 +834,19 @@ class TestSchedule:
         assert all(b > 0 for b in bounds)
         assert bounds[-1] < bounds[0]
         assert "n/a" in capsys.readouterr().out
+
+    def test_prefix_columns_fit_the_widest_values(self, capsys):
+        """A five-digit depth and a ten-digit query count widen their
+        columns, so every prefix's queries and bound start in line."""
+        assert run("schedule", "--schedule", "eis", "--i-max", 16,
+                   "--pi", 0.3, "--lambda", 0.00001) == 0
+        out = capsys.readouterr().out.splitlines()
+        rows = out[out.index("best-case rmse by schedule prefix:") + 1:]
+        assert len(rows) == 17
+        assert rows[0] == "  L<=    0  queries=      8192  crb=n/a (depth set not identifiable)"
+        assert rows[-1].startswith("  L<=32768  queries=1073864704  crb=")
+        assert len({row.index("queries=") for row in rows}) == 1
+        assert len({row.index("crb=") for row in rows}) == 1
 
     def test_overflowing_depths_repeat_the_shallower_bound(self, tmp_path,
                                                            capsys):

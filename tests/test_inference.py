@@ -11,6 +11,7 @@ from oracles import (
     RAECircuitSpec,
     block_maxima,
     closed_form_parity,
+    dense_surface,
     dense_tables,
     eager_block_level,
     exhaustive_bootstrap,
@@ -489,9 +490,9 @@ class TestSearchCount:
         rows = []
         candidates = LikelihoodGrid._candidates
 
-        def spy(self, even, shots, tol):
+        def spy(self, even, shots):
             rows.append(len(even))
-            return candidates(self, even, shots, tol)
+            return candidates(self, even, shots)
 
         monkeypatch.setattr(LikelihoodGrid, "_candidates", spy)
         call()
@@ -515,9 +516,9 @@ class TestSearchCount:
         screened, summed = [], []
         maxima, kernel = LikelihoodGrid._maxima, LikelihoodGrid._sum
 
-        def screen_spy(self, even, shots, cells, *args):
+        def screen_spy(self, even, shots, cells):
             screened.append(len(cells))
-            return maxima(self, even, shots, cells, *args)
+            return maxima(self, even, shots, cells)
 
         def kernel_spy(self, counts, table):
             summed.append(table.shape[1])
@@ -618,9 +619,38 @@ class TestCandidates:
         point = np.array([ds.e_even], dtype=float)
         group = np.array([np.random.default_rng(child).binomial(shots, rates)
                           for child in np.random.SeedSequence(0).spawn(64)], dtype=float)
-        for even, tol in ((point, DEGENERACY_TOL), (group, 0.0)):
-            cells = tables._candidates(even, shots.astype(float), tol)
+        for even in (point, group):
+            cells = tables._candidates(even, shots.astype(float))
             assert len(cells) <= 16 * BLOCK**2
+
+    @pytest.mark.parametrize("case", ["screen-near-ties", "flat"])
+    def test_every_row_keeps_its_near_maxima(self, monkeypatch, case):
+        """For every row of every row group, not only row 0, each cell
+        whose value on the dense tables comes within ``DEGENERACY_TOL`` of
+        the row's maximum is among the group's candidates."""
+        ds, grid, n = EXHAUSTIVE_CASES[case]
+        searched = []
+        candidates = LikelihoodGrid._candidates
+
+        def spy(self, even, shots):
+            cells = candidates(self, even, shots)
+            searched.append((even, shots, cells))
+            return cells
+
+        monkeypatch.setattr(LikelihoodGrid, "_candidates", spy)
+        estimate_term(ds, n, grid=grid, seed=3)
+        assert len(searched) == math.ceil((n + 1) / BOUND_ROWS)
+        tables = dense_tables(grid, ds.layers)
+        near_ties = 0
+        for even, shots, cells in searched:
+            for row in even:
+                total = dense_surface(tables, row, shots)
+                near = np.flatnonzero(total >= total.max() - DEGENERACY_TOL)
+                assert np.all(np.isin(near, cells))
+                near_ties += np.count_nonzero(total[near] < total.max())
+        # some rows have cells below their maximum but within the tolerance,
+        # so the check covers more than exact maxima
+        assert near_ties > 0
 
     def test_searches_leave_the_grid_unchanged(self, tmp_path):
         """A point estimate and a 130-row search, three row groups, write
@@ -736,7 +766,7 @@ class TestMemory:
         grid = MLEGrid(500, 50, 50.0)
         tables = LikelihoodGrid(grid, ds.layers)
         even = np.array([[1.0] * 30])
-        assert len(tables._candidates(even, np.full(30, 2.0), DEGENERACY_TOL)) == 25000
+        assert len(tables._candidates(even, np.full(30, 2.0))) == 25000
         assert _peak_bytes(ds, grid) < 4 * 2**20
 
     def test_flat_likelihood_peak(self):

@@ -140,7 +140,7 @@ class TestFitLambda:
 
     @pytest.mark.parametrize("lambda_max", [-1.0, 0.0, math.nan, math.inf])
     def test_lambda_max_validated(self, lambda_max):
-        with pytest.raises(ValueError, match="lambda_max"):
+        with pytest.raises(ValueError, match="lambda_max must be a finite positive number"):
             fit_lambda(synthetic_curve(1, 0.05), lambda_max=lambda_max)
 
 
