@@ -46,7 +46,7 @@ from .inference import (
     BOOTSTRAP_REPLICATES,
     IdentifiabilityError,
     MLEGrid,
-    estimate_term,
+    estimate_terms,
     load_dataset,
     save_dataset,
 )
@@ -287,18 +287,18 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         )
     grid = _grid_from_args(args)
     config = _config(args, seed)
-    rows = []
-    for j, (path, dataset) in enumerate(datasets):
-        m = args.bootstrap
+    counts = [args.bootstrap or BOOTSTRAP_REPLICATES.get(len(d.pauli)) for _, d in datasets]
+    for (_, dataset), m in zip(datasets, counts):
         if m is None:
-            m = BOOTSTRAP_REPLICATES.get(len(dataset.pauli))
-            if m is None:
-                raise ValueError(
-                    f"no default replicate count for {len(dataset.pauli)}-qubit "
-                    "terms; pass --bootstrap"
-                )
-        result, pi_hats, _ = estimate_term(
-            dataset, m, grid=grid, seed=np.random.SeedSequence(seed, spawn_key=(j,)))
+            raise ValueError(
+                f"no default replicate count for {len(dataset.pauli)}-qubit "
+                "terms; pass --bootstrap"
+            )
+    estimates = estimate_terms(
+        [d for _, d in datasets], counts, grid,
+        [np.random.SeedSequence(seed, spawn_key=(j,)) for j in range(len(datasets))])
+    rows = []
+    for (path, dataset), (result, pi_hats, _) in zip(datasets, estimates):
         row = term_row(dataset, result, pi_hats, grid)
         row["file"] = path
         row["verdict"] = None if row["crb"] is None else advantage_verdict(

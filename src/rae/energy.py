@@ -21,7 +21,7 @@ from .inference import (
     MLEGrid,
     ParityDataset,
     chebyshev_parity_probability,
-    estimate_term,
+    estimate_terms,
     rmse_stats,
 )
 from .pauli import AnsatzSpec, PauliString, PauliSum, oracle_expectation
@@ -104,34 +104,27 @@ def simulate_dataset(ansatz: AnsatzSpec, target: PauliString, lam: float,
     )
 
 
-def sweep_cell(ansatz: AnsatzSpec, string: PauliString, lam: float,
-               schedule: LayerSchedule, m_bootstrap: int, grid: MLEGrid,
-               seed: int, position: tuple[int, int]):
-    """Simulate and estimate the (budget row, term) cell at ``position``;
-    returns the dataset, its point estimate and its replicates' pi_hats.
-
-    The data and bootstrap substreams are keyed by (row, term, 0) and
-    (row, term, 1) only, so cells can be computed in any order, or
-    concurrently, and still reproduce the sequential table.
-    """
-    i, j = position
-    dataset = simulate_dataset(ansatz, string, lam, schedule,
-                               seed=np.random.SeedSequence(seed, spawn_key=(i, j, 0)))
-    result, pi_hats, _ = estimate_term(
-        dataset, m_bootstrap, grid=grid,
-        seed=np.random.SeedSequence(seed, spawn_key=(i, j, 1)))
-    return dataset, result, pi_hats
-
-
 def sweep(hamiltonian: PauliSum, ansatz: AnsatzSpec, lam: float, schedules,
           m_bootstrap: int, grid: MLEGrid, seed: int):
-    """Yield each of ``schedules`` with the :func:`sweep_cell` of every
-    non-identity term, in term order: schedule i, term j is cell (i, j)."""
+    """Yield each of ``schedules`` with a (dataset, point estimate,
+    replicates' pi_hats) cell for every non-identity term, in term order:
+    schedule i, term j is cell (i, j).  A row's terms share its schedule,
+    so :func:`estimate_terms` searches them as one batch.
+
+    Cell (i, j)'s data and bootstrap substreams are keyed by (i, j, 0) and
+    (i, j, 1) only, so cells can be computed in any order, or
+    concurrently, and still reproduce the sequential table.
+    """
     terms = hamiltonian.non_identity_terms()
     for i, schedule in enumerate(schedules):
-        yield schedule, [sweep_cell(ansatz, string, lam, schedule, m_bootstrap,
-                                    grid, seed, (i, j))
-                         for j, (_, string) in enumerate(terms)]
+        datasets = [simulate_dataset(ansatz, string, lam, schedule,
+                                     seed=np.random.SeedSequence(seed, spawn_key=(i, j, 0)))
+                    for j, (_, string) in enumerate(terms)]
+        estimates = estimate_terms(
+            datasets, [m_bootstrap] * len(terms), grid,
+            [np.random.SeedSequence(seed, spawn_key=(i, j, 1)) for j in range(len(terms))])
+        yield schedule, [(dataset, result, pi_hats) for dataset, (result, pi_hats, _)
+                         in zip(datasets, estimates)]
 
 
 def _reference_expectation(dataset: ParityDataset) -> float | None:

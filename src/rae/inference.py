@@ -186,6 +186,11 @@ SUPER = 10
 # (BOUND_ROWS, blocks) temporary, 5 MB on the default grid.
 BOUND_ROWS = 64
 
+# Floats in one of the kernel pass's per-tile arrays, 512 KiB: a search of
+# many rows screens the union of their candidates in more tiles, not in
+# larger temporaries.
+TILE_FLOATS = 2**16
+
 
 def _rounding_slack(n_layers: int) -> float:
     """Relative slack that makes a row's block bound cover every kernel value
@@ -382,13 +387,14 @@ class LikelihoodGrid:
         screen = counts @ self._table(self._block_cells(blocks))
         return screen.max(axis=1) * (1.0 + self._slack)
 
-    def _maxima(self, even: np.ndarray, shots: np.ndarray,
-                cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _maxima(self, even: np.ndarray, shots: np.ndarray, cells: np.ndarray,
+                n_points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Each row's maximum over the ascending ``cells`` and the first
         cell that attains it, kept as a running first maximum over tiles,
         slices of ``cells`` whose ``(2 layers, tile)`` table and
-        ``(rows, tile)`` values stay within one full-grid surface; and row
-        0's kernel values over ``cells``, -inf where the screen drops one.
+        ``(rows, tile)`` values stay within ``TILE_FLOATS`` and one
+        full-grid surface; and the leading ``n_points`` rows' kernel values
+        over ``cells``, -inf where the screen drops one.
 
         Each tile's table is screened by one matrix product: a cell stays
         if some row's product there is at least that row's best product
@@ -397,11 +403,11 @@ class LikelihoodGrid:
         comes within ``DEGENERACY_TOL`` of the row's maximum, so the
         kernel, run on the kept cells only, finds the same first maximum."""
         counts = np.hstack([even, shots - even])
-        n_cells = self.grid.pi_points * self.grid.lambda_points
-        size = max(1, min(n_cells // (2 * len(self.layer_values)), n_cells // len(even)))
+        budget = min(self.grid.pi_points * self.grid.lambda_points, TILE_FLOATS)
+        size = max(1, min(budget // (2 * len(self.layer_values)), budget // len(even)))
         best = np.full(len(even), -np.inf)
         where = np.zeros(len(even), dtype=np.intp)
-        first_row = np.full(len(cells), -np.inf)
+        kept = np.full((n_points, len(cells)), -np.inf)
         for start in range(0, len(cells), size):
             tile = cells[start:start + size]
             table = self._table(tile)
@@ -409,12 +415,12 @@ class LikelihoodGrid:
             cut = (screen.max(axis=1) - DEGENERACY_TOL) * (1.0 + self._slack)
             keep = np.any(screen >= cut[:, None], axis=0)
             values = self._sum(counts, table[:, keep])
-            first_row[start:start + size][keep] = values[0]
+            kept[:, start:start + size][:, keep] = values[:n_points]
             k = np.argmax(values, axis=1)
             top = values[np.arange(len(even)), k]
             better = top > best
             best[better], where[better] = top[better], tile[keep][k[better]]
-        return best, where, first_row
+        return best, where, kept
 
     def _members(self, supers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The blocks of the given super-blocks, grouped by super-block, and
@@ -512,34 +518,39 @@ class LikelihoodGrid:
         value += p
         return (1.0 - self._slack) * value.sum(axis=1) + _concave_slack(shots)
 
-    def search(self, even: np.ndarray,
-               shots: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
-        """Exact argmax of every row of ``even``, a term's observed counts
-        then its bootstrap replicates: every row's (pi_hats, lambda_hats),
-        and whether row 0's maximum is degenerate.  Rows go ``BOUND_ROWS``
-        at a time, each group's kernel on the union of its candidate
-        blocks; ties resolve to the smallest Pi index, then lam index.
+    def search(self, even: np.ndarray, shots: np.ndarray,
+               n_points: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Exact argmax of every row of ``even``, observed counts then
+        bootstrap replicates: every row's (pi_hats, lambda_hats), and
+        whether each of the leading ``n_points`` rows, the observed ones,
+        has a degenerate maximum.  Rows go ``BOUND_ROWS`` at a time, each
+        group's kernel on the union of its candidate blocks; ties resolve
+        to the smallest Pi index, then lam index.
 
-        Row 0 is flagged degenerate when a cell outside its 3x3
+        A row is flagged degenerate when a cell outside its 3x3
         neighbourhood comes within ``DEGENERACY_TOL`` of its maximum, read
-        from the first group's kernel pass.  Every row's threshold is its
-        incumbent, at most its maximum, minus ``DEGENERACY_TOL``, so every
-        such cell is among the group's candidates, and the cells other
-        rows bring in change neither that set nor any row's first maximum:
-        a row's result does not depend on the other rows.
+        from the kernel pass of the group that holds it.  Every row's
+        threshold is its incumbent, at most its maximum, minus
+        ``DEGENERACY_TOL``, so every such cell is among the group's
+        candidates, and the cells other rows bring in change neither that
+        set nor any row's first maximum: a row's result does not depend on
+        the other rows, so rows of any terms that share the grid and the
+        shots can be searched together.
         """
         winners = np.empty(len(even), dtype=np.intp)
+        flags = np.zeros(n_points, dtype=bool)
         for start in range(0, len(even), BOUND_ROWS):
             group = even[start:start + BOUND_ROWS]
             cells = self._candidates(group, shots)
-            best, winners[start:start + len(group)], first_row = self._maxima(
-                group, shots, cells)
-            if not start:
-                near = cells[first_row > best[0] - DEGENERACY_TOL]
+            best, winners[start:start + len(group)], kept = self._maxima(
+                group, shots, cells, max(0, min(len(group), n_points - start)))
+            for row, values in enumerate(kept, start):
+                i, j = divmod(int(winners[row]), self.grid.lambda_points)
+                ci, cj = np.divmod(cells[values > best[row - start] - DEGENERACY_TOL],
+                                   self.grid.lambda_points)
+                flags[row] = np.any((np.abs(ci - i) > 1) | (np.abs(cj - j) > 1))
         i, j = np.divmod(winners, self.grid.lambda_points)
-        ci, cj = np.divmod(near, self.grid.lambda_points)
-        far = (np.abs(ci - i[0]) > 1) | (np.abs(cj - j[0]) > 1)
-        return self.pi_values[i], self.lambda_values[j], bool(np.any(far))
+        return self.pi_values[i], self.lambda_values[j], flags
 
 
 @functools.lru_cache(maxsize=1)
@@ -554,52 +565,69 @@ def likelihood_tables(grid: MLEGrid, layer_values: tuple[int, ...]) -> Likelihoo
     return LikelihoodGrid(grid, layer_values)
 
 
-def _estimate(dataset: ParityDataset, grid: MLEGrid, n_replicates: int = 0,
-              seed=0) -> tuple[EstimationResult, np.ndarray, np.ndarray]:
-    """The point estimate and ``n_replicates`` bootstrap (pi_hats,
-    lambda_hats) of ``dataset``: float count rows in record order, the
-    observed counts first, searched at once by the grid of its layers in
-    that order, and row 0 the point estimate.  Depth-0-only data cannot
-    separate the decay from the amplitude, so it takes the closed form
-    (2 e - N) / N with lam pinned at 0 and builds no grid."""
-    even = np.array([dataset.e_even], dtype=float)
-    shots = np.array(dataset.n_shots, dtype=float)
-    if n_replicates:
+def estimate_terms(datasets, m_bootstraps, grid: MLEGrid, seeds) -> list[tuple]:
+    """Point estimate plus the (pi_hats, lambda_hats) of ``m_bootstraps[k]``
+    bootstrap replicates (0 for none) of each of ``datasets``, in order.
+
+    Replicate ``k`` of a term is entry ``k`` of one
+    ``simulator.sample_parities`` draw from its own ``seeds`` entry, and
+    every argmax is exact, so it depends only on that seed and ``k``.  The
+    terms that share a grid, the same layers in the same order, and the
+    same shots are searched as one batch of float count rows: their
+    observed counts first, then each term's replicates in term order.  A
+    row's result does not depend on the other rows, so each term's equals
+    that of a search of its own.  Depth-0-only data cannot separate the
+    decay from the amplitude, so it takes the closed form (2 e - N) / N
+    with lam pinned at 0 and builds no grid.
+    """
+    batches: dict[tuple, list[int]] = {}
+    replicates = []
+    for k, (dataset, m, seed) in enumerate(zip(datasets, m_bootstraps, seeds)):
+        batches.setdefault((tuple(dataset.layers), tuple(dataset.n_shots)), []).append(k)
+        if not m:
+            replicates.append(np.empty((0, len(dataset.layers))))
+            continue
         rates = np.array([e / n for e, n in zip(dataset.e_even, dataset.n_shots)])
-        even = np.vstack([even, np.array(sample_parities(
-            np.broadcast_to(rates, (n_replicates, len(rates))),
-            shots.astype(np.int64), seed), dtype=float)])
-    layers = tuple(dataset.layers)
-    if layers == (0,):
-        pi_hats = (2.0 * even[:, 0] - shots[0]) / shots[0]
-        lambda_hats, degenerate, method = np.zeros(len(even)), False, "direct"
-    else:
-        pi_hats, lambda_hats, degenerate = likelihood_tables(
-            grid, layers).search(even, shots)
-        method = "mle"
-    result = EstimationResult(float(pi_hats[0]), float(lambda_hats[0]),
-                              degenerate, method)
-    return result, pi_hats[1:], lambda_hats[1:]
+        replicates.append(np.array(sample_parities(
+            np.broadcast_to(rates, (m, len(rates))),
+            np.array(dataset.n_shots, dtype=float).astype(np.int64), seed), dtype=float))
+    results = [None] * len(datasets)
+    for (layers, n_shots), terms in batches.items():
+        even = np.concatenate([np.array([datasets[k].e_even for k in terms], dtype=float),
+                               *(replicates[k] for k in terms)])
+        shots = np.array(n_shots, dtype=float)
+        if layers == (0,):
+            pi_hats = (2.0 * even[:, 0] - shots[0]) / shots[0]
+            lambda_hats, flags, method = np.zeros(len(even)), [False] * len(terms), "direct"
+        else:
+            pi_hats, lambda_hats, flags = likelihood_tables(grid, layers).search(
+                even, shots, len(terms))
+            method = "mle"
+        stop = len(terms)
+        for row, (k, flag) in enumerate(zip(terms, flags)):
+            start, stop = stop, stop + len(replicates[k])
+            results[k] = (EstimationResult(float(pi_hats[row]), float(lambda_hats[row]),
+                                           bool(flag), method),
+                          pi_hats[start:stop], lambda_hats[start:stop])
+    return results
 
 
 def mle_estimate(dataset: ParityDataset, grid: MLEGrid = MLEGrid()) -> EstimationResult:
     """Exhaustive-grid joint MLE of (Pi, lam); depth-0-only data takes the
     closed form with lam pinned at 0 and builds no grid."""
-    return _estimate(dataset, grid)[0]
+    return estimate_terms([dataset], [0], grid, [0])[0][0]
 
 
 def estimate_term(dataset: ParityDataset, m_bootstrap: int, grid: MLEGrid = MLEGrid(),
                   seed=0) -> tuple[EstimationResult, np.ndarray, np.ndarray]:
     """Point estimate plus the (pi_hats, lambda_hats) of ``m_bootstrap``
-    bootstrap replicates, from one search.
-
-    Replicate ``k`` is entry ``k`` of one ``simulator.sample_parities``
-    draw and its argmax is exact, so it depends only on ``(seed, k)``: a
-    longer run extends a shorter one without changing its entries.
+    bootstrap replicates, from one search: :func:`estimate_terms` of one
+    term.  A longer run extends a shorter one without changing its
+    entries.
     """
     if m_bootstrap < 1:
         raise ValueError("m_bootstrap must be positive")
-    return _estimate(dataset, grid, m_bootstrap, seed)
+    return estimate_terms([dataset], [m_bootstrap], grid, [seed])[0]
 
 
 def rmse_stats(pi_hats, pi_ref: float) -> tuple[float, float]:

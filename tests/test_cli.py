@@ -21,6 +21,7 @@ import sys
 import tempfile
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,12 +29,14 @@ from hypothesis import strategies as st
 from oracles import synthetic_curve
 from rae import cli, energy, fisher, jsonio, noisefit
 from rae.cli import main, _fmt
-from rae.energy import sweep_cell
+from rae.energy import simulate_dataset, term_row
 from rae.fisher import NoContrastError, crb_rmse
 from rae.inference import (
     IdentifiabilityError,
+    LikelihoodGrid,
     MLEGrid,
     ParityDataset,
+    estimate_term,
     load_dataset,
     rmse_stats,
     save_dataset,
@@ -68,10 +71,25 @@ def _no_work(*args, **kwargs):
     raise AssertionError("estimated before the flags were checked")
 
 
+def _searched_rows(monkeypatch) -> list[int]:
+    """The number of rows of each ``LikelihoodGrid._candidates`` call made
+    from now on: one per row group of a search."""
+    rows = []
+    candidates = LikelihoodGrid._candidates
+
+    def spy(self, even, shots):
+        rows.append(len(even))
+        return candidates(self, even, shots)
+
+    monkeypatch.setattr(LikelihoodGrid, "_candidates", spy)
+    return rows
+
+
 def _bootstrap_count_rejected(argv, count, outputs, capsys, monkeypatch):
     """``sweep`` and ``energy`` reject ``--bootstrap count`` in their shared
     set-up: exit 2 naming the flag, no cell estimated, no file written."""
-    monkeypatch.setattr(energy, "sweep_cell", _no_work)
+    monkeypatch.setattr(energy, "simulate_dataset", _no_work)
+    monkeypatch.setattr(energy, "estimate_terms", _no_work)
     assert run(*argv, "--bootstrap", count) == 2
     assert capsys.readouterr().err == \
         f"error: --bootstrap must be a positive integer, got {count}\n"
@@ -373,6 +391,63 @@ class TestEstimate:
             "error: no default replicate count for 3-qubit terms; pass --bootstrap\n")
         assert not report.exists()
 
+    def test_three_qubit_term_after_valid_files_searches_nothing(
+            self, tmp_path, capsys, monkeypatch):
+        """Every file's replicate count is resolved before any search, so a
+        3-qubit file after two valid ones gives the same one line and exit
+        2 without estimating them first."""
+        data = self.generated(tmp_path)
+        path = tmp_path / "ZZZ.json"
+        save_dataset(path, ParityDataset("ZZZ", (0, 1), (16, 16), (8, 5)))
+        report = tmp_path / "rep.json"
+        rows = _searched_rows(monkeypatch)
+        capsys.readouterr()
+        assert run("estimate", data / "Z.json", data / "X.json", path, "--force",
+                   *SMALL_GRID_ARGS, "--out", report) == 2
+        assert capsys.readouterr().err == (
+            "error: no default replicate count for 3-qubit terms; pass --bootstrap\n")
+        assert rows == []
+        assert not report.exists()
+
+    def test_same_schedule_files_are_one_search(self, tmp_path, monkeypatch):
+        """Five two-qubit lis(8) files share one grid: with 30 replicates
+        each they are 155 count rows, ceil(155 / 64) = 3 row groups."""
+        assert run("generate", "--hamiltonian", "two_qubit", "--lambda", 0.045,
+                   "--i-max", 8, "--shots", 512, "--seed", 5,
+                   "--out", tmp_path / "data") == 0
+        rows = _searched_rows(monkeypatch)
+        assert run("estimate", *sorted((tmp_path / "data").iterdir()),
+                   "--bootstrap", 30, *SMALL_GRID_ARGS,
+                   "--out", tmp_path / "rep.json") == 0
+        assert rows == [64, 64, 27]
+
+    def test_files_of_other_grids_are_searched_apart(self, tmp_path, monkeypatch):
+        """Records in another order, or other shot counts, need another
+        grid: such a file is a search of its own, and every report row
+        equals that file's estimate alone with the same seed."""
+        data = self.generated(tmp_path, i_max=3)
+        doc = json.loads((data / "Z.json").read_text())
+        reversed_path, doubled_path = tmp_path / "reversed.json", tmp_path / "doubled.json"
+        reversed_path.write_text(json.dumps(dict(doc, records=doc["records"][::-1])))
+        doubled_path.write_text(json.dumps(dict(doc, records=[
+            dict(r, n_shots=2 * r["n_shots"], e_even=2 * r["e_even"])
+            for r in doc["records"]])))
+        files = [data / "Z.json", reversed_path, doubled_path, data / "X.json"]
+        rows = _searched_rows(monkeypatch)
+        report = tmp_path / "rep.json"
+        assert run("estimate", *files, "--bootstrap", 20, *SMALL_GRID_ARGS,
+                   "--seed", 6, "--out", report) == 0
+        # Z.json and X.json together, then the reversed and doubled files
+        assert rows == [42, 21, 21]
+        grid = MLEGrid(1001, 11, 0.25)
+        terms = json.loads(report.read_text())["terms"]
+        for j, (path, row) in enumerate(zip(files, terms)):
+            dataset = load_dataset(str(path))
+            result, pi_hats, _ = estimate_term(
+                dataset, 20, grid=grid, seed=np.random.SeedSequence(6, spawn_key=(j,)))
+            alone = term_row(dataset, result, pi_hats, grid)
+            assert {key: row[key] for key in alone} == alone
+
     @pytest.mark.parametrize("band", ["nan", "inf", "0", "-1"])
     @pytest.mark.parametrize("i_max", [0, 2])
     def test_band_must_be_finite_and_positive(self, tmp_path, capsys,
@@ -385,7 +460,7 @@ class TestEstimate:
         def no_work(*args, **kwargs):
             raise AssertionError("estimated before the band was checked")
 
-        monkeypatch.setattr(cli, "estimate_term", no_work)
+        monkeypatch.setattr(cli, "estimate_terms", no_work)
         report = tmp_path / "rep.json"
         assert run("estimate", data / "Z.json", f"--band={band}",
                    "--bootstrap", 10, *SMALL_GRID_ARGS, "--out", report) == 2
@@ -399,7 +474,7 @@ class TestEstimate:
         """Rejected before any estimate, with the value it got."""
         data = self.generated(tmp_path)
         capsys.readouterr()
-        monkeypatch.setattr(cli, "estimate_term", _no_work)
+        monkeypatch.setattr(cli, "estimate_terms", _no_work)
         report = tmp_path / "rep.json"
         assert run("estimate", data / "Z.json", "--bootstrap", 10,
                    "--grid-lambda-max", lambda_max, "--out", report) == 2
@@ -413,7 +488,7 @@ class TestEstimate:
         """Rejected before the first term's estimate, naming the flag."""
         data = self.generated(tmp_path)
         capsys.readouterr()
-        monkeypatch.setattr(cli, "estimate_term", _no_work)
+        monkeypatch.setattr(cli, "estimate_terms", _no_work)
         report = tmp_path / "rep.json"
         assert run("estimate", data / "Z.json", data / "X.json",
                    "--bootstrap", count, *SMALL_GRID_ARGS, "--out", report) == 2
@@ -455,9 +530,11 @@ class TestSweep:
         recomputed = {}
         for i, j in cells:
             schedule = lis(i, 128)
-            dataset, result, pi_hats = sweep_cell(
-                ansatz, terms[j][1], 0.02, schedule, 30, grid, 4, (i, j),
-            )
+            dataset = simulate_dataset(
+                ansatz, terms[j][1], 0.02, schedule,
+                seed=np.random.SeedSequence(4, spawn_key=(i, j, 0)))
+            result, pi_hats, _ = estimate_term(
+                dataset, 30, grid=grid, seed=np.random.SeedSequence(4, spawn_key=(i, j, 1)))
             assert dataset.pauli == terms[j][1].word
             assert dataset.layers == schedule.layers
             rmse, sigma_rmse = rmse_stats(pi_hats,
@@ -586,6 +663,16 @@ class TestEnergy:
         out, sidecar = tmp_path / "energy.csv", tmp_path / "energy.json"
         _bootstrap_count_rejected((*self.ARGS, "--out", out, "--json", sidecar),
                                   count, [out, sidecar], capsys, monkeypatch)
+
+    def test_a_row_is_one_search(self, tmp_path, monkeypatch):
+        """A row's five two-qubit terms share its schedule: each boosted row
+        is one search of 5 observed and 50 replicate rows, and the depth-0
+        row takes the closed form."""
+        rows = _searched_rows(monkeypatch)
+        assert run("energy", "--hamiltonian", "two_qubit", "--i-max", 2,
+                   "--bootstrap", 10, *SMALL_GRID_ARGS,
+                   "--out", tmp_path / "e.csv") == 0
+        assert rows == [55, 55]
 
     def test_rerun_is_byte_identical(self, tmp_path):
         for name in ("a", "b"):
@@ -1069,7 +1156,7 @@ class TestUnwritableOutput:
                "under-a-file": tmp_path / "file" / "out",
                "a-directory": tmp_path}[kind]
         argv = UNWRITABLE[command](tmp_path, out)
-        for work in ("_build_schedule", "estimate_term", "rmse_sweep",
+        for work in ("_build_schedule", "estimate_terms", "rmse_sweep",
                      "simulate_curves", "sweep"):
             monkeypatch.setattr(cli, work, _no_work)
         capsys.readouterr()

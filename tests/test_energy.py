@@ -11,7 +11,6 @@ from rae.energy import (
     EnergyEstimate,
     combine_energy,
     direct_baseline,
-    estimate_term,
     rmse_sweep,
     simulate_dataset,
     term_row,
@@ -22,6 +21,7 @@ from rae.inference import (
     IdentifiabilityError,
     MLEGrid,
     ParityDataset,
+    estimate_term,
     rmse_stats,
 )
 from rae.pauli import (

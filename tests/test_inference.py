@@ -2,10 +2,13 @@
 
 import json
 import math
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     RAECircuitSpec,
@@ -16,6 +19,7 @@ from oracles import (
     eager_block_level,
     exhaustive_bootstrap,
     exhaustive_estimate,
+    exhaustive_scan,
     log_likelihood,
     parity_distribution,
 )
@@ -31,6 +35,7 @@ from rae.inference import (
     ParityDataset,
     chebyshev_parity_probability,
     estimate_term,
+    estimate_terms,
     load_dataset,
     likelihood_tables,
     mle_estimate,
@@ -237,7 +242,8 @@ class TestLikelihoodGrid:
             self.GRID, (3, 2, 1, 0)).search(even[None], np.full(4, 256.0))
         assert result.method == "mle"
         assert (result.pi_hat, result.lambda_hat, result.degenerate_maximum) == (
-            pi_hats[0], lambda_hats[0], degenerate)
+            pi_hats[0], lambda_hats[0], degenerate[0])
+        assert degenerate.shape == (1,)
 
 
 class TestDirectEstimate:
@@ -516,9 +522,9 @@ class TestSearchCount:
         screened, summed = [], []
         maxima, kernel = LikelihoodGrid._maxima, LikelihoodGrid._sum
 
-        def screen_spy(self, even, shots, cells):
+        def screen_spy(self, even, shots, cells, n_points):
             screened.append(len(cells))
-            return maxima(self, even, shots, cells)
+            return maxima(self, even, shots, cells, n_points)
 
         def kernel_spy(self, counts, table):
             summed.append(table.shape[1])
@@ -532,6 +538,103 @@ class TestSearchCount:
             mle_estimate(self.DATASET)
         assert len(screened) == math.ceil((n + 1) / BOUND_ROWS)
         assert 0 < 10 * sum(summed) < sum(screened)
+
+
+class TestEstimateTerms:
+    """Terms that share a grid, the same layers in the same order and the
+    same shots, are one search; each term's estimate and replicates equal
+    those of a search of its own."""
+
+    GRID = MLEGrid(1001, 11, 0.25)
+    FLAT = TestLikelihoodGrid.FLAT
+    DATASETS = [
+        _sampled(0.3, 0.05, range(4), 100, 21),
+        # degenerate, and not the batch's first row
+        FLAT,
+        _sampled(-0.6, 0.1, range(4), 100, 22),
+        # the same layers in another order: another grid
+        ParityDataset("Z", FLAT.layers[::-1], FLAT.n_shots, FLAT.e_even),
+        # the same layers with other shots: another batch
+        _sampled(0.3, 0.05, range(4), 200, 23),
+        # depth 0 only: the closed form, no search
+        ParityDataset("Z", (0,), (100,), (70,)),
+    ]
+    REPLICATES = [30, 40, 0, 20, 10, 25]
+
+    def test_batch_equals_each_term_alone(self, monkeypatch):
+        seeds = [np.random.SeedSequence(5, spawn_key=(j,)) for j in range(len(self.DATASETS))]
+        batch = []
+        rows = TestSearchCount.searched_rows(monkeypatch, lambda: batch.extend(
+            estimate_terms(self.DATASETS, self.REPLICATES, self.GRID, seeds)))
+        # (3 observed + 70 replicates) in two groups, then the reversed and
+        # the 200-shot terms alone
+        assert rows == [64, 9, 21, 11]
+        assert batch[1][0].degenerate_maximum
+        assert batch[1][0] == exhaustive_estimate(self.FLAT, self.GRID)
+        for dataset, m, seed, (result, pi_hats, lambda_hats) in zip(
+                self.DATASETS, self.REPLICATES, seeds, batch):
+            if m:
+                alone = estimate_term(dataset, m, self.GRID, seed)
+            else:
+                alone = (mle_estimate(dataset, self.GRID), np.empty(0), np.empty(0))
+            assert result == alone[0]
+            assert pi_hats.tobytes() == alone[1].tobytes()
+            assert lambda_hats.tobytes() == alone[2].tobytes()
+
+
+# RAE_FUZZ_EXAMPLES raises the example count for a long fuzz run
+FUZZ_EXAMPLES = int(os.environ.get("RAE_FUZZ_EXAMPLES", "150"))
+
+
+@st.composite
+def shared_grid_batches(draw):
+    """A grid, 1-4 depths (not depth 0 alone), their shots (equal or
+    ragged), and 1-5 terms' count rows on them: each term an observed row
+    and 0-80 replicate rows, uniform in [0, N] or at the ends 0 and N."""
+    grid = MLEGrid(draw(st.integers(2, 1001)), draw(st.integers(2, 51)),
+                   draw(st.floats(0.01, 50.0)))
+    boosted = draw(st.integers(1, 10**4))
+    others = draw(st.lists(st.integers(0, 10**4).filter(lambda depth: depth != boosted),
+                           max_size=3, unique=True))
+    layers = tuple(draw(st.permutations([boosted, *others])))
+    if draw(st.booleans()):
+        shots = (draw(st.integers(1, 10**9)),) * len(layers)
+    else:
+        shots = tuple(draw(st.lists(st.integers(1, 10**9), min_size=len(layers),
+                                    max_size=len(layers))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    terms = []
+    for _ in range(draw(st.integers(1, 5))):
+        size = (1 + draw(st.integers(0, 80)), len(layers))
+        if draw(st.booleans()):
+            terms.append(rng.integers(0, np.array(shots) + 1, size=size))
+        else:
+            terms.append(rng.integers(0, 2, size=size) * np.array(shots))
+    return grid, layers, shots, terms
+
+
+class TestBatchedSearchFuzz:
+    """Random batches of terms sharing a grid, searched in one call, against
+    the dense scan: every row's first argmax and every observed row's
+    degeneracy flag, whichever row group holds it."""
+
+    @settings(max_examples=FUZZ_EXAMPLES, derandomize=True, deadline=None)
+    @given(shared_grid_batches())
+    def test_equals_dense_scan(self, batch):
+        grid, layers, shots, terms = batch
+        observed = np.array([rows[0] for rows in terms])
+        even = np.vstack([observed, *(rows[1:] for rows in terms)]).astype(float)
+        pi_hats, lambda_hats, flags = LikelihoodGrid(grid, layers).search(
+            even, np.array(shots, dtype=float), len(terms))
+        tables = dense_tables(grid, layers)
+        distinct, inverse = np.unique(even, axis=0, return_inverse=True)
+        firsts = np.array([np.argmax(dense_surface(tables, row, shots))
+                           for row in distinct])[inverse.reshape(-1)]
+        i, j = np.divmod(firsts, grid.lambda_points)
+        assert pi_hats.tobytes() == grid.pi_values()[i].tobytes()
+        assert lambda_hats.tobytes() == grid.lambda_values()[j].tobytes()
+        assert flags.tolist() == [exhaustive_scan(grid, tables, row, shots)[2]
+                                  for row in observed]
 
 
 DEEP_LAYERS = (0, 1, 2, 4, 8, 16, 32, 64)
@@ -768,6 +871,23 @@ class TestMemory:
         even = np.array([[1.0] * 30])
         assert len(tables._candidates(even, np.full(30, 2.0))) == 25000
         assert _peak_bytes(ds, grid) < 4 * 2**20
+
+    def test_five_flat_terms_in_one_batch_peak(self):
+        # five balanced 2-shot terms at 30 depths and 12 replicates each,
+        # 65 rows of one grid: each observed row keeps its kernel values
+        # over all 25,000 candidate cells for its flag (1 MiB for the five),
+        # and the peak measured 3.1 MiB; (rows, cells) integer temporaries
+        # in the flag pass measured 4.6 MiB
+        ds = ParityDataset("Z", tuple(range(30)), (2,) * 30, (1,) * 30)
+        grid = MLEGrid(500, 50, 50.0)
+        likelihood_tables.cache_clear()
+        tracemalloc.start()
+        try:
+            estimate_terms([ds] * 5, [12] * 5, grid, list(range(5)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_flat_likelihood_peak(self):
         # balanced 2-shot counts at 30 depths: most (row, block) pairs pass
